@@ -210,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KeygenError, GenerationError, SigningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # e.g. MemoryError: never exit 1, which means reject
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -88,12 +88,6 @@ def make_code(params: ParameterSet, rng: np.random.Generator) -> LdgmCode:
     )
 
 
-def random_information_word(params: ParameterSet, rng: np.random.Generator) -> SparseVector:
-    """Uniform binary vector of length k and weight exactly m_g."""
-    pos = rng.choice(params.k, size=params.m_g, replace=False)
-    return SparseVector(params.k, np.sort(pos), np.ones(params.m_g, dtype=np.int64), params.q)
-
-
 def codeword_from_generator(G: QCMatrix, params: ParameterSet, m_g: int,
                             rng: np.random.Generator) -> SparseVector:
     """c = u G for uniform binary u of weight m_g.

@@ -6,10 +6,11 @@ cyclically right-shifted r times, i.e. entry (r, c) = a_{(c-r) mod p}.
 Multiplication of circulants is cyclic convolution of first rows.
 
 Block matrices of circulants (QCMatrix) store one row per block, a
-factor-p saving over the dense expansion. Heavy products run batched
-cyclic convolutions through a real FFT; coefficients are small enough
+factor-p saving over the dense expansion. Every ring product (polynomial,
+block matrix, dense vector, inversion step) runs through one batched
+cyclic convolution over a real FFT; coefficients are small enough
 (bounded by inner_dim * p * (q-1)^2) that rounding the inverse transform
-is exact, which is asserted before taking the fast path.
+is exact, which is asserted on every product.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-
-from .field import is_prime
 
 # Largest coefficient magnitude for which float64 FFT round-tripping is
 # guaranteed exact (conservative: doubles are exact to 2^53).
@@ -32,16 +31,6 @@ class DimensionMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # raw polynomial helpers (coefficient arrays of length p, canonical mod q)
 # ---------------------------------------------------------------------------
-
-def _cyc_conv(a: np.ndarray, b: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Cyclic convolution of two length-p coefficient arrays, mod q."""
-    if p == 1:
-        return (a * b) % q
-    full = np.convolve(a, b)
-    out = full[:p].copy()
-    out[: full.size - p] += full[p:]
-    return out % q
-
 
 def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -83,6 +72,29 @@ def _poly_sub_lists(a: list[int], b: list[int], q: int) -> list[int]:
     return _poly_trim(out)
 
 
+def _x_p_minus_1(p: int, q: int) -> list[int]:
+    modulus = [0] * (p + 1)
+    modulus[0] = q - 1  # -1
+    modulus[p] = 1
+    return modulus
+
+
+def _vanishing_cofactor(a: np.ndarray, p: int, q: int) -> np.ndarray:
+    """h = (x^p - 1) / gcd(a(x), x^p - 1) as length-p coefficients.
+
+    For squarefree x^p - 1, h is zero in exactly the CRT components of R_p
+    where a is nonzero.
+    """
+    modulus = _x_p_minus_1(p, q)
+    r0, r1 = modulus, _poly_trim([int(v) % q for v in a])
+    while r1:
+        r0, r1 = r1, _poly_divmod(r0, r1, q)[1]
+    h, _ = _poly_divmod(modulus, r0, q)
+    out = np.zeros(p, dtype=np.int64)
+    out[: len(h)] = h
+    return out
+
+
 def _poly_inv_raw(a: np.ndarray, p: int, q: int) -> np.ndarray | None:
     """Inverse of a(x) in F_q[x]/(x^p - 1) via extended Euclid, or None.
 
@@ -91,9 +103,7 @@ def _poly_inv_raw(a: np.ndarray, p: int, q: int) -> np.ndarray | None:
     A = _poly_trim([int(v) % q for v in a])
     if not A:
         return None
-    modulus = [0] * (p + 1)
-    modulus[0] = q - 1  # -1
-    modulus[p] = 1
+    modulus = _x_p_minus_1(p, q)
     # invariants: r0 = t0*a (mod x^p - 1), r1 = t1*a (mod x^p - 1)
     r0, r1 = modulus, A
     t0, t1 = [], [1]
@@ -126,30 +136,20 @@ def _assert_fft_exact(inner: int, p: int, q: int):
 
 
 def _block_matmul(A: np.ndarray, B: np.ndarray, p: int, q: int) -> np.ndarray:
-    """(m, k, p) x (k, n, p) -> (m, n, p) with cyclic-convolution block products."""
-    inner = A.shape[1]
-    _assert_fft_exact(inner, p, q)
-    if p == 1:
-        return np.einsum("ikp,kjp->ijp", A, B) % q
+    """(m, k, p) x (k, n, p) -> (m, n, p) with cyclic-convolution block products.
+
+    The one FFT convolution kernel: every product in the ring goes through
+    here, with m, k or n set to 1 for polynomials, vectors and outer products.
+    """
+    _assert_fft_exact(A.shape[1], p, q)
     fa = np.fft.rfft(A, axis=-1)
     fb = np.fft.rfft(B, axis=-1)
     fc = np.einsum("ikf,kjf->ijf", fa, fb)
     return np.rint(np.fft.irfft(fc, n=p, axis=-1)).astype(np.int64) % q
 
 
-def _conv_outer(F: np.ndarray, G: np.ndarray, p: int, q: int) -> np.ndarray:
-    """(m, p) x (l, p) -> (m, l, p), entry (i, j) = F_i conv G_j (cyclic, mod q)."""
-    _assert_fft_exact(1, p, q)
-    if p == 1:
-        return np.einsum("ip,jp->ijp", F, G) % q
-    ff = np.fft.rfft(F, axis=-1)
-    fg = np.fft.rfft(G, axis=-1)
-    fc = np.einsum("if,jf->ijf", ff, fg)
-    return np.rint(np.fft.irfft(fc, n=p, axis=-1)).astype(np.int64) % q
-
-
 # ---------------------------------------------------------------------------
-# dense F_q linear algebra (fallback path and test oracles)
+# dense F_q linear algebra (test oracles)
 # ---------------------------------------------------------------------------
 
 def gf_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
@@ -182,29 +182,6 @@ def gf_inv_dense(M: np.ndarray, q: int) -> np.ndarray | None:
         factors[col] = 0
         W -= np.outer(factors, W[col])
     return W[:, n:] % q
-
-
-def gf_rank(M: np.ndarray, q: int) -> int:
-    """Row rank over F_q (test oracle)."""
-    W = M.astype(np.int64) % q
-    rank = 0
-    rows, cols = W.shape
-    for col in range(cols):
-        piv = np.nonzero(W[rank:, col])[0]
-        if piv.size == 0:
-            continue
-        r = rank + int(piv[0])
-        if r != rank:
-            W[[rank, r]] = W[[r, rank]]
-        W[rank] = (W[rank] * pow(int(W[rank, col]), -1, q)) % q
-        others = np.nonzero(W[:, col])[0]
-        for s in others:
-            if s != rank:
-                W[s] = (W[s] - W[s, col] * W[rank]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +250,8 @@ def poly_add(a: CirculantPoly, b: CirculantPoly) -> CirculantPoly:
 
 def poly_mul(a: CirculantPoly, b: CirculantPoly) -> CirculantPoly:
     _check_ring(a, b)
-    return CirculantPoly(_cyc_conv(a.coeffs, b.coeffs, a.p, a.q), a.q)
+    c = _block_matmul(a.coeffs[None, None], b.coeffs[None, None], a.p, a.q)
+    return CirculantPoly(c[0, 0], a.q)
 
 
 def poly_inv(a: CirculantPoly) -> CirculantPoly | None:
@@ -359,18 +337,20 @@ def qc_mat_add(A: QCMatrix, B: QCMatrix) -> QCMatrix:
     return QCMatrix((A.blocks + B.blocks) % A.q, A.q)
 
 
-# expanded dimension above which the dense fallback is not attempted
-# (memory guard; ring-level elimination with pivoting handles real keys)
-_DENSE_FALLBACK_LIMIT = 4096
-
-
 def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
     """Inverse of a square block matrix, or None when singular.
 
-    Strategy: Gauss-Jordan over the ring R_p using invertible polynomial
-    pivots (with block-row pivoting). If elimination stalls the dense
-    expansion is inverted over F_q and folded back to QC form (the inverse
-    of a QC matrix is QC). Returns None iff the expansion is singular.
+    Gauss-Jordan over the ring R_p on [A | I], with block-row pivoting onto
+    a unit entry of the column. When no remaining entry of a column is a
+    unit, a repair step adds h * (row r) to the pivot row for r = col+1, ...
+    in turn, with h = (x^p - 1) / gcd(pivot, x^p - 1). Each addition is a
+    unimodular row operation; in the CRT splitting of R_p it fills in the
+    components where the pivot vanishes and leaves the others unchanged.
+
+    A is singular iff no addition makes the pivot a unit: then some CRT
+    component of the column is zero in every remaining row. This criterion
+    is exact for every prime p (x^p - 1 is squarefree over F_q when p != q,
+    and R_p is a local ring when p = q). No dense expansion is formed.
     """
     if A.rows0 != A.cols0:
         raise DimensionMismatchError("inversion requires a square block matrix")
@@ -385,39 +365,32 @@ def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
                     aug[[col, r]] = aug[[r, col]]
                 break
         if pivot_inv is None:
-            return _qc_inv_dense_fallback(A)
-        frow = np.fft.rfft(aug[col], axis=-1) if p > 1 else aug[col].astype(complex)
-        fp = np.fft.rfft(pivot_inv) if p > 1 else pivot_inv.astype(complex)
-        if p > 1:
-            aug[col] = np.rint(np.fft.irfft(frow * fp, n=p, axis=-1)).astype(np.int64) % q
-        else:
-            aug[col] = np.rint((frow * fp).real).astype(np.int64) % q
+            pivot_inv = _repair_pivot(aug, col, p, q)
+            if pivot_inv is None:
+                return None
+        aug[col] = _block_matmul(pivot_inv[None, None], aug[col][None], p, q)[0]
         factors = aug[:, col].copy()
         factors[col] = 0
         if factors.any():
-            delta = _conv_outer(factors, aug[col], p, q)
-            aug = (aug - delta) % q
+            aug = (aug - _block_matmul(factors[:, None], aug[col][None], p, q)) % q
     return QCMatrix(aug[:, s:], q)
 
 
-def _qc_inv_dense_fallback(A: QCMatrix) -> QCMatrix | None:
-    n = A.rows0 * A.p
-    if n > _DENSE_FALLBACK_LIMIT:
-        # too large to expand; ring elimination stalled, treat as singular
-        # so key generation resamples
-        return None
-    dense_inv = gf_inv_dense(expand(A), A.q)
-    if dense_inv is None:
-        return None
-    return fold_dense(dense_inv, A.rows0, A.rows0, A.p, A.q)
+def _repair_pivot(aug: np.ndarray, col: int, p: int, q: int) -> np.ndarray | None:
+    """Make aug[col, col] a unit by adding multiples of the rows below it.
 
-
-def fold_dense(M: np.ndarray, rows0: int, cols0: int, p: int, q: int) -> QCMatrix:
-    """Read a QC matrix off a dense matrix known to have QC structure."""
-    blocks = np.empty((rows0, cols0, p), dtype=np.int64)
-    for i in range(rows0):
-        blocks[i] = M[i * p, :].reshape(cols0, p)
-    return QCMatrix(blocks % q, q)
+    Updates aug[col] in place and returns the pivot's inverse, or None when
+    no unit can be reached (the matrix is singular).
+    """
+    for r in range(col + 1, aug.shape[0]):
+        if not aug[r, col].any():
+            continue  # adding this row cannot change the pivot
+        h = _vanishing_cofactor(aug[col, col], p, q)
+        aug[col] = (aug[col] + _block_matmul(h[None, None], aug[r][None], p, q)[0]) % q
+        pivot_inv = _poly_inv_raw(aug[col, col], p, q)
+        if pivot_inv is not None:
+            return pivot_inv
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +470,8 @@ def qc_vec_mul(v, A: QCMatrix) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
     if v.size != n_in:
         raise DimensionMismatchError(f"vector length {v.size} != {n_in}")
-    _assert_fft_exact(A.rows0, p, q)
-    vb = (v % q).reshape(A.rows0, p)
-    if p == 1:
-        out = np.einsum("ip,ijp->jp", vb, A.blocks)
-        return (out % q).reshape(-1)
-    fv = np.fft.rfft(vb, axis=-1)
-    fa = np.fft.rfft(A.blocks, axis=-1)
-    fo = np.einsum("if,ijf->jf", fv, fa)
-    out = np.rint(np.fft.irfft(fo, n=p, axis=-1)).astype(np.int64) % q
-    return out.reshape(-1)
+    vb = (v % q).reshape(1, A.rows0, p)
+    return _block_matmul(vb, A.blocks, p, q).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +540,3 @@ def perm_apply(P: QCPermutation, s: SparseVector) -> SparseVector:
 
 def random_qc_permutation(size0: int, p: int, q: int, rng: np.random.Generator) -> QCPermutation:
     return QCPermutation(rng.permutation(size0), rng.integers(0, p, size=size0), p, q)
-
-
-def _validate_prime(q: int):
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")

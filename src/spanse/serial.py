@@ -57,9 +57,13 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def require(self, n: int):
+        """Fail unless at least n bytes remain; call before sizing an allocation."""
         if self.pos + n > len(self.data):
             raise SerializationError("truncated input")
+
+    def take(self, n: int) -> bytes:
+        self.require(n)
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -205,6 +209,8 @@ def deserialize_public(data: bytes) -> PublicKey:
 def deserialize_private(data: bytes) -> PrivateKey:
     rd, _, params = _read_header(data, OBJ_PRIVATE)
     r0, p, q = params.r0, params.p, params.q
+    # permutation and shifts, one count word per generator row, then S
+    rd.require(4 * r0 + 4 * params.k0 + params.n0 * params.n0 * p)
     perm = np.array([rd.u16() for _ in range(r0)], dtype=np.int64)
     shifts = np.array([rd.u16() for _ in range(r0)], dtype=np.int64)
     if np.any(shifts >= p):

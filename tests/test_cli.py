@@ -1,7 +1,9 @@
+import struct
+
 import pytest
 
 from spanse import serial
-from spanse.cli import EXIT_INPUT, EXIT_OK, EXIT_REJECT, main
+from spanse.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, main
 
 
 @pytest.fixture()
@@ -137,3 +139,32 @@ def test_params_file_round_trip(workdir):
     assert run("keygen", "--params", pfile, "--private", sk,
                "--public", pk, "--seed", 1) == EXIT_OK
     assert sk.exists() and pk.exists()
+
+
+def test_hostile_private_key_header_is_input_error(workdir, capsys):
+    # 45 bytes whose header declares n0=65535, k0=65534, p=65521: the
+    # declared payload must be checked before anything is sized from it
+    header = b"SPNS" + struct.pack("<HB", 1, 3)
+    header += struct.pack("<7H", 127, 65521, 65535, 65534, 10, 4, 2)
+    header += struct.pack("<H", 2) + struct.pack("<BII", 0, 1, 2) + struct.pack("<BII", 1, 1, 2)
+    key = workdir / "hostile.bin"
+    key.write_bytes(header + struct.pack("<HH", 0, 0))
+    assert len(key.read_bytes()) == 45
+    out = workdir / "sig.bin"
+    assert run("sign", "--key", key, "--message", workdir / "msg.txt",
+               "--out", out) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unexpected_failure_is_internal_error_not_reject(workdir, capsys, monkeypatch):
+    sk, _ = keygen_files(workdir)
+
+    def out_of_memory(data):
+        raise MemoryError("simulated")
+
+    monkeypatch.setattr(serial, "deserialize_private", out_of_memory)
+    assert run("sign", "--key", sk, "--message", workdir / "msg.txt",
+               "--out", workdir / "sig.bin") == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("error: internal failure: MemoryError")

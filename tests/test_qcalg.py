@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spanse import qcalg
 from spanse.qcalg import (
     CirculantPoly,
     DimensionMismatchError,
@@ -175,6 +176,65 @@ def test_qc_mat_inv_dense_fallback_cases():
         assert Ai is None
     else:
         assert Ai is not None and np.array_equal(expand(Ai), dense)
+
+
+def test_qc_mat_inv_above_old_dense_limit_with_no_unit_pivot():
+    # 41 blocks at p=101 expand to 4141 x 4141. Both entries of the first
+    # column, x - 1 and Phi_101 = 1 + x + ... + x^100, are non-units, yet
+    # det = x - 1 - Phi_101 is a unit, so the matrix is invertible.
+    p, s = 101, 41
+    blocks = QCMatrix.identity(s, p, Q).blocks
+    blocks[0, 0, :2] = [Q - 1, 1]
+    blocks[1, 0] = 1
+    blocks[0, 1, 0] = 1
+    A = QCMatrix(blocks, Q)
+    Ai = qc_mat_inv(A)
+    assert Ai is not None
+    assert qc_mat_mul(A, Ai) == QCMatrix.identity(s, p, Q)
+    assert qc_mat_mul(Ai, A) == QCMatrix.identity(s, p, Q)
+
+
+def _non_unit_entry(rng, p, q):
+    """A random entry that is zero, or vanishes in some CRT component of R_p."""
+    kind = rng.integers(0, 4)
+    c = rng.integers(0, q, p)
+    if kind == 0:
+        c[0] = (c[0] - c.sum()) % q  # coefficient sum 0: vanishes at x = 1
+    elif kind == 1:
+        c[:] = c[0]  # a multiple of Phi_p = 1 + x + ... + x^(p-1)
+    elif kind == 2:
+        c[:] = 0
+    return c  # kind 3: a generic entry, usually a unit
+
+
+@pytest.mark.parametrize("p,q", [(3, 127), (5, 127), (13, 127), (3, 3), (5, 5)])
+def test_qc_mat_inv_repair_step_matches_dense_oracle(monkeypatch, p, q):
+    repairs = []
+    real_repair = qcalg._repair_pivot
+
+    def counting_repair(*args):
+        repairs.append(args[1])
+        return real_repair(*args)
+
+    monkeypatch.setattr(qcalg, "_repair_pivot", counting_repair)
+    rng = np.random.default_rng(100 + 7 * p + q)
+    outcomes = set()
+    for _ in range(150):
+        m = int(rng.integers(2, 5))
+        blocks = np.array([[_non_unit_entry(rng, p, q) for _ in range(m)] for _ in range(m)])
+        A = QCMatrix(blocks, q)
+        before = len(repairs)
+        Ai = qc_mat_inv(A)
+        dense = gf_inv_dense(expand(A), q)
+        if dense is None:
+            assert Ai is None
+        else:
+            assert Ai is not None and np.array_equal(expand(Ai), dense)
+        if len(repairs) > before:
+            outcomes.add(Ai is not None)
+    # every CRT component is local when p == q, so a column without a unit
+    # proves the matrix singular and no repair can succeed
+    assert outcomes == ({False} if p == q else {True, False})
 
 
 def test_qc_mat_inv_requires_square():
