@@ -8,9 +8,10 @@ Multiplication of circulants is cyclic convolution of first rows.
 Block matrices of circulants (QCMatrix) store one row per block, a
 factor-p saving over the dense expansion. Every ring product (polynomial,
 block matrix, dense vector, inversion step) runs through one batched
-cyclic convolution over a real FFT; coefficients are small enough
-(bounded by inner_dim * p * (q-1)^2) that rounding the inverse transform
-is exact, which is asserted on every product.
+cyclic convolution: a real FFT zero-padded to the power of two that holds
+the linear convolution, folded mod x^p - 1. Coefficients are small enough
+(bounded by inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse
+transform is exact, which is asserted on every product.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-# Largest coefficient magnitude for which float64 FFT round-tripping is
-# guaranteed exact (conservative: doubles are exact to 2^53).
-_FFT_EXACT_BOUND = 2**52
+# Largest bound inner * p * (q-1)^2 on a coefficient for which rounding the
+# float64 FFT product is trusted. Doubles hold integers to 2^53, but the
+# transforms' rounding error grows with the magnitude: a (1, 1024) x
+# (1024, 1) product at q = 65521, p = 101 (about 2^48.7) came back with
+# more than half of its 101 coefficients wrong, and errors first appeared
+# between 2^47.7 and 2^48.6. 2^40 keeps a factor of 2^7 below that;
+# spanse-128's largest product is about 2^28.5.
+_FFT_EXACT_BOUND = 2**40
 
 
 class DimensionMismatchError(ValueError):
@@ -140,12 +146,23 @@ def _block_matmul(A: np.ndarray, B: np.ndarray, p: int, q: int) -> np.ndarray:
 
     The one FFT convolution kernel: every product in the ring goes through
     here, with m, k or n set to 1 for polynomials, vectors and outer products.
+    The operands are zero-padded to n = 2^ceil(log2(2p - 1)), the smallest
+    power of two that holds the linear convolution: on 84 * 85 rows, numpy's
+    rfft takes about 30 ms at the prime length 101 and 11 ms at 256. The
+    linear result is rounded and folded mod x^p - 1, adding coefficient
+    p + t into coefficient t.
     """
     _assert_fft_exact(A.shape[1], p, q)
-    fa = np.fft.rfft(A, axis=-1)
-    fb = np.fft.rfft(B, axis=-1)
-    fc = np.einsum("ikf,kjf->ijf", fa, fb)
-    return np.rint(np.fft.irfft(fc, n=p, axis=-1)).astype(np.int64) % q
+    n = 1 << (2 * p - 2).bit_length()
+    fc = np.einsum("ikf,kjf->ijf", np.fft.rfft(A, n=n, axis=-1), np.fft.rfft(B, n=n, axis=-1))
+    lin = np.fft.irfft(fc, n=n, axis=-1)
+    del fc  # free the spectrum before the int64 result is allocated
+    np.rint(lin, out=lin)
+    out = lin[..., :p]
+    out[..., : p - 1] += lin[..., p : 2 * p - 1]
+    out = out.astype(np.int64)
+    out %= q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +368,11 @@ def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
     component of the column is zero in every remaining row. This criterion
     is exact for every prime p (x^p - 1 is squarefree over F_q when p != q,
     and R_p is a local ring when p = q). No dense expansion is formed.
+
+    Each step scales and subtracts only the live block columns, those where
+    the pivot row is nonzero; the others are unchanged in every row. On
+    generic input these are the s - col columns right of the eliminated
+    ones plus the col + 1 filled columns of the identity half: s + 1 of 2s.
     """
     if A.rows0 != A.cols0:
         raise DimensionMismatchError("inversion requires a square block matrix")
@@ -368,11 +390,17 @@ def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
             pivot_inv = _repair_pivot(aug, col, p, q)
             if pivot_inv is None:
                 return None
-        aug[col] = _block_matmul(pivot_inv[None, None], aug[col][None], p, q)[0]
+        # block columns where the pivot row is zero leave every row unchanged
+        live = np.flatnonzero(aug[col].any(axis=-1))
+        pivot_row = _block_matmul(pivot_inv[None, None], aug[col, live][None], p, q)
+        aug[col, live] = pivot_row[0]
         factors = aug[:, col].copy()
         factors[col] = 0
         if factors.any():
-            aug = (aug - _block_matmul(factors[:, None], aug[col][None], p, q)) % q
+            upd = _block_matmul(factors[:, None], pivot_row, p, q)
+            np.subtract(aug[:, live], upd, out=upd)
+            upd %= q
+            aug[:, live] = upd
     return QCMatrix(aug[:, s:], q)
 
 

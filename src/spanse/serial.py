@@ -17,6 +17,7 @@ payloads:
                first rows of the dense transform, p bytes each
     signature  theta length u16, theta bytes, n signature bytes
 
+Symbols are single bytes, so q <= 256 is required on both write and read.
 Every symbol byte must be < q; anything else is a parse error. Derived
 private components (systematic parity check, inverse transform) are not
 stored and are recomputed on load. File writes go to a temporary name in
@@ -94,7 +95,13 @@ def _u32(v: int) -> bytes:
     return struct.pack("<I", v)
 
 
+def _check_symbol_field(q: int):
+    if q > 256:
+        raise SerializationError(f"q={q} does not fit the one-byte symbol format (q <= 256)")
+
+
 def _params_block(params: ParameterSet) -> bytes:
+    _check_symbol_field(params.q)
     out = b"".join(
         _u16(v)
         for v in (params.q, params.p, params.n0, params.k0, params.w, params.w_g, params.m_g)
@@ -110,6 +117,7 @@ def _params_block(params: ParameterSet) -> bytes:
 
 def _read_params(rd: _Reader) -> ParameterSet:
     q, p, n0, k0, w, w_g, m_g = (rd.u16() for _ in range(7))
+    _check_symbol_field(q)
     nent = rd.u16()
     coeffs: dict[int, Fraction] = {}
     for _ in range(nent):

@@ -168,3 +168,17 @@ def test_unexpected_failure_is_internal_error_not_reject(workdir, capsys, monkey
     assert run("sign", "--key", sk, "--message", workdir / "msg.txt",
                "--out", workdir / "sig.bin") == EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("error: internal failure: MemoryError")
+
+
+def test_params_file_with_q_above_byte_symbols_is_input_error(workdir, capsys):
+    # desk's shape at q = 257: symbols up to 256 would wrap in the byte format
+    data = b"SPNS" + struct.pack("<HB", 1, 1)
+    data += struct.pack("<7H", 257, 13, 20, 10, 6, 5, 4)
+    data += struct.pack("<H", 2) + struct.pack("<BII", 0, 1, 2) + struct.pack("<BII", 1, 1, 2)
+    pfile = workdir / "wide.params"
+    pfile.write_bytes(data)
+    sk, pk = workdir / "sk.bin", workdir / "pk.bin"
+    assert run("keygen", "--params", pfile, "--private", sk,
+               "--public", pk, "--seed", 1) == EXIT_INPUT
+    assert "q <= 256" in capsys.readouterr().err
+    assert not sk.exists() and not pk.exists()

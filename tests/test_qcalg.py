@@ -127,6 +127,49 @@ def test_qc_mat_mul_rectangular_oracle():
         qc_mat_mul(rand_qc(rng, 2, 3, 5), rand_qc(rng, 2, 3, 5))
 
 
+def _cyclic_matmul_int64(A, B, q):
+    """(m, k, p) x (k, n, p) block product by explicit shifts, exact in int64."""
+    p = A.shape[-1]
+    out = np.zeros((A.shape[0], B.shape[1], p), dtype=np.int64)
+    for t in range(p):
+        # x^t * b(x) is b cyclically shifted right by t
+        out += np.einsum("ik,kjf->ijf", A[..., t], np.roll(B, t, axis=-1))
+    return out % q
+
+
+@pytest.mark.parametrize("p", [1, 2, 101])
+def test_kernel_products_at_scheme_shapes_match_dense(p):
+    # p = 1 pads to a length-1 transform with an empty fold; p = 101 is the
+    # scheme's ring. All-(q-1) operands give the largest coefficients.
+    rng = np.random.default_rng(30 + p)
+    operands = [(rand_qc(rng, 2, 3, p), rand_qc(rng, 3, 2, p)),
+                (QCMatrix(np.full((2, 3, p), Q - 1), Q), QCMatrix(np.full((3, 2, p), Q - 1), Q))]
+    for A, B in operands:
+        assert np.array_equal(expand(qc_mat_mul(A, B)), gf_matmul(expand(A), expand(B), Q))
+        a, b = A.block(0, 0), B.block(1, 1)
+        assert np.array_equal(poly_mul(a, b).expand(), gf_matmul(a.expand(), b.expand(), Q))
+        for v in (rng.integers(0, Q, 2 * p), np.full(2 * p, Q - 1)):
+            assert np.array_equal(qc_vec_mul(v, A), gf_matmul(v[None, :], expand(A), Q)[0])
+
+
+def test_fft_bound_rejects_products_that_lose_precision():
+    # about 2^48.7: float64 rounding returned most coefficients wrong here
+    q, p, k = 65521, 101, 1024
+    rng = np.random.default_rng(31)
+    A = QCMatrix(rng.integers(q - 64, q, (1, k, p)), q)
+    B = QCMatrix(rng.integers(q - 64, q, (k, 1, p)), q)
+    with pytest.raises(OverflowError):
+        qc_mat_mul(A, B)
+
+
+def test_fft_product_just_under_bound_is_exact():
+    q, p, k = 4093, 101, 600
+    assert 2**39.8 < k * p * (q - 1) ** 2 < 2**40
+    A, B = np.full((1, k, p), q - 1), np.full((k, 1, p), q - 1)
+    got = qc_mat_mul(QCMatrix(A, q), QCMatrix(B, q)).blocks
+    assert np.array_equal(got, _cyclic_matmul_int64(A, B, q))
+
+
 def test_qc_mat_add_matches_dense():
     rng = np.random.default_rng(14)
     A, B = rand_qc(rng, 2, 3, 5), rand_qc(rng, 2, 3, 5)
@@ -207,16 +250,22 @@ def _non_unit_entry(rng, p, q):
     return c  # kind 3: a generic entry, usually a unit
 
 
-@pytest.mark.parametrize("p,q", [(3, 127), (5, 127), (13, 127), (3, 3), (5, 5)])
-def test_qc_mat_inv_repair_step_matches_dense_oracle(monkeypatch, p, q):
-    repairs = []
+@pytest.fixture()
+def repairs(monkeypatch):
+    """Columns at which qc_mat_inv called _repair_pivot, in call order."""
+    calls = []
     real_repair = qcalg._repair_pivot
 
     def counting_repair(*args):
-        repairs.append(args[1])
+        calls.append(args[1])
         return real_repair(*args)
 
     monkeypatch.setattr(qcalg, "_repair_pivot", counting_repair)
+    return calls
+
+
+@pytest.mark.parametrize("p,q", [(3, 127), (5, 127), (13, 127), (3, 3), (5, 5)])
+def test_qc_mat_inv_repair_step_matches_dense_oracle(repairs, p, q):
     rng = np.random.default_rng(100 + 7 * p + q)
     outcomes = set()
     for _ in range(150):
@@ -235,6 +284,47 @@ def test_qc_mat_inv_repair_step_matches_dense_oracle(monkeypatch, p, q):
     # every CRT component is local when p == q, so a column without a unit
     # proves the matrix singular and no repair can succeed
     assert outcomes == ({False} if p == q else {True, False})
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_qc_mat_inv_live_columns_with_swaps_and_repairs(repairs, p):
+    # non-unit entries force row swaps and repairs, which add whole rows,
+    # so the live columns of a pivot row can differ from the generic s + 1
+    rng = np.random.default_rng(40 + p)
+    inverted = 0
+    for s in range(5, 9):
+        for _ in range(10):
+            blocks = np.array([[_non_unit_entry(rng, p, Q) for _ in range(s)] for _ in range(s)])
+            A = QCMatrix(blocks, Q)
+            Ai = qc_mat_inv(A)
+            dense = gf_inv_dense(expand(A), Q)
+            if dense is None:
+                assert Ai is None
+            else:
+                assert Ai is not None and np.array_equal(expand(Ai), dense)
+                inverted += 1
+    assert repairs and inverted
+
+
+def test_qc_mat_inv_updates_only_live_columns(monkeypatch):
+    # generic S: at step col the pivot row is nonzero in s - col columns of
+    # the left half and col + 1 of the identity half, so no product spans
+    # more than s + 1 of the 2s block columns
+    widths = []
+    real_kernel = qcalg._block_matmul
+
+    def recording_kernel(A, B, p, q):
+        widths.append(B.shape[1])
+        return real_kernel(A, B, p, q)
+
+    monkeypatch.setattr(qcalg, "_block_matmul", recording_kernel)
+    rng = np.random.default_rng(41)
+    for s, p in ((6, 13), (8, 101)):
+        widths.clear()
+        A = rand_qc(rng, s, s, p)
+        Ai = qc_mat_inv(A)
+        assert max(widths) == s + 1
+        assert qc_mat_mul(A, Ai) == QCMatrix.identity(s, p, Q)
 
 
 def test_qc_mat_inv_requires_square():

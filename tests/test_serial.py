@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spanse import serial
-from spanse.params import get_params
+from spanse.params import DensityPolynomial, get_params
 from spanse.scheme import PrivateKey, PublicKey, Signature, keygen, sign
 
 DESK = get_params("desk")
@@ -20,6 +22,13 @@ def test_params_round_trip():
     data = serial.serialize_params(DESK)
     assert serial.deserialize_params(data) == DESK
     assert serial.deserialize_params(data).density == DESK.density
+
+
+def test_params_above_one_byte_symbols_are_rejected():
+    # q = 257 is a valid field, but its symbol 256 cannot be written as a byte
+    wide = dataclasses.replace(DESK, density=DensityPolynomial.parse("1/2,1/2", 257), q=257)
+    with pytest.raises(serial.SerializationError, match="q <= 256"):
+        serial.serialize_params(wide)
 
 
 def test_public_round_trip(material):
