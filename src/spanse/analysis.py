@@ -12,6 +12,7 @@ probability that a signing attempt yields a zero-free signature.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -352,13 +353,17 @@ def rejection_rate_montecarlo(
     Batches reuse one sampled generator (its influence enters only through
     the codeword weight distribution); per-batch seeds are spawned from
     the base seed, so results are reproducible at any parallelism degree.
+    At most one worker process runs per batch and per usable CPU.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     sizes = [batch_size] * (trials // batch_size)
     if trials % batch_size:
         sizes.append(trials % batch_size)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    workers = min(workers, len(sizes), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -373,6 +378,13 @@ def rejection_rate_montecarlo(
     p_hat = accepted / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
     return p_hat, stderr
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

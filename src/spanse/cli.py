@@ -112,7 +112,7 @@ def cmd_analyze(args) -> int:
             if args.density
             else params.density
         )
-        if args.monte_carlo:
+        if args.monte_carlo is not None:
             p_valid, stderr = analysis.rejection_rate_montecarlo(
                 params, density, args.monte_carlo,
                 seed=args.seed, workers=args.workers,

@@ -12,6 +12,14 @@ cyclic convolution: a real FFT zero-padded to the power of two that holds
 the linear convolution, folded mod x^p - 1. Coefficients are small enough
 (bounded by inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse
 transform is exact, which is asserted on every product.
+
+Inversion is panelled Gauss-Jordan without row swaps. A panel of up to 8
+pivot columns is eliminated exactly on the panel's own columns and a
+record of the transform's columns at its pivot rows; one product of inner
+dimension 8 then applies the panel to the rest of the matrix. A column with
+no unit in a free row flushes the pending panel first, so the repair step
+works on exact rows. The width shrinks where 8 * p * (q-1)^2 would exceed
+the exactness bound.
 """
 
 from __future__ import annotations
@@ -28,6 +36,11 @@ import numpy as np
 # between 2^47.7 and 2^48.6. 2^40 keeps a factor of 2^7 below that;
 # spanse-128's largest product is about 2^28.5.
 _FFT_EXACT_BOUND = 2**40
+
+# Pivot columns per panel of qc_mat_inv. Each panel ends in one product of
+# this inner dimension over the live block columns, so a wider panel makes
+# fewer passes over the matrix; _panel_width shrinks it for large p and q.
+_PANEL_WIDTH = 8
 
 
 class DimensionMismatchError(ValueError):
@@ -357,68 +370,127 @@ def qc_mat_add(A: QCMatrix, B: QCMatrix) -> QCMatrix:
 def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
     """Inverse of a square block matrix, or None when singular.
 
-    Gauss-Jordan over the ring R_p on [A | I], with block-row pivoting onto
-    a unit entry of the column. When no remaining entry of a column is a
-    unit, a repair step adds h * (row r) to the pivot row for r = col+1, ...
-    in turn, with h = (x^p - 1) / gcd(pivot, x^p - 1). Each addition is a
+    Gauss-Jordan over the ring R_p on [A | I], pivoting onto a unit entry
+    of each column. Rows are never swapped: the pivot row of each column is
+    recorded, and the inverse's row c is the identity half of the row that
+    pivoted column c.
+
+    The pivot columns are taken in panels of _panel_width(p, q) (8 for the
+    scheme's rings). Inside a panel, the row operations touch only the
+    panel's own columns and a record D of the transform's columns at the
+    panel's pivot rows; the panel's transform differs from I only there.
+    After the panel one product applies it to every other live block
+    column: aug[:, other] += (D - I) * aug[pivot rows, other]. On generic
+    input these are s of the 2s columns, so the full-height products and
+    the int64 passes over them run once per panel instead of once per column.
+
+    When no free row has a unit in a column, the pending panel is flushed,
+    and a repair step adds h * (row r) to the first free row for each other
+    free row r, with h = (x^p - 1) / gcd(pivot, x^p - 1). Each addition is a
     unimodular row operation; in the CRT splitting of R_p it fills in the
     components where the pivot vanishes and leaves the others unchanged.
+    The next panel starts at that column.
 
     A is singular iff no addition makes the pivot a unit: then some CRT
-    component of the column is zero in every remaining row. This criterion
-    is exact for every prime p (x^p - 1 is squarefree over F_q when p != q,
+    component of the column is zero in every free row. This criterion is
+    exact for every prime p (x^p - 1 is squarefree over F_q when p != q,
     and R_p is a local ring when p = q). No dense expansion is formed.
-
-    Each step scales and subtracts only the live block columns, those where
-    the pivot row is nonzero; the others are unchanged in every row. On
-    generic input these are the s - col columns right of the eliminated
-    ones plus the col + 1 filled columns of the identity half: s + 1 of 2s.
     """
     if A.rows0 != A.cols0:
         raise DimensionMismatchError("inversion requires a square block matrix")
     s, p, q = A.rows0, A.p, A.q
     aug = np.concatenate([A.blocks.copy(), QCMatrix.identity(s, p, q).blocks], axis=1)
-    for col in range(s):
-        pivot_inv = None
-        for r in range(col, s):
-            pivot_inv = _poly_inv_raw(aug[r, col], p, q)
-            if pivot_inv is not None:
-                if r != col:
-                    aug[[col, r]] = aug[[r, col]]
-                break
-        if pivot_inv is None:
-            pivot_inv = _repair_pivot(aug, col, p, q)
-            if pivot_inv is None:
-                return None
+    width = _panel_width(p, q)
+    free = list(range(s))  # rows not yet chosen as a pivot, in order
+    piv: list[int] = []  # pivot row of each eliminated column
+    while len(piv) < s:
+        panel = min(width, s - len(piv))
+        rows = _eliminate_panel(aug, len(piv), panel, free, p, q)
+        piv += rows
+        if len(rows) < panel and not _repair_pivot(aug, len(piv), free, p, q):
+            return None
+    return QCMatrix(aug[piv, s:], q)
+
+
+def _panel_width(p: int, q: int) -> int:
+    """_PANEL_WIDTH, shrunk until a panel's product is exact in the kernel."""
+    return max(1, min(_PANEL_WIDTH, _FFT_EXACT_BOUND // (p * (q - 1) ** 2)))
+
+
+def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
+                     p: int, q: int) -> list[int]:
+    """Eliminate block columns col, col + 1, ... of aug in one panel.
+
+    Stops after width columns or before the first column with no unit in a
+    free row. Pivot rows are taken from free, in order, and returned in
+    column order; aug is exact again on return.
+    """
+    s = aug.shape[0]
+    # the panel's own columns, then D: column j starts as e_r when row r
+    # pivots column col + j, and every later row operation acts on it
+    work = np.zeros((s, 2 * width, p), dtype=np.int64)
+    work[:, :width] = aug[:, col : col + width]
+    rows: list[int] = []
+    for j in range(width):
+        found = _find_unit(work[:, j], free, p, q)
+        if found is None:
+            break
+        r, pivot_inv = found
+        free.remove(r)
+        rows.append(r)
+        work[r, width + j, 0] = 1
         # block columns where the pivot row is zero leave every row unchanged
-        live = np.flatnonzero(aug[col].any(axis=-1))
-        pivot_row = _block_matmul(pivot_inv[None, None], aug[col, live][None], p, q)
-        aug[col, live] = pivot_row[0]
-        factors = aug[:, col].copy()
-        factors[col] = 0
+        live = np.flatnonzero(work[r].any(axis=-1))
+        pivot_row = _block_matmul(pivot_inv[None, None], work[r, live][None], p, q)
+        work[r, live] = pivot_row[0]
+        factors = work[:, j].copy()
+        factors[r] = 0
         if factors.any():
             upd = _block_matmul(factors[:, None], pivot_row, p, q)
-            np.subtract(aug[:, live], upd, out=upd)
+            np.subtract(work[:, live], upd, out=upd)
             upd %= q
-            aug[:, live] = upd
-    return QCMatrix(aug[:, s:], q)
+            work[:, live] = upd
+    if rows:
+        k = len(rows)
+        d_minus_i = work[:, width : width + k]
+        d_minus_i[rows, np.arange(k), 0] -= 1
+        d_minus_i %= q
+        # columns left of the panel are zero in every pivot row
+        other = np.flatnonzero(aug[rows].any(axis=(0, 2)))
+        other = other[other >= col + width]
+        upd = _block_matmul(d_minus_i, aug[rows][:, other], p, q)
+        np.add(aug[:, other], upd, out=upd)
+        upd %= q
+        aug[:, other] = upd
+    aug[:, col : col + width] = work[:, :width]
+    return rows
 
 
-def _repair_pivot(aug: np.ndarray, col: int, p: int, q: int) -> np.ndarray | None:
-    """Make aug[col, col] a unit by adding multiples of the rows below it.
+def _find_unit(column: np.ndarray, free: list[int], p: int,
+               q: int) -> tuple[int, np.ndarray] | None:
+    """(row, inverse) for the first free row whose entry is a unit, or None."""
+    for r in free:
+        inv = _poly_inv_raw(column[r], p, q)
+        if inv is not None:
+            return r, inv
+    return None
 
-    Updates aug[col] in place and returns the pivot's inverse, or None when
-    no unit can be reached (the matrix is singular).
+
+def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int, q: int) -> bool:
+    """Make aug[free[0], col] a unit by adding multiples of the other free rows.
+
+    Updates aug[free[0]] in place and returns False when no unit can be
+    reached (the matrix is singular).
     """
-    for r in range(col + 1, aug.shape[0]):
+    target = free[0]
+    for r in free[1:]:
         if not aug[r, col].any():
             continue  # adding this row cannot change the pivot
-        h = _vanishing_cofactor(aug[col, col], p, q)
-        aug[col] = (aug[col] + _block_matmul(h[None, None], aug[r][None], p, q)[0]) % q
-        pivot_inv = _poly_inv_raw(aug[col, col], p, q)
-        if pivot_inv is not None:
-            return pivot_inv
-    return None
+        h = _vanishing_cofactor(aug[target, col], p, q)
+        aug[target] = (aug[target] + _block_matmul(h[None, None], aug[r][None], p, q)[0]) % q
+        if _poly_inv_raw(aug[target, col], p, q) is not None:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spanse import analysis
 from spanse.analysis import (
     AttackPoint,
     ConstraintError,
@@ -185,6 +186,50 @@ def test_montecarlo_all_ones_density_rank_one():
 def test_montecarlo_validates_trials():
     with pytest.raises(ValueError):
         rejection_rate_montecarlo(DESK, DESK.density, 0)
+
+
+def test_montecarlo_validates_workers():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="worker"):
+            rejection_rate_montecarlo(DESK, DESK.density, 10, workers=workers)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """max_workers of every process pool the Monte Carlo opens; none starts."""
+    import concurrent.futures
+
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return opened
+
+
+def test_montecarlo_caps_workers_at_batches_and_cpus(pools, monkeypatch):
+    def estimate(workers, trials=300):
+        return rejection_rate_montecarlo(DESK, DESK.density, trials, seed=5,
+                                         batch_size=100, workers=workers)
+
+    serial = estimate(1)
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 64)
+    assert estimate(10**9) == serial  # three batches, so three workers
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    assert estimate(10**9) == serial
+    estimate(2, trials=100)  # one batch: no pool
+    assert pools == [3, 2]
 
 
 # --- sizes ---------------------------------------------------------------------

@@ -111,6 +111,16 @@ def test_analyze_rejection_invalid_density(capsys):
                "--density", "0.7,0.7") == EXIT_INPUT
 
 
+def test_analyze_rejection_monte_carlo_needs_trials_and_workers(capsys):
+    # 0 trials must not fall through to the analytic model
+    assert run("analyze", "rejection", "--params", "desk", "--monte-carlo", 0) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "at least one trial" in captured.err and "p_valid" not in captured.out
+    assert run("analyze", "rejection", "--params", "desk",
+               "--monte-carlo", 10, "--workers", 0) == EXIT_INPUT
+    assert "at least one worker" in capsys.readouterr().err
+
+
 def test_params_subcommands(capsys):
     assert run("params", "list") == EXIT_OK
     assert "desk" in capsys.readouterr().out

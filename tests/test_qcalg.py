@@ -288,11 +288,12 @@ def test_qc_mat_inv_repair_step_matches_dense_oracle(repairs, p, q):
 
 @pytest.mark.parametrize("p", [3, 13])
 def test_qc_mat_inv_live_columns_with_swaps_and_repairs(repairs, p):
-    # non-unit entries force row swaps and repairs, which add whole rows,
-    # so the live columns of a pivot row can differ from the generic s + 1
+    # non-unit entries force pivots off the diagonal and repairs, which add
+    # whole rows, so the live columns of a pivot row can differ from generic;
+    # s = 7, 8, 9 and 17 straddle the boundaries of panels of 8 columns
     rng = np.random.default_rng(40 + p)
     inverted = 0
-    for s in range(5, 9):
+    for s in (5, 6, 7, 8, 9, 17):
         for _ in range(10):
             blocks = np.array([[_non_unit_entry(rng, p, Q) for _ in range(s)] for _ in range(s)])
             A = QCMatrix(blocks, Q)
@@ -307,24 +308,70 @@ def test_qc_mat_inv_live_columns_with_swaps_and_repairs(repairs, p):
 
 
 def test_qc_mat_inv_updates_only_live_columns(monkeypatch):
-    # generic S: at step col the pivot row is nonzero in s - col columns of
-    # the left half and col + 1 of the identity half, so no product spans
-    # more than s + 1 of the 2s block columns
-    widths = []
+    # generic S: each pivot column costs products of inner dimension 1 on the
+    # panel's own columns and its record D, and each panel ends in one
+    # product of inner dimension equal to its width over the other columns
+    b = qcalg._PANEL_WIDTH
+    inner = []
     real_kernel = qcalg._block_matmul
 
     def recording_kernel(A, B, p, q):
-        widths.append(B.shape[1])
+        inner.append(A.shape[1])
         return real_kernel(A, B, p, q)
 
     monkeypatch.setattr(qcalg, "_block_matmul", recording_kernel)
     rng = np.random.default_rng(41)
-    for s, p in ((6, 13), (8, 101)):
-        widths.clear()
+    for s, p in ((b, 13), (2 * b, 101), (2 * b + 3, 13)):
+        assert qcalg._panel_width(p, Q) == b == 8
+        inner.clear()
         A = rand_qc(rng, s, s, p)
         Ai = qc_mat_inv(A)
-        assert max(widths) == s + 1
+        assert set(inner) <= {1, b, s % b}
+        assert inner.count(b) == s // b  # ceil(s / b) panels, the last one narrower
+        assert [k for k in inner if k not in (1, b)] == ([s % b] if s % b else [])
         assert qc_mat_mul(A, Ai) == QCMatrix.identity(s, p, Q)
+
+
+@pytest.mark.parametrize("invertible", [True, False])
+def test_qc_mat_inv_repair_inside_a_panel(repairs, invertible):
+    # [[G, X], [0, M]] with generic G and X: the first c columns pivot on
+    # rows of G and leave M's rows as they are. M's first column holds
+    # x - 1 over Phi_13 (or over x - 1 again), both non-units, so column c,
+    # the fourth of the second panel, needs a repair. M = [[x - 1, 1],
+    # [Phi_13, 1]] has the unit determinant x - 1 - Phi_13; with x - 1 in
+    # both rows every free row vanishes at x = 1 and A is singular.
+    p, b = 13, qcalg._PANEL_WIDTH
+    c, s = b + 3, 2 * b + 1
+    rng = np.random.default_rng(42)
+    blocks = rng.integers(0, Q, (s, s, p))
+    blocks[c:, :c] = 0
+    blocks[c:, c:] = QCMatrix.identity(s - c, p, Q).blocks
+    blocks[c, c, :2] = [Q - 1, 1]
+    blocks[c + 1, c] = 1 if invertible else blocks[c, c]
+    blocks[c, c + 1, 0] = 1
+    A = QCMatrix(blocks, Q)
+    Ai = qc_mat_inv(A)
+    dense = gf_inv_dense(expand(A), Q)
+    assert repairs == [c]
+    assert (dense is not None) == invertible
+    if invertible:
+        assert Ai is not None and np.array_equal(expand(Ai), dense)
+    else:
+        assert Ai is None
+
+
+@pytest.mark.parametrize("p,s,width", [(101, 3, 2), (199, 2, 1)])
+def test_qc_mat_inv_panel_shrinks_under_fft_bound(p, s, width):
+    # width * p * (q - 1)^2 must stay within the kernel's exactness bound
+    q = 65521
+    assert qcalg._panel_width(p, q) == width
+    assert width * p * (q - 1) ** 2 <= qcalg._FFT_EXACT_BOUND < (width + 1) * p * (q - 1) ** 2
+    rng = np.random.default_rng(p)
+    A = QCMatrix(rng.integers(0, q, (s, s, p)), q)
+    Ai = qc_mat_inv(A)
+    dense = gf_inv_dense(expand(A), q)
+    assert dense is not None and Ai is not None
+    assert np.array_equal(expand(Ai), dense)
 
 
 def test_qc_mat_inv_requires_square():

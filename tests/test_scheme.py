@@ -160,3 +160,16 @@ def test_deterministic_signing_reproducible(keypair):
     a, _ = sign(sk, b"same", mode="deterministic", rng=np.random.default_rng(1))
     b, _ = sign(sk, b"same", mode="deterministic", rng=np.random.default_rng(1))
     assert np.array_equal(a.sigma, b.sigma) and a.theta == b.theta
+
+
+def test_spanse_128_round_trip_and_tamper():
+    # the full-scale scheme: 238 x 238 blocks of S at p = 101
+    params = get_params("spanse-128")
+    sk, pk = keygen(params, np.random.default_rng(11))
+    assert sk.Sinv.rows0 == params.n0 and pk.Hpub.blocks.shape == (params.r0, params.n0, params.p)
+    msg = b"full-scale message"
+    sig, _ = sign(sk, msg, rng=np.random.default_rng(12))
+    assert sig.sigma.size == params.n and verify(pk, msg, sig).accepted
+    bumped = sig.sigma.copy()
+    bumped[params.n // 3] = bumped[params.n // 3] % (params.q - 1) + 1  # another nonzero symbol
+    assert verify(pk, msg, Signature(bumped, sig.theta)).reason == "syndrome-mismatch"
