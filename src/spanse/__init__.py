@@ -1,9 +1,9 @@
 """One-time code-based signatures over quasi-cyclic matrices.
 
-Submodules: field (prime-field arithmetic), qcalg (circulant polynomial
-ring and block matrices), ldgm (sparse-generator codes), scheme (keygen /
-sign / verify), serial (byte formats), analysis (cost and rejection-rate
-models), cli (command-line front end).
+Submodules: params (parameter sets and densities), qcalg (circulant
+polynomial ring and block matrices), ldgm (sparse-generator codes), scheme
+(keygen / sign / verify), serial (byte formats), analysis (cost and
+rejection-rate models), cli (command-line front end).
 """
 
 from .params import REGISTRY, DensityPolynomial, ParameterSet, get_params

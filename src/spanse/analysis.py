@@ -359,6 +359,8 @@ def rejection_rate_montecarlo(
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
+    if batch_size < 1:
+        raise ValueError(f"need a batch size of at least one, got {batch_size}")
     sizes = [batch_size] * (trials // batch_size)
     if trials % batch_size:
         sizes.append(trials % batch_size)

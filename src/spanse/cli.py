@@ -1,4 +1,4 @@
-"""Command-line front end: keygen, sign, verify, analyze, params.
+"""Command-line front end: keygen, sign, verify, keycheck, analyze, params.
 
 Exit codes: 0 success/accept, 1 verification reject, 2 input or parse
 error, 3 internal failure. All randomness flows from --seed when given, so
@@ -84,6 +84,12 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     print(f"reject: {result.reason}")
     return EXIT_REJECT
+
+
+def cmd_keycheck(args) -> int:
+    serial.check_private(serial.deserialize_private(Path(args.key).read_bytes()))
+    print("ok")
+    return EXIT_OK
 
 
 def _print_report(d: dict):
@@ -175,6 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--message", required=True)
     vf.add_argument("--signature", required=True)
     vf.set_defaults(func=cmd_verify)
+
+    kc = sub.add_parser("keycheck", help="check that a private key's M1 and S are invertible")
+    kc.add_argument("--key", required=True, help="private key file")
+    kc.set_defaults(func=cmd_keycheck)
 
     an = sub.add_parser("analyze", help="cost / rejection / size reports")
     an.add_argument("kind", choices=["attack", "rejection", "sizes"])

@@ -104,7 +104,3 @@ def codeword_from_generator(G: QCMatrix, params: ParameterSet, m_g: int,
     u = SparseVector(params.k, np.sort(pos), np.ones(m_g, dtype=np.int64), params.q)
     dense = qc_vec_mul(u, G)
     return SparseVector.from_dense(dense, params.q)
-
-
-def random_codeword(code: LdgmCode, m_g: int, rng: np.random.Generator) -> SparseVector:
-    return codeword_from_generator(code.G, code.params, m_g, rng)

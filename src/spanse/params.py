@@ -14,11 +14,25 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .field import is_prime
-
 
 class ParameterError(ValueError):
     """A parameter set violates a structural invariant."""
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test by trial division (moduli are tiny)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 # published densities are often rounded to a few decimals; admit a small

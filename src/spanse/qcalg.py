@@ -638,5 +638,16 @@ def perm_apply(P: QCPermutation, s: SparseVector) -> SparseVector:
     return SparseVector(s.length, out_blk * P.p + out_off, s.values.copy(), s.q)
 
 
+def perm_inv_mul(P: QCPermutation, M: QCMatrix) -> QCMatrix:
+    """P^{-1} M by indexing: block row i is block row pi^{-1}(i) of M with
+    every circulant's first row rolled right by that row's shift."""
+    if M.rows0 != P.size0 or M.p != P.p:
+        raise DimensionMismatchError(f"permutation of {P.size0} blocks of size {P.p} against "
+                                     f"{M.rows0} block rows of size {M.p}")
+    src = P._inv_perm
+    idx = (np.arange(P.p) - P.shifts[src][:, None]) % P.p
+    return QCMatrix(np.take_along_axis(M.blocks[src], idx[:, None, :], axis=2), M.q)
+
+
 def random_qc_permutation(size0: int, p: int, q: int, rng: np.random.Generator) -> QCPermutation:
     return QCPermutation(rng.permutation(size0), rng.integers(0, p, size=size0), p, q)

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ldgm import LdgmCode, make_code, random_codeword
+from .ldgm import codeword_from_generator, make_code
 from .params import ParameterSet
 from .qcalg import (
     QCMatrix,
     QCPermutation,
     SparseVector,
     perm_apply,
+    perm_inv_mul,
     qc_mat_inv,
     qc_mat_mul,
     qc_vec_mul,
@@ -54,11 +55,12 @@ class SigningError(Exception):
 
 @dataclass
 class PrivateKey:
+    """{P, G, S}: exactly what signing reads. H and S^{-1} live only in keygen."""
+
     params: ParameterSet
     P: QCPermutation  # r x r block-shift permutation
-    code: LdgmCode
+    G: QCMatrix  # k0 x n0 blocks, sparse binary generator
     S: QCMatrix  # n0 x n0 blocks, invertible
-    Sinv: QCMatrix
     _St: QCMatrix | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -110,7 +112,7 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
     """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}."""
     code = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, params.q, rng)
-    S = Sinv = None
+    S = None
     for _ in range(MAX_S_RETRIES):
         cand = sample_dense_transform(params, rng)
         inv = qc_mat_inv(cand)
@@ -122,9 +124,8 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
             f"no invertible dense transform in {MAX_S_RETRIES} draws; "
             "the density may be degenerate"
         )
-    Pinv = P.inverse().to_qc_matrix()
-    Hpub = qc_mat_mul(Pinv, qc_mat_mul(code.H, Sinv))
-    return PrivateKey(params, P, code, S, Sinv), PublicKey(params, Hpub)
+    Hpub = perm_inv_mul(P, qc_mat_mul(code.H, Sinv))
+    return PrivateKey(params, P, code.G, S), PublicKey(params, Hpub)
 
 
 def _expand_stream(seed: bytes, nbytes: int) -> bytes:
@@ -194,7 +195,7 @@ def sign(
     s_perm = perm_apply(sk.P, s)
     e = SparseVector(params.n, params.k + s_perm.indices, s_perm.values, params.q)
     for attempt in range(1, max_attempts + 1):
-        c = random_codeword(sk.code, params.m_g, rng)
+        c = codeword_from_generator(sk.G, params, params.m_g, rng)
         sigma = qc_vec_mul(e.add(c), sk.St)
         if np.all(sigma != 0):
             return Signature(sigma, theta), attempt

@@ -18,10 +18,13 @@ payloads:
     signature  theta length u16, theta bytes, n signature bytes
 
 Symbols are single bytes, so q <= 256 is required on both write and read.
-Every symbol byte must be < q; anything else is a parse error. Derived
-private components (systematic parity check, inverse transform) are not
-stored and are recomputed on load. File writes go to a temporary name in
-the target directory and are renamed into place, so failures never leave a
+Every symbol byte must be < q; anything else is a parse error. Loading
+checks everything that costs O(size): lengths, symbol ranges, the
+permutation, the shifts and the generator positions. The parity check H
+and the inverse transform S^{-1} are neither stored nor derived, since
+signing reads neither; `check_private` runs the two O(n0^3 p) checks a
+load skips (M1 and S invertible). File writes go to a temporary name in the
+target directory and are renamed into place, so failures never leave a
 partial file.
 """
 
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import LdgmCode, systematic_parity_check
+from .ldgm import NotReducibleError, systematic_parity_check
 from .params import DensityPolynomial, ParameterSet
 from .qcalg import QCMatrix, QCPermutation, qc_mat_inv
 from .scheme import PrivateKey, PublicKey, Signature
@@ -164,7 +167,7 @@ def serialize_private(sk: PrivateKey) -> bytes:
     out.append(b"".join(_u16(int(v)) for v in sk.P.block_perm))
     out.append(b"".join(_u16(int(v)) for v in sk.P.shifts))
     for i in range(params.k0):
-        row = sk.code.G.blocks[i]  # (n0, p)
+        row = sk.G.blocks[i]  # (n0, p)
         flat = row.reshape(-1)
         pos = np.nonzero(flat)[0]
         out.append(_u32(pos.size))
@@ -243,15 +246,21 @@ def deserialize_private(data: bytes) -> PrivateKey:
     s_syms = _symbols(rd, params.n0 * params.n0 * p, q)
     rd.done()
     S = QCMatrix(s_syms.reshape(params.n0, params.n0, p), q)
+    return PrivateKey(params, P, QCMatrix(g_blocks, q), S)
+
+
+def check_private(sk: PrivateKey):
+    """Raise SerializationError unless M1 (the generator's left block part)
+    and S are invertible, as they are in every key keygen writes.
+
+    These are the two O(n0^3 p) checks that loading skips.
+    """
     try:
-        G = QCMatrix(g_blocks, q)
-        H = systematic_parity_check(G)
-    except Exception as exc:
+        systematic_parity_check(sk.G)
+    except NotReducibleError as exc:
         raise SerializationError(f"generator is not reducible: {exc}") from exc
-    Sinv = qc_mat_inv(S)
-    if Sinv is None:
+    if qc_mat_inv(sk.S) is None:
         raise SerializationError("dense transform is singular")
-    return PrivateKey(params, P, LdgmCode(G, H, params), S, Sinv)
 
 
 def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:

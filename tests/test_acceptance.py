@@ -24,7 +24,7 @@ from spanse.analysis import (
     rejection_rate_montecarlo,
     size_counts,
 )
-from spanse.ldgm import random_codeword
+from spanse.ldgm import codeword_from_generator, systematic_parity_check
 from spanse.params import DensityPolynomial, ParameterSet, get_params
 from spanse.qcalg import (
     CirculantPoly,
@@ -138,11 +138,11 @@ def test_criterion_07_scheme_property_suite():
 
     # structural identities against dense expansions on sampled keys
     for sk, pk, _, _ in keys:
-        dh = expand(sk.code.H)
-        assert not gf_matmul(dh, expand(sk.code.G).T, q).any()
+        dh = expand(systematic_parity_check(sk.G))
+        assert not gf_matmul(dh, expand(sk.G).T, q).any()
         hp = expand(pk.Hpub)
         for _ in range(25):
-            c = random_codeword(sk.code, DESK.m_g, rng)
+            c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
             sc = gf_matmul(expand(sk.S), c.to_dense()[:, None], q)
             assert not gf_matmul(hp, sc, q).any()
 

@@ -194,6 +194,12 @@ def test_montecarlo_validates_workers():
             rejection_rate_montecarlo(DESK, DESK.density, 10, workers=workers)
 
 
+def test_montecarlo_validates_batch_size():
+    for batch_size in (0, -5):
+        with pytest.raises(ValueError, match="batch size"):
+            rejection_rate_montecarlo(DESK, DESK.density, 10, batch_size=batch_size)
+
+
 @pytest.fixture()
 def pools(monkeypatch):
     """max_workers of every process pool the Monte Carlo opens; none starts."""

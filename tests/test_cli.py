@@ -4,6 +4,8 @@ import pytest
 
 from spanse import serial
 from spanse.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, main
+from spanse.qcalg import QCMatrix
+from spanse.scheme import PrivateKey
 
 
 @pytest.fixture()
@@ -74,6 +76,35 @@ def test_second_sign_warns_about_reuse(workdir, capsys):
     assert run("sign", "--key", sk, "--message", workdir / "msg.txt",
                "--out", workdir / "sig2.bin", "--seed", 3) == EXIT_OK
     assert "WARNING" in capsys.readouterr().err
+
+
+def test_keycheck_accepts_a_keygen_key(workdir, capsys):
+    sk, _ = keygen_files(workdir)
+    capsys.readouterr()
+    assert run("keycheck", "--key", sk) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "ok"
+
+
+@pytest.mark.parametrize("part", ["S", "G"])
+def test_keycheck_rejects_singular_key(workdir, capsys, part):
+    sk_path, _ = keygen_files(workdir)
+    sk = serial.deserialize_private(sk_path.read_bytes())
+    parts = {"G": sk.G, "S": sk.S}
+    blocks = parts[part].blocks.copy()
+    blocks[0] = 0  # an all-zero block row makes S, or the generator's M1, singular
+    parts[part] = QCMatrix(blocks, sk.params.q)
+    data = serial.serialize_private(PrivateKey(sk.params, sk.P, parts["G"], parts["S"]))
+    if part == "G":  # generator row 0 is written with count 0
+        count_at = len(serial.serialize_params(sk.params)) + 4 * sk.params.r0
+        assert struct.unpack_from("<I", data, count_at) == (0,)
+    bad = workdir / "bad.bin"
+    bad.write_bytes(data)
+    assert serial.deserialize_private(data).S == parts["S"]  # loading skips the check
+    capsys.readouterr()
+    assert run("keycheck", "--key", bad) == EXIT_INPUT
+    err = capsys.readouterr().err
+    message = {"S": "dense transform is singular", "G": "generator is not reducible"}[part]
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 def test_analyze_attack_fixed_point(capsys):

@@ -7,7 +7,6 @@ from spanse.ldgm import (
     NotReducibleError,
     codeword_from_generator,
     make_code,
-    random_codeword,
     sample_generator,
     systematic_parity_check,
 )
@@ -107,7 +106,7 @@ def test_random_codeword_is_codeword_and_weight_model():
     dh = expand(code.H)
     weights = []
     for _ in range(2000):
-        c = random_codeword(code, DESK.m_g, rng)
+        c = codeword_from_generator(code.G, DESK, DESK.m_g, rng)
         assert not gf_matmul(dh, c.to_dense()[:, None], DESK.q).any()
         weights.append(c.weight())
     # expected weight from the per-entry collision model: n * rho_c
@@ -120,9 +119,9 @@ def test_random_codeword_is_codeword_and_weight_model():
 def test_codeword_edge_cases():
     rng = np.random.default_rng(8)
     code = make_code(DESK, rng)
-    c0 = random_codeword(code, 0, rng)
+    c0 = codeword_from_generator(code.G, DESK, 0, rng)
     assert c0.weight() == 0
-    c1 = random_codeword(code, 1, rng)
+    c1 = codeword_from_generator(code.G, DESK, 1, rng)
     assert c1.weight() == DESK.w_g  # single generator row
     rows = {tuple(r) for r in expand(code.G)}
     assert tuple(c1.to_dense()) in rows

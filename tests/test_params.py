@@ -8,9 +8,20 @@ from spanse.params import (
     ParameterError,
     ParameterSet,
     get_params,
+    is_prime,
 )
 
 Q = 127
+
+
+def test_is_prime_small_cases():
+    primes = {2, 3, 5, 7, 11, 13, 101, 127, 251}
+    for m in range(2, 260):
+        assert is_prime(m) == (m in primes or m in
+                               {17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                                71, 73, 79, 83, 89, 97, 103, 107, 109, 113, 131,
+                                137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+                                191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 257})
 
 
 def test_parse_simple_binary():

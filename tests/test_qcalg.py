@@ -12,6 +12,7 @@ from spanse.qcalg import (
     gf_inv_dense,
     gf_matmul,
     perm_apply,
+    perm_inv_mul,
     poly_add,
     poly_inv,
     poly_mul,
@@ -457,3 +458,16 @@ def test_perm_apply_matches_expansion_and_inverts():
         # permutation inverse = transpose of the expansion
         Pi = qc_mat_inv(P.to_qc_matrix())
         assert np.array_equal(expand(Pi), P.expand().T)
+
+
+@pytest.mark.parametrize("p", [1, 2, 13, 101])
+def test_perm_inv_mul_matches_dense_block_product(p):
+    rng = np.random.default_rng(40 + p)
+    for size0, cols0 in ((1, 1), (3, 2), (5, 4)):
+        P = random_qc_permutation(size0, p, Q, rng)
+        M = rand_qc(rng, size0, cols0, p)
+        out = perm_inv_mul(P, M)
+        assert out == qc_mat_mul(P.inverse().to_qc_matrix(), M)
+        assert np.array_equal(expand(out), gf_matmul(P.expand().T, expand(M), Q))
+    with pytest.raises(DimensionMismatchError):
+        perm_inv_mul(P, rand_qc(rng, size0 + 1, 1, p))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from spanse import ldgm, qcalg, scheme, serial
+from spanse.ldgm import codeword_from_generator, systematic_parity_check
 from spanse.params import get_params
-from spanse.qcalg import QCMatrix, SparseVector, expand, gf_matmul, perm_apply, qc_mat_mul
+from spanse.qcalg import SparseVector, expand, gf_matmul, perm_apply
 from spanse.scheme import (
     SigningError,
     Signature,
@@ -25,17 +27,15 @@ def keypair():
 def test_keygen_structural_identities(keypair):
     sk, pk = keypair
     q = DESK.q
-    assert qc_mat_mul(sk.S, sk.Sinv) == QCMatrix.identity(DESK.n0, DESK.p, q)
-    # H' = P^{-1} H S^{-1} against dense expansions
+    # H' = P^{-1} H S^{-1}, i.e. H' S = P^T H, against dense expansions
     lhs = expand(pk.Hpub)
-    rhs = gf_matmul(gf_matmul(sk.P.expand().T, expand(sk.code.H), q), expand(sk.Sinv), q)
-    assert np.array_equal(lhs, rhs)
+    H = systematic_parity_check(sk.G)
+    assert np.array_equal(gf_matmul(lhs, expand(sk.S), q),
+                          gf_matmul(sk.P.expand().T, expand(H), q))
     # public H' annihilates S-transformed codewords: H' (S c^T) = 0
     rng = np.random.default_rng(7)
-    from spanse.ldgm import random_codeword
-
     for _ in range(20):
-        c = random_codeword(sk.code, DESK.m_g, rng)
+        c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
         sc = gf_matmul(expand(sk.S), c.to_dense()[:, None], q)
         assert not gf_matmul(lhs, sc, q).any()
 
@@ -98,20 +98,19 @@ def test_sign_verify_round_trips(keypair):
 def test_chain_identity_term_by_term(keypair):
     sk, pk = keypair
     rng = np.random.default_rng(11)
-    from spanse.ldgm import random_codeword
-
     msg = b"chain"
     theta = choose_theta(msg, "deterministic")
     s = derive_syndrome(msg, theta, DESK)
     s_perm = perm_apply(sk.P, s)
     e = SparseVector(DESK.n, DESK.k + s_perm.indices, s_perm.values, DESK.q)
-    c = random_codeword(sk.code, DESK.m_g, rng)
+    c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
     v = e.add(c).to_dense()
     q = DESK.q
     sigma = gf_matmul(v[None, :], expand(sk.S).T, q)[0]
     # H' sigma^T = P^{-1} H (e + c)^T = P^{-1} s' = s
     t1 = gf_matmul(expand(pk.Hpub), sigma[:, None], q)[:, 0]
-    t2 = gf_matmul(sk.P.expand().T, gf_matmul(expand(sk.code.H), v[:, None], q), q)[:, 0]
+    H = expand(systematic_parity_check(sk.G))
+    t2 = gf_matmul(sk.P.expand().T, gf_matmul(H, v[:, None], q), q)[:, 0]
     t3 = gf_matmul(sk.P.expand().T, s_perm.to_dense()[:, None], q)[:, 0]
     assert np.array_equal(t1, t2)
     assert np.array_equal(t2, t3)
@@ -162,14 +161,41 @@ def test_deterministic_signing_reproducible(keypair):
     assert np.array_equal(a.sigma, b.sigma) and a.theta == b.theta
 
 
-def test_spanse_128_round_trip_and_tamper():
+def forbid_inversion(monkeypatch):
+    """Make every ring or matrix inversion fail the test when it is called."""
+    def inverted(*args):
+        raise AssertionError("inversion called")
+
+    for module in (qcalg, ldgm, scheme, serial):
+        monkeypatch.setattr(module, "qc_mat_inv", inverted)
+    monkeypatch.setattr(qcalg, "_poly_inv_raw", inverted)
+
+
+def test_reloaded_key_signs_without_inverting(keypair, monkeypatch):
+    sk, pk = keypair
+    data = serial.serialize_private(sk)
+    forbid_inversion(monkeypatch)
+    sk2 = serial.deserialize_private(data)
+    sig, _ = sign(sk2, b"reloaded", rng=np.random.default_rng(17))
+    monkeypatch.undo()
+    assert verify(pk, b"reloaded", sig).accepted
+
+
+def test_spanse_128_round_trip_and_tamper(monkeypatch):
     # the full-scale scheme: 238 x 238 blocks of S at p = 101
     params = get_params("spanse-128")
     sk, pk = keygen(params, np.random.default_rng(11))
-    assert sk.Sinv.rows0 == params.n0 and pk.Hpub.blocks.shape == (params.r0, params.n0, params.p)
+    assert sk.S.rows0 == params.n0 and pk.Hpub.blocks.shape == (params.r0, params.n0, params.p)
     msg = b"full-scale message"
     sig, _ = sign(sk, msg, rng=np.random.default_rng(12))
     assert sig.sigma.size == params.n and verify(pk, msg, sig).accepted
     bumped = sig.sigma.copy()
     bumped[params.n // 3] = bumped[params.n // 3] % (params.q - 1) + 1  # another nonzero symbol
     assert verify(pk, msg, Signature(bumped, sig.theta)).reason == "syndrome-mismatch"
+    # a key reloaded from its bytes signs, inverting nothing, under the original public key
+    data = serial.serialize_private(sk)
+    forbid_inversion(monkeypatch)
+    sk2 = serial.deserialize_private(data)
+    sig2, _ = sign(sk2, b"after reload", rng=np.random.default_rng(13))
+    monkeypatch.undo()
+    assert verify(pk, b"after reload", sig2).accepted
