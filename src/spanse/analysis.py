@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .ldgm import codeword_from_generator, sample_generator
 from .params import DensityPolynomial, ParameterSet
@@ -256,6 +255,10 @@ class RejectionModel:
     pattern_dist: np.ndarray = field(init=False)  # Pr[e-part = x mod q]
 
     def __post_init__(self):
+        # imported here, its one use, so that importing the CLI for sign and
+        # verify does not load scipy.stats (about 1 s)
+        from scipy.stats import binom as _binom
+
         ps = self.params
         if not ps.density.is_binary():
             raise ValueError("analytic model requires a binary density; use Monte Carlo")
@@ -393,6 +396,11 @@ def _usable_cpus() -> int:
 # sizes
 # ---------------------------------------------------------------------------
 
+# theta's length in a signature: scheme.choose_theta returns a SHA-256
+# digest or 32 random bytes
+_THETA_BYTES = 32
+
+
 @dataclass(frozen=True)
 class SizeReport:
     pk_symbols: float
@@ -411,7 +419,7 @@ class SizeReport:
 
 
 def size_counts(*, n: float, r: float, p: float, q: int, w: int, m_g: int,
-                theta_bytes: int = 32, header_bytes: int = 0) -> SizeReport:
+                header_bytes: int = 0) -> SizeReport:
     """Size arithmetic on raw dimensions (kept separate from ParameterSet so
     non-block-divisible reference dimensions can be evaluated as pure
     numbers)."""
@@ -421,16 +429,15 @@ def size_counts(*, n: float, r: float, p: float, q: int, w: int, m_g: int,
         pk_symbols=symbols,
         pk_packed_bytes=symbols * bits / 8.0,
         pk_disk_bytes=symbols + header_bytes,
-        sig_bytes=n + theta_bytes + header_bytes,
+        sig_bytes=n + _THETA_BYTES + header_bytes,
         log2_Ns=log2_binomial(int(r), w),
         log2_Nc=log2_binomial(int(n - r), m_g),
     )
 
 
-def size_report(params: ParameterSet, theta_bytes: int = 32) -> SizeReport:
+def size_report(params: ParameterSet) -> SizeReport:
     from .serial import serialize_params
 
     header = len(serialize_params(params))
     return size_counts(n=params.n, r=params.r, p=params.p, q=params.q,
-                       w=params.w, m_g=params.m_g,
-                       theta_bytes=theta_bytes, header_bytes=header)
+                       w=params.w, m_g=params.m_g, header_bytes=header)

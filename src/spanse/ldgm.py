@@ -6,12 +6,10 @@ quasi-cyclic it is enough to place w_g ones in the expanded first row of
 each block row; the circulant structure propagates the weight to every
 other row. A systematic parity-check matrix H = [-W^T | I] is derived by
 block elimination so that syndromes of vectors of the form [0_k | s'] read
-off s' directly.
+off s' directly. make_code returns the pair (G, H); a private key keeps G.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +26,6 @@ class NotReducibleError(Exception):
 
 class GenerationError(Exception):
     """Retry budget exhausted while sampling a reducible generator."""
-
-
-@dataclass(frozen=True)
-class LdgmCode:
-    """Generator/parity-check pair with the defining parameters."""
-
-    G: QCMatrix  # k0 x n0 blocks, binary entries
-    H: QCMatrix  # r0 x n0 blocks, right r0 x r0 block part = identity
-    params: ParameterSet
 
 
 def sample_generator(params: ParameterSet, rng: np.random.Generator) -> QCMatrix:
@@ -74,15 +63,15 @@ def systematic_parity_check(G: QCMatrix) -> QCMatrix:
     return QCMatrix(H_blocks, q)
 
 
-def make_code(params: ParameterSet, rng: np.random.Generator) -> LdgmCode:
-    """Sample generators until one admits a systematic parity check."""
+def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[QCMatrix, QCMatrix]:
+    """(G, H): sample generators until one admits a systematic parity check."""
     for _ in range(MAX_GENERATOR_RETRIES):
         G = sample_generator(params, rng)
         try:
             H = systematic_parity_check(G)
         except NotReducibleError:
             continue
-        return LdgmCode(G, H, params)
+        return G, H
     raise GenerationError(
         f"no reducible generator found in {MAX_GENERATOR_RETRIES} attempts"
     )

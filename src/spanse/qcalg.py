@@ -6,12 +6,13 @@ cyclically right-shifted r times, i.e. entry (r, c) = a_{(c-r) mod p}.
 Multiplication of circulants is cyclic convolution of first rows.
 
 Block matrices of circulants (QCMatrix) store one row per block, a
-factor-p saving over the dense expansion. Every ring product (polynomial,
-block matrix, dense vector, inversion step) runs through one batched
-cyclic convolution: a real FFT zero-padded to the power of two that holds
-the linear convolution, folded mod x^p - 1. Coefficients are small enough
-(bounded by inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse
-transform is exact, which is asserted on every product.
+factor-p saving over the dense expansion, which only the tests form; a
+ring element is a 1 x 1 QCMatrix. Every ring product (block matrix, dense
+vector, inversion step) runs through one batched cyclic convolution: a
+real FFT zero-padded to the power of two that holds the linear
+convolution, folded mod x^p - 1. Coefficients are small enough (bounded by
+inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse transform is
+exact, which is asserted on every product.
 
 Inversion is panelled Gauss-Jordan without row swaps. A panel of up to 8
 pivot columns is eliminated exactly on the panel's own columns and a
@@ -179,116 +180,8 @@ def _block_matmul(A: np.ndarray, B: np.ndarray, p: int, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense F_q linear algebra (test oracles)
-# ---------------------------------------------------------------------------
-
-def gf_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """Dense matrix product over F_q (int64, exact for the sizes used here)."""
-    if A.shape[1] * (q - 1) ** 2 > 2**62:
-        raise OverflowError("dense product would overflow int64")
-    return (A.astype(np.int64) @ B.astype(np.int64)) % q
-
-
-def gf_inv_dense(M: np.ndarray, q: int) -> np.ndarray | None:
-    """Gauss-Jordan inversion over F_q; returns None when M is singular.
-
-    Off-pivot entries are reduced lazily: each elimination step only adds
-    products of reduced values, so magnitudes stay below dim * q^2 and a
-    single final reduction suffices.
-    """
-    n = M.shape[0]
-    W = np.concatenate([M.astype(np.int64) % q, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        W[:, col] %= q
-        pivots = np.nonzero(W[col:, col])[0]
-        if pivots.size == 0:
-            return None
-        r = col + int(pivots[0])
-        if r != col:
-            W[[col, r]] = W[[r, col]]
-        W[col] %= q
-        W[col] = (W[col] * pow(int(W[col, col]), -1, q)) % q
-        factors = W[:, col].copy()
-        factors[col] = 0
-        W -= np.outer(factors, W[col])
-    return W[:, n:] % q
-
-
-# ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CirculantPoly:
-    """Element of R_p: first row of a p x p circulant over F_q."""
-
-    coeffs: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.int64) % self.q
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def p(self) -> int:
-        return int(self.coeffs.size)
-
-    @classmethod
-    def zero(cls, p: int, q: int) -> "CirculantPoly":
-        return cls(np.zeros(p, dtype=np.int64), q)
-
-    @classmethod
-    def one(cls, p: int, q: int) -> "CirculantPoly":
-        c = np.zeros(p, dtype=np.int64)
-        c[0] = 1
-        return cls(c, q)
-
-    @classmethod
-    def monomial(cls, exp: int, p: int, q: int, coeff: int = 1) -> "CirculantPoly":
-        c = np.zeros(p, dtype=np.int64)
-        c[exp % p] = coeff % q
-        return cls(c, q)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def expand(self) -> np.ndarray:
-        """The p x p circulant matrix with this polynomial as first row."""
-        p = self.p
-        idx = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-        return self.coeffs[idx]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CirculantPoly)
-            and self.q == other.q
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-
-def _check_ring(a: CirculantPoly, b: CirculantPoly):
-    if a.p != b.p or a.q != b.q:
-        raise DimensionMismatchError(
-            f"ring mismatch: (p={a.p}, q={a.q}) vs (p={b.p}, q={b.q})"
-        )
-
-
-def poly_add(a: CirculantPoly, b: CirculantPoly) -> CirculantPoly:
-    _check_ring(a, b)
-    return CirculantPoly((a.coeffs + b.coeffs) % a.q, a.q)
-
-
-def poly_mul(a: CirculantPoly, b: CirculantPoly) -> CirculantPoly:
-    _check_ring(a, b)
-    c = _block_matmul(a.coeffs[None, None], b.coeffs[None, None], a.p, a.q)
-    return CirculantPoly(c[0, 0], a.q)
-
-
-def poly_inv(a: CirculantPoly) -> CirculantPoly | None:
-    """Inverse in R_p, or None when gcd(a(x), x^p - 1) != 1."""
-    c = _poly_inv_raw(a.coeffs, a.p, a.q)
-    return None if c is None else CirculantPoly(c, a.q)
-
 
 @dataclass(frozen=True)
 class QCMatrix:
@@ -316,17 +209,10 @@ class QCMatrix:
         return self.blocks.shape[2]
 
     @classmethod
-    def zero(cls, rows0: int, cols0: int, p: int, q: int) -> "QCMatrix":
-        return cls(np.zeros((rows0, cols0, p), dtype=np.int64), q)
-
-    @classmethod
     def identity(cls, size0: int, p: int, q: int) -> "QCMatrix":
         b = np.zeros((size0, size0, p), dtype=np.int64)
         b[np.arange(size0), np.arange(size0), 0] = 1
         return cls(b, q)
-
-    def block(self, i: int, j: int) -> CirculantPoly:
-        return CirculantPoly(self.blocks[i, j].copy(), self.q)
 
     def transpose(self) -> "QCMatrix":
         # transpose of circ(a) is circ(a') with a'_t = a_{(p-t) mod p}
@@ -344,14 +230,6 @@ class QCMatrix:
         )
 
 
-def expand(A: QCMatrix) -> np.ndarray:
-    """Dense (rows0*p) x (cols0*p) matrix over F_q."""
-    p = A.p
-    idx = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    dense = A.blocks[:, :, idx]  # (rows0, cols0, p, p)
-    return dense.transpose(0, 2, 1, 3).reshape(A.rows0 * p, A.cols0 * p)
-
-
 def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
     if A.p != B.p or A.q != B.q or A.cols0 != B.rows0:
         raise DimensionMismatchError(
@@ -359,12 +237,6 @@ def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
             f"(p {A.p}/{B.p}, q {A.q}/{B.q})"
         )
     return QCMatrix(_block_matmul(A.blocks, B.blocks, A.p, A.q), A.q)
-
-
-def qc_mat_add(A: QCMatrix, B: QCMatrix) -> QCMatrix:
-    if A.blocks.shape != B.blocks.shape or A.q != B.q:
-        raise DimensionMismatchError("shape mismatch in block addition")
-    return QCMatrix((A.blocks + B.blocks) % A.q, A.q)
 
 
 def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
@@ -612,20 +484,6 @@ class QCPermutation:
     @property
     def dim(self) -> int:
         return self.size0 * self.p
-
-    def inverse(self) -> "QCPermutation":
-        inv_shifts = (-self.shifts[self._inv_perm]) % self.p
-        return QCPermutation(self._inv_perm.copy(), inv_shifts, self.p, self.q)
-
-    def to_qc_matrix(self) -> QCMatrix:
-        blocks = np.zeros((self.size0, self.size0, self.p), dtype=np.int64)
-        for i in range(self.size0):
-            # first-row convention: coefficient (p - t) mod p realizes j -> j + t
-            blocks[i, self.block_perm[i], (self.p - self.shifts[i]) % self.p] = 1
-        return QCMatrix(blocks, self.q)
-
-    def expand(self) -> np.ndarray:
-        return expand(self.to_qc_matrix())
 
 
 def perm_apply(P: QCPermutation, s: SparseVector) -> SparseVector:

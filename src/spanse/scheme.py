@@ -110,7 +110,7 @@ def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QC
 
 def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, PublicKey]:
     """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}."""
-    code = make_code(params, rng)
+    G, H = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, params.q, rng)
     S = None
     for _ in range(MAX_S_RETRIES):
@@ -124,8 +124,8 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
             f"no invertible dense transform in {MAX_S_RETRIES} draws; "
             "the density may be degenerate"
         )
-    Hpub = perm_inv_mul(P, qc_mat_mul(code.H, Sinv))
-    return PrivateKey(params, P, code.G, S), PublicKey(params, Hpub)
+    Hpub = perm_inv_mul(P, qc_mat_mul(H, Sinv))
+    return PrivateKey(params, P, G, S), PublicKey(params, Hpub)
 
 
 def _expand_stream(seed: bytes, nbytes: int) -> bytes:

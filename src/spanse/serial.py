@@ -20,8 +20,9 @@ payloads:
 Symbols are single bytes, so q <= 256 is required on both write and read.
 Every symbol byte must be < q; anything else is a parse error. Loading
 checks everything that costs O(size): lengths, symbol ranges, the
-permutation, the shifts and the generator positions. The parity check H
-and the inverse transform S^{-1} are neither stored nor derived, since
+permutation, the shifts, the generator positions, and that no block row of
+S is zero (signing with such an S could never succeed). The parity check
+H and the inverse transform S^{-1} are neither stored nor derived, since
 signing reads neither; `check_private` runs the two O(n0^3 p) checks a
 load skips (M1 and S invertible). File writes go to a temporary name in the
 target directory and are renamed into place, so failures never leave a
@@ -245,6 +246,9 @@ def deserialize_private(data: bytes) -> PrivateKey:
         flat[pos] = vals
     s_syms = _symbols(rd, params.n0 * params.n0 * p, q)
     rd.done()
+    if not s_syms.reshape(params.n0, -1).any(axis=1).all():
+        # singular, and that block of every signature would be zero
+        raise SerializationError("dense transform has an all-zero block row")
     S = QCMatrix(s_syms.reshape(params.n0, params.n0, p), q)
     return PrivateKey(params, P, QCMatrix(g_blocks, q), S)
 

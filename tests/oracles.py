@@ -1,0 +1,63 @@
+"""Dense F_q reference code that the tests check the ring kernels against.
+
+The library never forms a dense matrix; these oracles expand block matrices
+and permutations and multiply or invert them entry by entry.
+"""
+
+import numpy as np
+
+from spanse.qcalg import QCMatrix, QCPermutation
+
+
+def expand(A: QCMatrix) -> np.ndarray:
+    """Dense (rows0*p) x (cols0*p) matrix over F_q."""
+    p = A.p
+    idx = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
+    dense = A.blocks[:, :, idx]  # (rows0, cols0, p, p)
+    return dense.transpose(0, 2, 1, 3).reshape(A.rows0 * p, A.cols0 * p)
+
+
+def gf_matmul(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """Dense matrix product over F_q (int64, exact for the sizes used here)."""
+    if A.shape[1] * (q - 1) ** 2 > 2**62:
+        raise OverflowError("dense product would overflow int64")
+    return (A.astype(np.int64) @ B.astype(np.int64)) % q
+
+
+def gf_inv_dense(M: np.ndarray, q: int) -> np.ndarray | None:
+    """Gauss-Jordan inversion over F_q; returns None when M is singular.
+
+    Off-pivot entries are reduced lazily: each elimination step only adds
+    products of reduced values, so magnitudes stay below dim * q^2 and a
+    single final reduction suffices.
+    """
+    n = M.shape[0]
+    W = np.concatenate([M.astype(np.int64) % q, np.eye(n, dtype=np.int64)], axis=1)
+    for col in range(n):
+        W[:, col] %= q
+        pivots = np.nonzero(W[col:, col])[0]
+        if pivots.size == 0:
+            return None
+        r = col + int(pivots[0])
+        if r != col:
+            W[[col, r]] = W[[r, col]]
+        W[col] %= q
+        W[col] = (W[col] * pow(int(W[col, col]), -1, q)) % q
+        factors = W[:, col].copy()
+        factors[col] = 0
+        W -= np.outer(factors, W[col])
+    return W[:, n:] % q
+
+
+def perm_qc_matrix(P: QCPermutation) -> QCMatrix:
+    """P as a block matrix of monomials; its transpose is P^{-1}."""
+    blocks = np.zeros((P.size0, P.size0, P.p), dtype=np.int64)
+    for i in range(P.size0):
+        # first-row convention: coefficient (p - t) mod p realizes j -> j + t
+        blocks[i, P.block_perm[i], (P.p - P.shifts[i]) % P.p] = 1
+    return QCMatrix(blocks, P.q)
+
+
+def perm_dense(P: QCPermutation) -> np.ndarray:
+    """The dense permutation matrix of P."""
+    return expand(perm_qc_matrix(P))

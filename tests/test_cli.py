@@ -1,8 +1,12 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spanse import serial
+from spanse import cli, serial
 from spanse.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, main
 from spanse.qcalg import QCMatrix
 from spanse.scheme import PrivateKey
@@ -91,7 +95,10 @@ def test_keycheck_rejects_singular_key(workdir, capsys, part):
     sk = serial.deserialize_private(sk_path.read_bytes())
     parts = {"G": sk.G, "S": sk.S}
     blocks = parts[part].blocks.copy()
-    blocks[0] = 0  # an all-zero block row makes S, or the generator's M1, singular
+    if part == "S":
+        blocks[1] = blocks[0]  # two equal block rows: S is singular, yet the key loads
+    else:
+        blocks[0] = 0  # an all-zero block row makes the generator's M1 singular
     parts[part] = QCMatrix(blocks, sk.params.q)
     data = serial.serialize_private(PrivateKey(sk.params, sk.P, parts["G"], parts["S"]))
     if part == "G":  # generator row 0 is written with count 0
@@ -105,6 +112,39 @@ def test_keycheck_rejects_singular_key(workdir, capsys, part):
     err = capsys.readouterr().err
     message = {"S": "dense transform is singular", "G": "generator is not reducible"}[part]
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_zero_block_row_in_s_is_rejected_at_load(workdir, capsys, monkeypatch):
+    # every signature would have that block zero, so signing could only
+    # exhaust its attempts; the key must be refused before sign runs
+    sk_path, _ = keygen_files(workdir)
+    sk = serial.deserialize_private(sk_path.read_bytes())
+    blocks = sk.S.blocks.copy()
+    blocks[3] = 0
+    bad = workdir / "bad.bin"
+    bad.write_bytes(serial.serialize_private(
+        PrivateKey(sk.params, sk.P, sk.G, QCMatrix(blocks, sk.params.q))))
+    signed = []
+    monkeypatch.setattr(cli, "sign", lambda *a, **k: signed.append(a))
+    out = workdir / "sig.bin"
+    capsys.readouterr()
+    for argv in (("sign", "--key", bad, "--message", workdir / "msg.txt", "--out", out),
+                 ("keycheck", "--key", bad)):
+        assert run(*argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "all-zero block row" in err
+        assert "Traceback" not in err
+    assert not signed and not out.exists()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # sign, verify and keycheck use no analysis model; scipy.stats costs
+    # about 1 s of import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import spanse.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_analyze_attack_fixed_point(capsys):

@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import expand, gf_inv_dense, gf_matmul, perm_dense, perm_qc_matrix
 from spanse import qcalg
 from spanse.qcalg import (
-    CirculantPoly,
     DimensionMismatchError,
     QCMatrix,
     QCPermutation,
     SparseVector,
-    expand,
-    gf_inv_dense,
-    gf_matmul,
     perm_apply,
     perm_inv_mul,
-    poly_add,
-    poly_inv,
-    poly_mul,
-    qc_mat_add,
     qc_mat_inv,
     qc_mat_mul,
     qc_vec_mul,
@@ -35,33 +28,35 @@ def rand_sparse(rng, length, density=0.25, q=Q):
     return SparseVector.from_dense(dense, q)
 
 
-# --- polynomial ring -------------------------------------------------------
+# --- polynomial ring: 1 x 1 block matrices ---------------------------------
 
-def test_poly_add_examples():
-    a = CirculantPoly([1, 1, 0], Q)
-    assert poly_add(a, CirculantPoly.zero(3, Q)) == a
-    assert poly_add(a, CirculantPoly([126, 126, 0], Q)) == CirculantPoly.zero(3, Q)
-    s = poly_add(CirculantPoly([1, 2, 0], Q), CirculantPoly([3, 0, 4], Q))
-    assert s == CirculantPoly([4, 2, 4], Q)
+def poly(coeffs, q=Q):
+    """A ring element as a 1 x 1 QCMatrix."""
+    return QCMatrix(np.asarray(coeffs)[None, None], q)
+
+
+def monomial(exp, p):
+    c = np.zeros(p, dtype=np.int64)
+    c[exp % p] = 1
+    return c
 
 
 def test_poly_mul_examples():
-    a = CirculantPoly([5, 1, 3, 0, 9], Q)
-    assert poly_mul(a, CirculantPoly.one(5, Q)) == a
-    x, x4 = CirculantPoly.monomial(1, 5, Q), CirculantPoly.monomial(4, 5, Q)
-    assert poly_mul(x, x4) == CirculantPoly.one(5, Q)
-    prod = poly_mul(CirculantPoly([1, 1, 0], Q), CirculantPoly([1, 0, 1], Q))
-    assert prod == CirculantPoly([2, 1, 1], Q)
+    a = poly([5, 1, 3, 0, 9])
+    assert qc_mat_mul(a, QCMatrix.identity(1, 5, Q)) == a
+    x, x4 = poly(monomial(1, 5)), poly(monomial(4, 5))
+    assert qc_mat_mul(x, x4) == QCMatrix.identity(1, 5, Q)
+    prod = qc_mat_mul(poly([1, 1, 0]), poly([1, 0, 1]))
+    assert prod == poly([2, 1, 1])
 
 
 def test_poly_inv_examples():
-    one = CirculantPoly.one(7, Q)
-    assert poly_inv(one) == one
-    x = CirculantPoly.monomial(1, 5, Q)
-    assert poly_inv(x) == CirculantPoly.monomial(4, 5, Q)
+    one = monomial(0, 7)
+    assert np.array_equal(qcalg._poly_inv_raw(one, 7, Q), one)
+    assert np.array_equal(qcalg._poly_inv_raw(monomial(1, 5), 5, Q), monomial(4, 5))
     # 1 + x + x^2 divides x^3 - 1, so it cannot be invertible mod x^3 - 1
-    assert poly_inv(CirculantPoly([1, 1, 1], Q)) is None
-    assert poly_inv(CirculantPoly.zero(3, Q)) is None
+    assert qcalg._poly_inv_raw(np.array([1, 1, 1]), 3, Q) is None
+    assert qcalg._poly_inv_raw(np.zeros(3, dtype=np.int64), 3, Q) is None
 
 
 def test_poly_inv_random_round_trips():
@@ -69,14 +64,14 @@ def test_poly_inv_random_round_trips():
     hits = 0
     for _ in range(300):
         p = int(rng.choice([3, 5, 13]))
-        a = CirculantPoly(rng.integers(0, Q, p), Q)
-        b = poly_inv(a)
+        a = poly(rng.integers(0, Q, p))
+        b = qcalg._poly_inv_raw(a.blocks[0, 0], p, Q)
         if b is not None:
-            assert poly_mul(a, b) == CirculantPoly.one(p, Q)
+            assert qc_mat_mul(a, poly(b)) == QCMatrix.identity(1, p, Q)
             hits += 1
         else:
             # singular circulant matrices have no inverse
-            assert gf_inv_dense(a.expand(), Q) is None
+            assert gf_inv_dense(expand(a), Q) is None
     assert hits > 200
 
 
@@ -84,22 +79,22 @@ def test_ring_isomorphism_mul_matches_dense():
     rng = np.random.default_rng(11)
     for p in (3, 5, 13):
         for _ in range(100):
-            a = CirculantPoly(rng.integers(0, Q, p), Q)
-            b = CirculantPoly(rng.integers(0, Q, p), Q)
-            lhs = poly_mul(a, b).expand()
-            rhs = gf_matmul(a.expand(), b.expand(), Q)
+            a = poly(rng.integers(0, Q, p))
+            b = poly(rng.integers(0, Q, p))
+            lhs = expand(qc_mat_mul(a, b))
+            rhs = gf_matmul(expand(a), expand(b), Q)
             assert np.array_equal(lhs, rhs)
 
 
 def test_circulant_layout_rows_are_right_shifts():
-    a = CirculantPoly([7, 8, 9], Q)
+    a = poly([7, 8, 9])
     expected = np.array([[7, 8, 9], [9, 7, 8], [8, 9, 7]])
-    assert np.array_equal(a.expand(), expected)
+    assert np.array_equal(expand(a), expected)
 
 
 def test_ring_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
-        poly_mul(CirculantPoly([1, 2], Q), CirculantPoly([1, 2, 3], Q))
+        qc_mat_mul(poly([1, 2]), poly([1, 2, 3]))
 
 
 # --- block matrices --------------------------------------------------------
@@ -108,7 +103,7 @@ def test_qc_mat_mul_identity_zero_and_oracle():
     rng = np.random.default_rng(12)
     A = rand_qc(rng, 2, 2, 3)
     I = QCMatrix.identity(2, 3, Q)
-    Z = QCMatrix.zero(2, 2, 3, Q)
+    Z = QCMatrix(np.zeros((2, 2, 3)), Q)
     assert qc_mat_mul(A, I) == A
     assert qc_mat_mul(A, Z) == Z
     for _ in range(100):
@@ -147,8 +142,8 @@ def test_kernel_products_at_scheme_shapes_match_dense(p):
                 (QCMatrix(np.full((2, 3, p), Q - 1), Q), QCMatrix(np.full((3, 2, p), Q - 1), Q))]
     for A, B in operands:
         assert np.array_equal(expand(qc_mat_mul(A, B)), gf_matmul(expand(A), expand(B), Q))
-        a, b = A.block(0, 0), B.block(1, 1)
-        assert np.array_equal(poly_mul(a, b).expand(), gf_matmul(a.expand(), b.expand(), Q))
+        a, b = QCMatrix(A.blocks[:1, :1], Q), QCMatrix(B.blocks[1:2, 1:2], Q)
+        assert np.array_equal(expand(qc_mat_mul(a, b)), gf_matmul(expand(a), expand(b), Q))
         for v in (rng.integers(0, Q, 2 * p), np.full(2 * p, Q - 1)):
             assert np.array_equal(qc_vec_mul(v, A), gf_matmul(v[None, :], expand(A), Q)[0])
 
@@ -169,12 +164,6 @@ def test_fft_product_just_under_bound_is_exact():
     A, B = np.full((1, k, p), q - 1), np.full((k, 1, p), q - 1)
     got = qc_mat_mul(QCMatrix(A, q), QCMatrix(B, q)).blocks
     assert np.array_equal(got, _cyclic_matmul_int64(A, B, q))
-
-
-def test_qc_mat_add_matches_dense():
-    rng = np.random.default_rng(14)
-    A, B = rand_qc(rng, 2, 3, 5), rand_qc(rng, 2, 3, 5)
-    assert np.array_equal(expand(qc_mat_add(A, B)), (expand(A) + expand(B)) % Q)
 
 
 def test_transpose_matches_dense():
@@ -375,6 +364,36 @@ def test_qc_mat_inv_panel_shrinks_under_fft_bound(p, s, width):
     assert np.array_equal(expand(Ai), dense)
 
 
+@pytest.mark.parametrize("q", [2, 3, 127])
+def test_qc_mat_inv_at_p_one_matches_dense_oracle(q):
+    # p = 1 makes R_p the field F_q itself: every nonzero entry is a unit and
+    # no repair can help. Zero columns, equal rows and zero diagonals give
+    # singular matrices and pivots off the diagonal; s = 9 and 17 cross
+    # panels of 8 columns.
+    rng = np.random.default_rng(50 + q)
+    outcomes = set()
+    for s in (1, 2, 5, 9, 17):
+        for kind in ("generic", "zero column", "equal rows", "zero diagonal"):
+            for _ in range(5):
+                blocks = rng.integers(0, q, (s, s, 1))
+                if kind == "zero column":
+                    blocks[:, rng.integers(s)] = 0
+                elif kind == "equal rows" and s > 1:
+                    i, j = rng.choice(s, 2, replace=False)
+                    blocks[i] = blocks[j]
+                elif kind == "zero diagonal":
+                    blocks[np.arange(s), np.arange(s)] = 0
+                A = QCMatrix(blocks, q)
+                Ai = qc_mat_inv(A)
+                dense = gf_inv_dense(expand(A), q)
+                if dense is None:
+                    assert Ai is None
+                else:
+                    assert Ai is not None and np.array_equal(expand(Ai), dense)
+                outcomes.add(dense is not None)
+    assert outcomes == {True, False}
+
+
 def test_qc_mat_inv_requires_square():
     rng = np.random.default_rng(17)
     with pytest.raises(DimensionMismatchError):
@@ -441,7 +460,7 @@ def test_perm_expansion_is_permutation_matrix():
     rng = np.random.default_rng(21)
     for _ in range(50):
         P = random_qc_permutation(4, 7, Q, rng)
-        M = P.expand()
+        M = perm_dense(P)
         assert np.array_equal(np.sort(M.sum(axis=0)), np.ones(28))
         assert np.array_equal(np.sort(M.sum(axis=1)), np.ones(28))
 
@@ -453,11 +472,10 @@ def test_perm_apply_matches_expansion_and_inverts():
         s = rand_sparse(rng, 28, density=0.3)
         out = perm_apply(P, s)
         assert out.weight() == s.weight()
-        assert np.array_equal(out.to_dense(), gf_matmul(P.expand(), s.to_dense()[:, None], Q)[:, 0])
-        assert perm_apply(P.inverse(), out) == s
+        assert np.array_equal(out.to_dense(), gf_matmul(perm_dense(P), s.to_dense()[:, None], Q)[:, 0])
         # permutation inverse = transpose of the expansion
-        Pi = qc_mat_inv(P.to_qc_matrix())
-        assert np.array_equal(expand(Pi), P.expand().T)
+        Pi = qc_mat_inv(perm_qc_matrix(P))
+        assert np.array_equal(expand(Pi), perm_dense(P).T)
 
 
 @pytest.mark.parametrize("p", [1, 2, 13, 101])
@@ -467,7 +485,8 @@ def test_perm_inv_mul_matches_dense_block_product(p):
         P = random_qc_permutation(size0, p, Q, rng)
         M = rand_qc(rng, size0, cols0, p)
         out = perm_inv_mul(P, M)
-        assert out == qc_mat_mul(P.inverse().to_qc_matrix(), M)
-        assert np.array_equal(expand(out), gf_matmul(P.expand().T, expand(M), Q))
+        # the block matrix of P^{-1} is the transpose of P's
+        assert out == qc_mat_mul(perm_qc_matrix(P).transpose(), M)
+        assert np.array_equal(expand(out), gf_matmul(perm_dense(P).T, expand(M), Q))
     with pytest.raises(DimensionMismatchError):
         perm_inv_mul(P, rand_qc(rng, size0 + 1, 1, p))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import expand, gf_matmul, perm_dense
 from spanse import ldgm, qcalg, scheme, serial
 from spanse.ldgm import codeword_from_generator, systematic_parity_check
 from spanse.params import get_params
-from spanse.qcalg import SparseVector, expand, gf_matmul, perm_apply
+from spanse.qcalg import SparseVector, perm_apply
 from spanse.scheme import (
     SigningError,
     Signature,
@@ -31,7 +32,7 @@ def test_keygen_structural_identities(keypair):
     lhs = expand(pk.Hpub)
     H = systematic_parity_check(sk.G)
     assert np.array_equal(gf_matmul(lhs, expand(sk.S), q),
-                          gf_matmul(sk.P.expand().T, expand(H), q))
+                          gf_matmul(perm_dense(sk.P).T, expand(H), q))
     # public H' annihilates S-transformed codewords: H' (S c^T) = 0
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -110,8 +111,8 @@ def test_chain_identity_term_by_term(keypair):
     # H' sigma^T = P^{-1} H (e + c)^T = P^{-1} s' = s
     t1 = gf_matmul(expand(pk.Hpub), sigma[:, None], q)[:, 0]
     H = expand(systematic_parity_check(sk.G))
-    t2 = gf_matmul(sk.P.expand().T, gf_matmul(H, v[:, None], q), q)[:, 0]
-    t3 = gf_matmul(sk.P.expand().T, s_perm.to_dense()[:, None], q)[:, 0]
+    t2 = gf_matmul(perm_dense(sk.P).T, gf_matmul(H, v[:, None], q), q)[:, 0]
+    t3 = gf_matmul(perm_dense(sk.P).T, s_perm.to_dense()[:, None], q)[:, 0]
     assert np.array_equal(t1, t2)
     assert np.array_equal(t2, t3)
     assert np.array_equal(t3, s.to_dense())
