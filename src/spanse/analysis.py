@@ -396,8 +396,8 @@ def _usable_cpus() -> int:
 # sizes
 # ---------------------------------------------------------------------------
 
-# theta's length in a signature: scheme.choose_theta returns a SHA-256
-# digest or 32 random bytes
+# theta's length in a signature (serial writes it after a u16 length):
+# scheme.choose_theta returns a SHA-256 digest or 32 random bytes
 _THETA_BYTES = 32
 
 
@@ -429,7 +429,7 @@ def size_counts(*, n: float, r: float, p: float, q: int, w: int, m_g: int,
         pk_symbols=symbols,
         pk_packed_bytes=symbols * bits / 8.0,
         pk_disk_bytes=symbols + header_bytes,
-        sig_bytes=n + _THETA_BYTES + header_bytes,
+        sig_bytes=n + 2 + _THETA_BYTES + header_bytes,  # u16 theta length, theta, sigma
         log2_Ns=log2_binomial(int(r), w),
         log2_Nc=log2_binomial(int(n - r), m_g),
     )

@@ -4,9 +4,10 @@ The secret code is defined by a binary k x n generator G whose expanded
 rows all have Hamming weight exactly w_g. Because the matrix is
 quasi-cyclic it is enough to place w_g ones in the expanded first row of
 each block row; the circulant structure propagates the weight to every
-other row. A systematic parity-check matrix H = [-W^T | I] is derived by
-block elimination so that syndromes of vectors of the form [0_k | s'] read
-off s' directly. make_code returns the pair (G, H); a private key keeps G.
+other row. A systematic parity-check matrix H = [-W^T | I], where
+G = [M1 | M2] and M1 W = M2, is derived by solving for W (M1^{-1} is never
+formed), so that syndromes of vectors of the form [0_k | s'] read off s'
+directly. make_code returns the pair (G, H); a private key keeps G.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParameterSet
-from .qcalg import QCMatrix, SparseVector, qc_mat_inv, qc_mat_mul, qc_vec_mul
+from .qcalg import QCMatrix, SparseVector, qc_solve, qc_vec_mul
 
 # how many generator resamples to attempt before declaring keygen failure
 MAX_GENERATOR_RETRIES = 100
@@ -44,23 +45,17 @@ def sample_generator(params: ParameterSet, rng: np.random.Generator) -> QCMatrix
 
 
 def systematic_parity_check(G: QCMatrix) -> QCMatrix:
-    """H = [-W^T | I] from G = [M1 | M2] with W = M1^{-1} M2.
+    """H = [-W^T | I] from G = [M1 | M2], with W = M1^{-1} M2 solved for.
 
     Raises NotReducibleError when the left block part M1 is singular.
     The identity right part means H e^T = s' for e = [0_k | s'^T].
     """
-    k0 = G.rows0
-    r0 = G.cols0 - k0
-    p, q = G.p, G.q
-    M1 = QCMatrix(G.blocks[:, :k0].copy(), q)
-    M1_inv = qc_mat_inv(M1)
-    if M1_inv is None:
+    k0, p, q = G.rows0, G.p, G.q
+    W = qc_solve(QCMatrix(G.blocks[:, :k0], q), QCMatrix(G.blocks[:, k0:], q))
+    if W is None:
         raise NotReducibleError("left block part of the generator is singular")
-    W = qc_mat_mul(M1_inv, QCMatrix(G.blocks[:, k0:].copy(), q))
-    H_blocks = np.zeros((r0, k0 + r0, p), dtype=np.int64)
-    H_blocks[:, :k0] = W.transpose().neg().blocks
-    H_blocks[np.arange(r0), k0 + np.arange(r0), 0] = 1
-    return QCMatrix(H_blocks, q)
+    I = QCMatrix.identity(G.cols0 - k0, p, q)
+    return QCMatrix(np.concatenate([W.transpose().neg().blocks, I.blocks], axis=1), q)
 
 
 def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[QCMatrix, QCMatrix]:

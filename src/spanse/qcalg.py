@@ -14,13 +14,14 @@ convolution, folded mod x^p - 1. Coefficients are small enough (bounded by
 inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse transform is
 exact, which is asserted on every product.
 
-Inversion is panelled Gauss-Jordan without row swaps. A panel of up to 8
+Linear systems A X = B are solved, never by forming A^{-1}: qc_solve runs
+panelled Gauss-Jordan without row swaps on [A | B]. A panel of up to 8
 pivot columns is eliminated exactly on the panel's own columns and a
-record of the transform's columns at its pivot rows; one product of inner
-dimension 8 then applies the panel to the rest of the matrix. A column with
-no unit in a free row flushes the pending panel first, so the repair step
-works on exact rows. The width shrinks where 8 * p * (q-1)^2 would exceed
-the exactness bound.
+record of the transform's columns at its pivot rows; products of inner
+dimension 8 then apply the panel to the rest of [A | B], 8 block columns
+at a time. A column with no unit in a free row flushes the pending panel
+first, so the repair step works on exact rows. The width shrinks where
+8 * p * (q-1)^2 would exceed the exactness bound.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import numpy as np
 # spanse-128's largest product is about 2^28.5.
 _FFT_EXACT_BOUND = 2**40
 
-# Pivot columns per panel of qc_mat_inv. Each panel ends in one product of
-# this inner dimension over the live block columns, so a wider panel makes
-# fewer passes over the matrix; _panel_width shrinks it for large p and q.
+# Pivot columns per panel of qc_solve. Each panel ends in products of this
+# inner dimension over the live block columns, so a wider panel makes fewer
+# passes over the matrix; _panel_width shrinks it for large p and q.
 _PANEL_WIDTH = 8
 
 
@@ -230,31 +231,24 @@ class QCMatrix:
         )
 
 
-def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
-    if A.p != B.p or A.q != B.q or A.cols0 != B.rows0:
-        raise DimensionMismatchError(
-            f"cannot multiply {A.rows0}x{A.cols0} by {B.rows0}x{B.cols0} "
-            f"(p {A.p}/{B.p}, q {A.q}/{B.q})"
-        )
-    return QCMatrix(_block_matmul(A.blocks, B.blocks, A.p, A.q), A.q)
+def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
+    """A^{-1} B for a square block matrix A, or None when A is singular.
 
-
-def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
-    """Inverse of a square block matrix, or None when singular.
-
-    Gauss-Jordan over the ring R_p on [A | I], pivoting onto a unit entry
-    of each column. Rows are never swapped: the pivot row of each column is
-    recorded, and the inverse's row c is the identity half of the row that
-    pivoted column c.
+    Gauss-Jordan over the ring R_p on [A | B], pivoting onto a unit entry
+    of each column of A. B may have any number of block columns, including
+    none, which only tests A. Rows are never swapped: the pivot row of each
+    column is recorded, and row c of the result is the right half of the
+    row that pivoted column c. The row operations depend on A alone, so
+    B = I would give A^{-1}.
 
     The pivot columns are taken in panels of _panel_width(p, q) (8 for the
     scheme's rings). Inside a panel, the row operations touch only the
     panel's own columns and a record D of the transform's columns at the
     panel's pivot rows; the panel's transform differs from I only there.
-    After the panel one product applies it to every other live block
-    column: aug[:, other] += (D - I) * aug[pivot rows, other]. On generic
-    input these are s of the 2s columns, so the full-height products and
-    the int64 passes over them run once per panel instead of once per column.
+    After the panel, products apply it to every other live block column,
+    aug[:, other] += (D - I) * aug[pivot rows, other], in slices of at most
+    _panel_width(p, q) block columns: a dense B makes all its columns live
+    from the first panel, and the slices keep the spectra small.
 
     When no free row has a unit in a column, the pending panel is flushed,
     and a repair step adds h * (row r) to the first free row for each other
@@ -268,10 +262,11 @@ def qc_mat_inv(A: QCMatrix) -> QCMatrix | None:
     exact for every prime p (x^p - 1 is squarefree over F_q when p != q,
     and R_p is a local ring when p = q). No dense expansion is formed.
     """
-    if A.rows0 != A.cols0:
-        raise DimensionMismatchError("inversion requires a square block matrix")
+    if A.rows0 != A.cols0 or B.rows0 != A.rows0 or (B.p, B.q) != (A.p, A.q):
+        raise DimensionMismatchError(f"cannot solve {A.rows0}x{A.cols0} against {B.rows0}x"
+                                     f"{B.cols0} (p {A.p}/{B.p}, q {A.q}/{B.q})")
     s, p, q = A.rows0, A.p, A.q
-    aug = np.concatenate([A.blocks.copy(), QCMatrix.identity(s, p, q).blocks], axis=1)
+    aug = np.concatenate([A.blocks, B.blocks], axis=1)
     width = _panel_width(p, q)
     free = list(range(s))  # rows not yet chosen as a pivot, in order
     piv: list[int] = []  # pivot row of each eliminated column
@@ -330,10 +325,13 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
         # columns left of the panel are zero in every pivot row
         other = np.flatnonzero(aug[rows].any(axis=(0, 2)))
         other = other[other >= col + width]
-        upd = _block_matmul(d_minus_i, aug[rows][:, other], p, q)
-        np.add(aug[:, other], upd, out=upd)
-        upd %= q
-        aug[:, other] = upd
+        step = _panel_width(p, q)
+        for lo in range(0, other.size, step):
+            cols = other[lo : lo + step]
+            upd = _block_matmul(d_minus_i, aug[np.ix_(rows, cols)], p, q)
+            np.add(aug[:, cols], upd, out=upd)
+            upd %= q
+            aug[:, cols] = upd
     aug[:, col : col + width] = work[:, :width]
     return rows
 

@@ -2,12 +2,12 @@
 
 Key generation hides a sparse-generator code behind a quasi-cyclic
 permutation P and a dense invertible transformation S: the public matrix
-is H' = P^{-1} H S^{-1}. Signing maps the message to a sparse weight-w
-syndrome s, lifts it to an error pattern e = [0_k | (Ps)^T], masks it with
-a random low-weight codeword c, and publishes sigma = (e + c) S^T;
-attempts are rejected until sigma has no zero entries mod q.
-Verification recomputes s from (message, theta) and checks
-H' sigma^T = s together with zero-freeness.
+is H' = P^{-1} H S^{-1}, with H S^{-1} solved for; S^{-1} is never formed.
+Signing maps the message to a sparse weight-w syndrome s, lifts it to an
+error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
+codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
+sigma has no zero entries mod q. Verification recomputes s from
+(message, theta) and checks H' sigma^T = s together with zero-freeness.
 
 The one-time contract (never sign two distinct messages with one key) is
 documented, not enforced: keys carry no usage state. Nothing here is
@@ -29,8 +29,7 @@ from .qcalg import (
     SparseVector,
     perm_apply,
     perm_inv_mul,
-    qc_mat_inv,
-    qc_mat_mul,
+    qc_solve,
     qc_vec_mul,
     random_qc_permutation,
 )
@@ -55,7 +54,7 @@ class SigningError(Exception):
 
 @dataclass
 class PrivateKey:
-    """{P, G, S}: exactly what signing reads. H and S^{-1} live only in keygen."""
+    """{P, G, S}: exactly what signing reads. H lives only in keygen."""
 
     params: ParameterSet
     P: QCPermutation  # r x r block-shift permutation
@@ -109,23 +108,19 @@ def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QC
 
 
 def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, PublicKey]:
-    """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}."""
+    """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}, where H S^{-1} = (S^{-T} H^T)^T."""
     G, H = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, params.q, rng)
-    S = None
+    Ht = H.transpose()
     for _ in range(MAX_S_RETRIES):
-        cand = sample_dense_transform(params, rng)
-        inv = qc_mat_inv(cand)
-        if inv is not None:
-            S, Sinv = cand, inv
-            break
-    if S is None:
-        raise KeygenError(
-            f"no invertible dense transform in {MAX_S_RETRIES} draws; "
-            "the density may be degenerate"
-        )
-    Hpub = perm_inv_mul(P, qc_mat_mul(H, Sinv))
-    return PrivateKey(params, P, G, S), PublicKey(params, Hpub)
+        S = sample_dense_transform(params, rng)
+        X = qc_solve(S.transpose(), Ht)
+        if X is not None:
+            return PrivateKey(params, P, G, S), PublicKey(params, perm_inv_mul(P, X.transpose()))
+    raise KeygenError(
+        f"no invertible dense transform in {MAX_S_RETRIES} draws; "
+        "the density may be degenerate"
+    )
 
 
 def _expand_stream(seed: bytes, nbytes: int) -> bytes:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .ldgm import NotReducibleError, systematic_parity_check
 from .params import DensityPolynomial, ParameterSet
-from .qcalg import QCMatrix, QCPermutation, qc_mat_inv
+from .qcalg import QCMatrix, QCPermutation, qc_solve
 from .scheme import PrivateKey, PublicKey, Signature
 
 MAGIC = b"SPNS"
@@ -257,13 +257,14 @@ def check_private(sk: PrivateKey):
     """Raise SerializationError unless M1 (the generator's left block part)
     and S are invertible, as they are in every key keygen writes.
 
-    These are the two O(n0^3 p) checks that loading skips.
+    These are the two O(n0^3 p) checks that loading skips. S is eliminated
+    against a right-hand side with no block columns; no inverse is formed.
     """
     try:
         systematic_parity_check(sk.G)
     except NotReducibleError as exc:
         raise SerializationError(f"generator is not reducible: {exc}") from exc
-    if qc_mat_inv(sk.S) is None:
+    if qc_solve(sk.S, QCMatrix(sk.S.blocks[:, :0], sk.S.q)) is None:
         raise SerializationError("dense transform is singular")
 
 

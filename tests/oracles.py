@@ -1,12 +1,19 @@
 """Dense F_q reference code that the tests check the ring kernels against.
 
 The library never forms a dense matrix; these oracles expand block matrices
-and permutations and multiply or invert them entry by entry.
+and permutations and multiply or invert them entry by entry. The library
+also never multiplies two block matrices, so the block product the tests
+check against these oracles is here too.
 """
 
 import numpy as np
 
-from spanse.qcalg import QCMatrix, QCPermutation
+from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul
+
+
+def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
+    """A B through the library's one FFT kernel."""
+    return QCMatrix(_block_matmul(A.blocks, B.blocks, A.p, A.q), A.q)
 
 
 def expand(A: QCMatrix) -> np.ndarray:

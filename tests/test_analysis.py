@@ -20,6 +20,8 @@ from spanse.analysis import (
     size_report,
 )
 from spanse.params import DensityPolynomial, ParameterSet, get_params
+from spanse.scheme import Signature
+from spanse.serial import serialize_signature
 
 DESK = get_params("desk")
 
@@ -258,3 +260,10 @@ def test_size_report_desk_symbols():
     assert rep.pk_symbols == 10 * 20 * 13
     d = rep.as_dict()
     assert set(d) == {"pk_packed_bytes", "log2_Ns", "log2_Nc"}
+
+
+@pytest.mark.parametrize("name,size", [("desk", 335), ("spanse-128", 24131)])
+def test_size_report_sig_bytes_is_the_file_size(name, size):
+    params = get_params(name)
+    sig = Signature(np.ones(params.n, dtype=np.int64), bytes(32))
+    assert size_report(params).sig_bytes == len(serialize_signature(sig, params)) == size

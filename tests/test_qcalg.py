@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import expand, gf_inv_dense, gf_matmul, perm_dense, perm_qc_matrix
+from oracles import expand, gf_inv_dense, gf_matmul, perm_dense, perm_qc_matrix, qc_mat_mul
 from spanse import qcalg
 from spanse.qcalg import (
     DimensionMismatchError,
@@ -10,8 +10,7 @@ from spanse.qcalg import (
     SparseVector,
     perm_apply,
     perm_inv_mul,
-    qc_mat_inv,
-    qc_mat_mul,
+    qc_solve,
     qc_vec_mul,
     random_qc_permutation,
 )
@@ -21,6 +20,11 @@ Q = 127
 
 def rand_qc(rng, rows0, cols0, p, q=Q):
     return QCMatrix(rng.integers(0, q, size=(rows0, cols0, p)), q)
+
+
+def qc_mat_inv(A):
+    """A^{-1} as the solve against the identity, or None when A is singular."""
+    return qc_solve(A, QCMatrix.identity(A.rows0, A.p, A.q))
 
 
 def rand_sparse(rng, length, density=0.25, q=Q):
@@ -93,8 +97,15 @@ def test_circulant_layout_rows_are_right_shifts():
 
 
 def test_ring_mismatch_raises():
+    # a right-hand side on another ring (p or q) or with other block rows
+    rng = np.random.default_rng(14)
+    A = rand_qc(rng, 3, 3, 5)
+    for B in (rand_qc(rng, 3, 2, 7), rand_qc(rng, 3, 2, 5, q=131), rand_qc(rng, 2, 3, 5),
+              rand_qc(rng, 4, 0, 5)):
+        with pytest.raises(DimensionMismatchError):
+            qc_solve(A, B)
     with pytest.raises(DimensionMismatchError):
-        qc_mat_mul(poly([1, 2]), poly([1, 2, 3]))
+        qc_solve(poly([1, 2]), poly([1, 2, 3]))
 
 
 # --- block matrices --------------------------------------------------------
@@ -119,8 +130,6 @@ def test_qc_mat_mul_rectangular_oracle():
         m, l, r = (int(v) for v in rng.integers(1, 4, 3))
         A, B = rand_qc(rng, m, l, p), rand_qc(rng, l, r, p)
         assert np.array_equal(expand(qc_mat_mul(A, B)), gf_matmul(expand(A), expand(B), Q))
-    with pytest.raises(DimensionMismatchError):
-        qc_mat_mul(rand_qc(rng, 2, 3, 5), rand_qc(rng, 2, 3, 5))
 
 
 def _cyclic_matmul_int64(A, B, q):
@@ -242,7 +251,7 @@ def _non_unit_entry(rng, p, q):
 
 @pytest.fixture()
 def repairs(monkeypatch):
-    """Columns at which qc_mat_inv called _repair_pivot, in call order."""
+    """Columns at which qc_solve called _repair_pivot, in call order."""
     calls = []
     real_repair = qcalg._repair_pivot
 
@@ -298,28 +307,61 @@ def test_qc_mat_inv_live_columns_with_swaps_and_repairs(repairs, p):
 
 
 def test_qc_mat_inv_updates_only_live_columns(monkeypatch):
-    # generic S: each pivot column costs products of inner dimension 1 on the
-    # panel's own columns and its record D, and each panel ends in one
-    # product of inner dimension equal to its width over the other columns
+    # generic A: each pivot column costs products of inner dimension 1 on the
+    # panel's own columns and its record D; each panel then applies D to the
+    # other live columns in products of inner dimension equal to its width,
+    # each writing at most b block columns however wide B is
     b = qcalg._PANEL_WIDTH
-    inner = []
+    calls = []
     real_kernel = qcalg._block_matmul
 
     def recording_kernel(A, B, p, q):
-        inner.append(A.shape[1])
+        calls.append((A.shape[1], B.shape[1]))  # inner dimension, output block width
         return real_kernel(A, B, p, q)
 
     monkeypatch.setattr(qcalg, "_block_matmul", recording_kernel)
     rng = np.random.default_rng(41)
     for s, p in ((b, 13), (2 * b, 101), (2 * b + 3, 13)):
         assert qcalg._panel_width(p, Q) == b == 8
-        inner.clear()
         A = rand_qc(rng, s, s, p)
-        Ai = qc_mat_inv(A)
-        assert set(inner) <= {1, b, s % b}
-        assert inner.count(b) == s // b  # ceil(s / b) panels, the last one narrower
-        assert [k for k in inner if k not in (1, b)] == ([s % b] if s % b else [])
-        assert qc_mat_mul(A, Ai) == QCMatrix.identity(s, p, Q)
+        # the inverse, and a solve shaped like keygen's S^T X = H^T
+        for B in (QCMatrix.identity(s, p, Q), rand_qc(rng, s, s // 2, p)):
+            calls.clear()
+            X = qc_solve(A, B)
+            assert {inner for inner, _ in calls} <= {1, b, s % b}
+            assert any(inner == b for inner, _ in calls)
+            assert all(width <= b for inner, width in calls if inner > 1)
+            assert qc_mat_mul(A, X) == B
+
+
+@pytest.mark.parametrize("p,q", [(1, 127), (3, 3), (13, 127)])
+def test_qc_solve_matches_dense_oracle_at_every_width(repairs, p, q):
+    # right-hand sides of 0, 1, b - 1, b + 1 and 2s + 3 block columns, so the
+    # panel updates' slices of b columns end inside B and across it; equal
+    # rows make A singular, and non-unit entries make repairs run in a solve
+    b = qcalg._PANEL_WIDTH
+    rng = np.random.default_rng(60 + p + q)
+    outcomes = set()
+    for s in (2, 5, 9):
+        for kind in ("generic", "non-unit", "non-unit", "equal rows"):
+            if kind == "generic":
+                blocks = rng.integers(0, q, (s, s, p))
+            else:
+                blocks = np.array([[_non_unit_entry(rng, p, q) for _ in range(s)] for _ in range(s)])
+            if kind == "equal rows":
+                blocks[1] = blocks[0]
+            A = QCMatrix(blocks, q)
+            dense_inv = gf_inv_dense(expand(A), q)
+            outcomes.add(dense_inv is not None)
+            for m in (0, 1, b - 1, b + 1, 2 * s + 3):
+                B = QCMatrix(rng.integers(0, q, (s, m, p)), q)
+                X = qc_solve(A, B)
+                if dense_inv is None:
+                    assert X is None
+                else:
+                    assert X is not None and X.blocks.shape == (s, m, p)
+                    assert np.array_equal(expand(X), gf_matmul(dense_inv, expand(B), q))
+    assert repairs and outcomes == {True, False}
 
 
 @pytest.mark.parametrize("invertible", [True, False])

@@ -163,12 +163,12 @@ def test_deterministic_signing_reproducible(keypair):
 
 
 def forbid_inversion(monkeypatch):
-    """Make every ring or matrix inversion fail the test when it is called."""
+    """Make every ring inversion and block solve fail the test when it is called."""
     def inverted(*args):
         raise AssertionError("inversion called")
 
     for module in (qcalg, ldgm, scheme, serial):
-        monkeypatch.setattr(module, "qc_mat_inv", inverted)
+        monkeypatch.setattr(module, "qc_solve", inverted)
     monkeypatch.setattr(qcalg, "_poly_inv_raw", inverted)
 
 
