@@ -5,12 +5,16 @@ executed. The decoder cost model covers a partial-Gaussian-elimination
 attack whose reduced instance is solved by subset-sum-style list merging
 (depth-b merge tree, list-size exponent nu, elimination fraction phi), with
 an additional sqrt(p) discount when all p quasi-cyclic shifts of the target
-syndrome are attacked at once. The rejection model predicts the
+syndrome are attacked at once. Its minimum over (b, nu, phi) is found
+exactly: for each b the cost is convex and piecewise linear in
+(nu(1-phi), phi), so it is least at a crossing of two lines of a fixed
+arrangement. The rejection model predicts the
 probability that a signing attempt yields a zero-free signature.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -95,8 +99,8 @@ def _check_point(point: AttackPoint, n: int, R: float, q: int):
         raise ConstraintError(f"nu={point.nu} outside (0, {nu_max}) for b={point.b}")
 
 
-def pge_ss_exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> CostReport:
-    """Cost exponents of the list-merging decoder at a fixed attack point.
+def _exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> CostReport:
+    """Cost exponents of the list-merging decoder at an attack point, unchecked.
 
     After eliminating phi*n coordinates the residual code has length
     n' = (1-phi)n and rate R' = R/(1-phi). A depth-b merge tree with lists
@@ -104,10 +108,8 @@ def pge_ss_exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> C
     with probability 2^{n min(0, chi)} where chi folds in the chance that
     the eliminated block stays zero-free.
     """
-    R = k / n
-    _check_point(point, n, R, q)
     b, nu, phi = point.b, point.nu, point.phi
-    R_prime = R / (1.0 - phi)
+    R_prime = k / n / (1.0 - phi)
     rho = ((b + 1) * nu - (1.0 - R_prime) * math.log2(q)) * (1.0 - phi)
     chi = rho + phi * math.log2(1.0 - 1.0 / q)
     iter_cost = max(nu * (1.0 - phi), rho) * n
@@ -117,94 +119,53 @@ def pge_ss_exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> C
     return CostReport(rho, chi, iter_cost, success, t_sdp, t_doom, point)
 
 
-def pge_ss_for_params(point: AttackPoint, params: ParameterSet) -> CostReport:
-    return pge_ss_exponents(point, n=params.n, k=params.k, q=params.q, p=params.p)
+def pge_ss_exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> CostReport:
+    """Cost exponents at a fixed attack point; ConstraintError if it is invalid."""
+    _check_point(point, n, k / n, q)
+    return _exponents(point, n=n, k=k, q=q, p=p)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    phi_coarse: int = 2001
-    phi_refine: int = 401
-    refine_rounds: int = 2
-    nu_step: float = 1e-4  # neighborhood probed around each exact kink
+def optimize_attack(*, n: int, k: int, q: int, p: int) -> CostReport:
+    """Minimize t_doom_log2 over (b, nu, phi): the infimum over the model's region.
 
+    With u = nu(1-phi), the list exponent per n, and L = log2 q,
+    D = log2(1-1/q), rho = (b+1)u - (1-phi-R)L and chi = rho + phi*D are
+    linear in (u, phi). The objective max(u, rho) + max(0, -chi) is then
+    convex and piecewise linear, and every bound of `_check_point` is a
+    half-plane. So for each merge depth b the minimum lies where two of
+    seven lines cross: phi = 0, phi = 1-R, phi = 1 - 2^b/n, u = 0,
+    u = (1-phi)nu_max, and the two kinks u = rho and chi = 0. Each of the
+    21 crossings is clamped into the closed region and evaluated.
 
-def _best_over_nu(b: int, phi: float, *, n: int, k: int, q: int, p: int,
-                  nu_step: float) -> CostReport | None:
-    """Minimize over nu at fixed (b, phi).
-
-    The objective max(nu(1-phi), rho) - min(0, chi) is piecewise linear in
-    nu, so the minimum sits on a kink or a boundary; we evaluate the kinks
-    (where the two iteration-cost branches cross, and where chi changes
-    sign) plus small neighborhoods around them.
+    `_check_point` keeps phi > 0, phi < 1-R and 0 < nu < nu_max open, so
+    the point returned may lie on one of those edges (often nu = nu_max).
+    Its cost is then the infimum, which valid points approach but do not
+    reach.
     """
     R = k / n
-    R_prime = R / (1.0 - phi)
-    C = (1.0 - R_prime) * math.log2(q)
-    D = math.log2(1.0 - 1.0 / q)  # negative
-    nu_max = 2.0 ** (-b) * math.log2(q - 1)
-    kinks = [C / b, (C - phi * D / (1.0 - phi)) / (b + 1)]
-    candidates = []
-    for nu0 in kinks:
-        candidates.extend([nu0 - nu_step, nu0, nu0 + nu_step])
-    candidates.append(nu_max * (1.0 - 1e-9))
-    candidates.append(nu_step)
-    best = None
-    for nu in candidates:
-        if not (0.0 < nu < nu_max):
-            continue
-        try:
-            report = pge_ss_exponents(AttackPoint(b, nu, phi), n=n, k=k, q=q, p=p)
-        except ConstraintError:
-            continue
-        if best is None or report.t_doom_log2 < best.t_doom_log2:
-            best = report
-    return best
-
-
-def optimize_attack(*, n: int, k: int, q: int, p: int,
-                    config: SearchConfig = SearchConfig()) -> CostReport:
-    """Minimize t_doom_log2 over (b, nu, phi).
-
-    b is swept exhaustively; phi runs on a coarse grid followed by local
-    refinements; nu is resolved exactly at each (b, phi) through the
-    piecewise-linear kink structure of the objective.
-    """
-    R = k / n
-    phi_hi = (1.0 - R) * (1.0 - 1e-9)
+    L = math.log2(q)
+    D = math.log2(1.0 - 1.0 / q)
     best = None
     for b in range(1, math.floor(math.log2(n)) + 1):
-        if 2.0 ** (-b) * math.log2(q - 1) <= 0:
-            break
-        lo, hi = phi_hi * 1e-6, phi_hi
-        grid = np.linspace(lo, hi, config.phi_coarse)
-        local_best = None
-        for _ in range(config.refine_rounds + 1):
-            for phi in grid:
-                report = _best_over_nu(b, float(phi), n=n, k=k, q=q, p=p,
-                                       nu_step=config.nu_step)
-                if report is None:
-                    continue
-                if local_best is None or report.t_doom_log2 < local_best.t_doom_log2:
-                    local_best = report
-            if local_best is None:
-                break
-            step = grid[1] - grid[0]
-            center = local_best.point.phi
-            lo = max(phi_hi * 1e-6, center - 2 * step)
-            hi = min(phi_hi, center + 2 * step)
-            grid = np.linspace(lo, hi, config.phi_refine)
-        if local_best is not None and (best is None or
-                                       local_best.t_doom_log2 < best.t_doom_log2):
-            best = local_best
+        nu_max = 2.0 ** (-b) * math.log2(q - 1)
+        phi_max = min(1.0 - R, 1.0 - 2.0 ** b / n)
+        if nu_max <= 0 or phi_max <= 0:
+            continue
+        # each line as (a, c, d): a*u + c*phi = d
+        lines = [(0, 1, 0.0), (0, 1, 1.0 - R), (0, 1, 1.0 - 2.0 ** b / n), (1, 0, 0.0),
+                 (1, nu_max, nu_max), (b, L, (1.0 - R) * L), (b + 1, L + D, (1.0 - R) * L)]
+        for (a1, c1, d1), (a2, c2, d2) in itertools.combinations(lines, 2):
+            det = a1 * c2 - a2 * c1
+            if det == 0:
+                continue
+            phi = min(max((a1 * d2 - a2 * d1) / det, 0.0), phi_max)
+            u = min(max((d1 * c2 - d2 * c1) / det, 0.0), (1.0 - phi) * nu_max)
+            report = _exponents(AttackPoint(b, u / (1.0 - phi), phi), n=n, k=k, q=q, p=p)
+            if best is None or report.t_doom_log2 < best.t_doom_log2:
+                best = report
     if best is None:
         raise ConstraintError("no feasible attack point found")
     return best
-
-
-def optimize_attack_for_params(params: ParameterSet,
-                               config: SearchConfig = SearchConfig()) -> CostReport:
-    return optimize_attack(n=params.n, k=params.k, q=params.q, p=params.p, config=config)
 
 
 # ---------------------------------------------------------------------------

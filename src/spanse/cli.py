@@ -9,7 +9,9 @@ atomically; a failed command never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +110,10 @@ def cmd_analyze(args) -> int:
             if any(v is None for v in fixed):
                 raise ParameterError("--b, --nu and --phi must be given together")
             point = analysis.AttackPoint(args.b, args.nu, args.phi)
-            report = analysis.pge_ss_for_params(point, params)
+            report = analysis.pge_ss_exponents(point, n=params.n, k=params.k,
+                                               q=params.q, p=params.p)
         else:
-            report = analysis.optimize_attack_for_params(params)
+            report = analysis.optimize_attack(n=params.n, k=params.k, q=params.q, p=params.p)
         _print_report(report.as_dict())
     elif args.kind == "rejection":
         density = (
@@ -131,10 +134,9 @@ def cmd_analyze(args) -> int:
                 raise ParameterError(
                     "analytic model needs a binary density; pass --monte-carlo N"
                 )
-            tuned = ParameterSet(
-                params.name, params.q, params.p, params.n0, params.k0,
-                params.w, params.w_g, params.m_g, density,
-            )
+            with warnings.catch_warnings():  # params was checked when it was built
+                warnings.simplefilter("ignore")
+                tuned = dataclasses.replace(params, density=density)
             report = analysis.rejection_rate_analytic(tuned)
             _print_report(report.as_dict())
             print(f"rejection_rate = {1.0 - report.p_valid:.6g}")

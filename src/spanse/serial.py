@@ -20,7 +20,8 @@ payloads:
 Symbols are single bytes, so q <= 256 is required on both write and read.
 Every symbol byte must be < q; anything else is a parse error. Loading
 checks everything that costs O(size): lengths, symbol ranges, the
-permutation, the shifts, the generator positions, and that no block row of
+permutation, the shifts, that each generator row holds w_g distinct
+positions all of value 1 (as keygen writes it), and that no block row of
 S is zero (signing with such an S could never succeed). The parity check
 H and the inverse transform S^{-1} are neither stored nor derived, since
 signing reads neither; `check_private` runs the two O(n0^3 p) checks a
@@ -234,14 +235,14 @@ def deserialize_private(data: bytes) -> PrivateKey:
     g_blocks = np.zeros((params.k0, params.n0, p), dtype=np.int64)
     for i in range(params.k0):
         count = rd.u32()
-        if count > params.n:
-            raise SerializationError("generator row weight out of range")
+        if count != params.w_g:
+            raise SerializationError(f"generator row weight {count}, not w_g = {params.w_g}")
         pos = np.array([rd.u32() for _ in range(count)], dtype=np.int64)
-        if pos.size and (pos.max() >= params.n or np.unique(pos).size != pos.size):
+        if pos.max() >= params.n or np.unique(pos).size != pos.size:
             raise SerializationError("bad generator positions")
         vals = _symbols(rd, count, q)
-        if np.any(vals == 0):
-            raise SerializationError("explicit zero in sparse generator row")
+        if np.any(vals != 1):
+            raise SerializationError("generator entry other than 1")
         flat = g_blocks[i].reshape(-1)
         flat[pos] = vals
     s_syms = _symbols(rd, params.n0 * params.n0 * p, q)

@@ -8,12 +8,10 @@ from spanse.analysis import (
     AttackPoint,
     ConstraintError,
     RejectionModel,
-    SearchConfig,
     brute_force_log2,
     log2_binomial,
     optimize_attack,
     pge_ss_exponents,
-    pge_ss_for_params,
     rejection_rate_analytic,
     rejection_rate_montecarlo,
     size_counts,
@@ -106,20 +104,72 @@ def test_optimizer_reference_instance():
     # the optimum can only improve on the reference point
     ref = pge_ss_exponents(PAPER_POINT, **PAPER_DIMS)
     assert best.t_doom_log2 <= ref.t_doom_log2 + 1e-9
+    # at b=9 the two kinks u = rho and chi = 0 cross at u = -phi*D, where
+    # phi* = (1-R)L / (L - 9D); the cost there is n*u - log2(p)/2
+    L, D = math.log2(127), math.log2(1 - 1 / 127)
+    phi_star = 0.5 * L / (L - 9 * D)
+    assert best.point.phi == pytest.approx(phi_star, abs=1e-9)
+    assert best.t_doom_log2 == pytest.approx(24000 * -D * phi_star - 0.5 * math.log2(101),
+                                             abs=1e-9)
+
+
+def _grid_minimum(n, k, q, p, steps=51):
+    """Least t_doom over every valid point of a (b, nu, phi) grid."""
+    least = math.inf
+    for b in range(1, math.floor(math.log2(n)) + 1):
+        nu_max = 2.0 ** (-b) * math.log2(q - 1)
+        for phi in np.linspace(0.0, 1.0 - k / n, steps):
+            for nu in np.linspace(0.0, nu_max, steps):
+                try:
+                    rep = pge_ss_exponents(AttackPoint(b, float(nu), float(phi)),
+                                           n=n, k=k, q=q, p=p)
+                except ConstraintError:
+                    continue
+                least = min(least, rep.t_doom_log2)
+    return least
+
+
+def test_optimizer_is_below_a_dense_grid():
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        n = int(rng.integers(50, 3000))
+        k = int(rng.integers(1, n))
+        q = int(rng.choice([3, 5, 7, 11, 13, 31, 127, 251]))
+        p = int(rng.choice([1, 2, 13, 101]))
+        best = optimize_attack(n=n, k=k, q=q, p=p)
+        assert best.t_doom_log2 <= _grid_minimum(n, k, q, p) + 1e-9, (n, k, q, p)
+
+
+def test_optimizer_reports_the_open_nu_edge_as_its_infimum():
+    dims = dict(n=1570, k=937, q=7, p=2)
+    best = optimize_attack(**dims)
+    b, phi = best.point.b, best.point.phi
+    nu_max = 2.0 ** (-b) * math.log2(6)
+    assert best.point.nu == pytest.approx(nu_max, rel=1e-12)
+    assert 0 < phi < 1 - 937 / 1570
+    inside = pge_ss_exponents(AttackPoint(b, nu_max * (1 - 1e-9), phi), **dims)
+    assert inside.t_doom_log2 >= best.t_doom_log2 - 1e-9
+    assert inside.t_doom_log2 == pytest.approx(best.t_doom_log2, abs=1e-6)
+
+
+def test_optimizer_without_a_feasible_point_raises():
+    with pytest.raises(ConstraintError, match="no feasible"):
+        optimize_attack(n=600, k=300, q=2, p=1)  # nu_max = 0 for every b
+    with pytest.raises(ConstraintError, match="no feasible"):
+        optimize_attack(n=2, k=1, q=127, p=1)  # b = 1 leaves no reduced length
 
 
 def test_optimizer_degenerate_and_scaling():
-    small = optimize_attack(n=600, k=300, q=3, p=1,
-                            config=SearchConfig(phi_coarse=301, phi_refine=101))
+    small = optimize_attack(n=600, k=300, q=3, p=1)
     assert math.isfinite(small.t_doom_log2)
-    cfg = SearchConfig(phi_coarse=501, phi_refine=101, refine_rounds=1)
-    one = optimize_attack(n=24000, k=12000, q=127, p=101, config=cfg)
-    two = optimize_attack(n=48000, k=24000, q=127, p=101, config=cfg)
+    one = optimize_attack(n=24000, k=12000, q=127, p=101)
+    two = optimize_attack(n=48000, k=24000, q=127, p=101)
     assert two.t_doom_log2 / one.t_doom_log2 == pytest.approx(2.0, rel=0.1)
 
 
-def test_pge_for_params_wrapper():
-    rep = pge_ss_for_params(PAPER_POINT, get_params("spanse-128"))
+def test_pge_at_spanse_128_dims():
+    ps = get_params("spanse-128")
+    rep = pge_ss_exponents(PAPER_POINT, n=ps.n, k=ps.k, q=ps.q, p=ps.p)
     assert rep.t_doom_log2 == pytest.approx(131.6, abs=1.0)
     d = rep.as_dict()
     assert set(d) == {"t_sdp_log2", "t_doom_log2", "b", "nu", "phi"}

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spanse import cli, serial
@@ -95,15 +96,10 @@ def test_keycheck_rejects_singular_key(workdir, capsys, part):
     sk = serial.deserialize_private(sk_path.read_bytes())
     parts = {"G": sk.G, "S": sk.S}
     blocks = parts[part].blocks.copy()
-    if part == "S":
-        blocks[1] = blocks[0]  # two equal block rows: S is singular, yet the key loads
-    else:
-        blocks[0] = 0  # an all-zero block row makes the generator's M1 singular
+    # two equal block rows: S, or the generator's M1, is singular, yet the key loads
+    blocks[1] = blocks[0]
     parts[part] = QCMatrix(blocks, sk.params.q)
     data = serial.serialize_private(PrivateKey(sk.params, sk.P, parts["G"], parts["S"]))
-    if part == "G":  # generator row 0 is written with count 0
-        count_at = len(serial.serialize_params(sk.params)) + 4 * sk.params.r0
-        assert struct.unpack_from("<I", data, count_at) == (0,)
     bad = workdir / "bad.bin"
     bad.write_bytes(data)
     assert serial.deserialize_private(data).S == parts["S"]  # loading skips the check
@@ -137,14 +133,53 @@ def test_zero_block_row_in_s_is_rejected_at_load(workdir, capsys, monkeypatch):
     assert not signed and not out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # sign, verify and keycheck use no analysis model; scipy.stats costs
-    # about 1 s of import time
+@pytest.mark.parametrize("damage", ["weight-0", "value-2"])
+def test_generator_row_unlike_keygen_is_rejected_at_sign(workdir, capsys, damage):
+    # keygen writes every generator row with w_g entries of value 1; a row
+    # of weight 0, or an entry of 2, must not load, sign and verify
+    sk_path, _ = keygen_files(workdir)
+    sk = serial.deserialize_private(sk_path.read_bytes())
+    blocks = sk.G.blocks.copy()
+    row = blocks[0].reshape(-1)
+    if damage == "weight-0":
+        row[:] = 0
+    else:
+        row[np.flatnonzero(row)[0]] = 2
+    bad = workdir / "bad.bin"
+    bad.write_bytes(serial.serialize_private(
+        PrivateKey(sk.params, sk.P, QCMatrix(blocks, sk.params.q), sk.S)))
+    out = workdir / "sig.bin"
+    capsys.readouterr()
+    assert run("sign", "--key", bad, "--message", workdir / "msg.txt",
+               "--out", out) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "generator" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _python(*args) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # sign, verify and keycheck use no analysis model; scipy.stats costs
+    # about 1 s of import time
     code = "import spanse.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert _python("-c", code).returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["rejection", "--density", "1/2,1/2"],
+    ["attack"],
+    ["sizes"],
+])
+def test_analyze_at_spanse_128_writes_nothing_to_stderr(argv):
+    # spanse-128 has m_g*w_g >= q, which the registry already accepted
+    done = _python("-m", "spanse", "analyze", argv[0], "--params", "spanse-128", *argv[1:])
+    assert done.returncode == EXIT_OK and done.stdout and done.stderr == ""
 
 
 def test_analyze_attack_fixed_point(capsys):
