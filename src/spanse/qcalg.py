@@ -8,20 +8,24 @@ Multiplication of circulants is cyclic convolution of first rows.
 Block matrices of circulants (QCMatrix) store one row per block, a
 factor-p saving over the dense expansion, which only the tests form; a
 ring element is a 1 x 1 QCMatrix. Every ring product (block matrix, dense
-vector, inversion step) runs through one batched cyclic convolution: a
-real FFT zero-padded to the power of two that holds the linear
-convolution, folded mod x^p - 1. Coefficients are small enough (bounded by
-inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse transform is
-exact, which is asserted on every product.
+vector, inversion step) runs through one batched cyclic convolution kernel
+in two halves: a real FFT zero-padded to the power of two that holds the
+linear convolution, then a contraction of the spectra (np.matmul on BLAS
+for block products, einsum for vectors and outer products), the inverse
+transform and a fold mod x^p - 1. A spectrum may serve several products.
+Coefficients are small enough (bounded by inner_dim * p * (q-1)^2 <= 2^40)
+that rounding the inverse transform is exact, which is asserted on every
+product.
 
 Linear systems A X = B are solved, never by forming A^{-1}: qc_solve runs
 panelled Gauss-Jordan without row swaps on [A | B]. A panel of up to 8
 pivot columns is eliminated exactly on the panel's own columns and a
-record of the transform's columns at its pivot rows; products of inner
+record D of the transform's columns at its pivot rows; products of inner
 dimension 8 then apply the panel to the rest of [A | B], 8 block columns
-at a time. A column with no unit in a free row flushes the pending panel
-first, so the repair step works on exact rows. The width shrinks where
-8 * p * (q-1)^2 would exceed the exactness bound.
+at a time, all from one spectrum of D. A column with no unit in a free
+row flushes the pending panel first, so the repair step works on exact
+rows. The width shrinks where 8 * p * (q-1)^2 would exceed the exactness
+bound.
 """
 
 from __future__ import annotations
@@ -160,17 +164,45 @@ def _block_matmul(A: np.ndarray, B: np.ndarray, p: int, q: int) -> np.ndarray:
     """(m, k, p) x (k, n, p) -> (m, n, p) with cyclic-convolution block products.
 
     The one FFT convolution kernel: every product in the ring goes through
-    here, with m, k or n set to 1 for polynomials, vectors and outer products.
-    The operands are zero-padded to n = 2^ceil(log2(2p - 1)), the smallest
-    power of two that holds the linear convolution: on 84 * 85 rows, numpy's
-    rfft takes about 30 ms at the prime length 101 and 11 ms at 256. The
-    linear result is rounded and folded mod x^p - 1, adding coefficient
-    p + t into coefficient t.
+    here, with m, k or n set to 1 for polynomials, vectors and outer products,
+    or through its two halves, _spectrum and _spectral_matmul, when one
+    operand's spectrum serves several products.
     """
-    _assert_fft_exact(A.shape[1], p, q)
-    n = 1 << (2 * p - 2).bit_length()
-    fc = np.einsum("ikf,kjf->ijf", np.fft.rfft(A, n=n, axis=-1), np.fft.rfft(B, n=n, axis=-1))
-    lin = np.fft.irfft(fc, n=n, axis=-1)
+    return _spectral_matmul(_spectrum(A, p), _spectrum(B, p), p, q)
+
+
+def _spectrum(A: np.ndarray, p: int) -> np.ndarray:
+    """The kernel's spectrum half: (rows, cols, p) blocks -> (rows, cols, n // 2 + 1).
+
+    Each block is zero-padded to n = 2^ceil(log2(2p - 1)), the smallest power
+    of two that holds the linear convolution: on 84 * 85 rows, numpy's rfft
+    takes about 30 ms at the prime length 101 and 11 ms at 256.
+    """
+    return np.fft.rfft(A, n=1 << (2 * p - 2).bit_length(), axis=-1)
+
+
+def _spectral_matmul(FA: np.ndarray, FB: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The kernel's product half: spectra of (m, k, p) and (k, n, p) -> (m, n, p).
+
+    The contraction is chosen by shape. When m = 1 (a vector, or a ring
+    element times a block row) or k = 1 (an outer product), einsum streams
+    over the spectra in the layout rfft returns: a frequency-major copy of a
+    vector product's big operand costs more than the contraction, and an
+    outer product has no sum for BLAS to speed up. Otherwise np.matmul
+    multiplies frequency-major views, one (m, k) x (k, n) complex product per
+    frequency on BLAS. In qc_solve these are at most 238 x 8 x 8 (spanse-128),
+    too small for OpenBLAS to start its threads: with two BLAS threads, CPU
+    time equals wall time, so no idle BLAS thread spins.
+
+    The linear result is rounded and folded mod x^p - 1, adding coefficient
+    p + t into coefficient t, and reduced mod q.
+    """
+    _assert_fft_exact(FA.shape[1], p, q)
+    if FA.shape[0] == 1 or FA.shape[1] == 1:
+        fc = np.einsum("ikf,kjf->ijf", FA, FB)
+    else:
+        fc = np.matmul(FA.transpose(2, 0, 1), FB.transpose(2, 0, 1)).transpose(1, 2, 0)
+    lin = np.fft.irfft(fc, n=1 << (2 * p - 2).bit_length(), axis=-1)
     del fc  # free the spectrum before the int64 result is allocated
     np.rint(lin, out=lin)
     out = lin[..., :p]
@@ -248,7 +280,8 @@ def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
     After the panel, products apply it to every other live block column,
     aug[:, other] += (D - I) * aug[pivot rows, other], in slices of at most
     _panel_width(p, q) block columns: a dense B makes all its columns live
-    from the first panel, and the slices keep the spectra small.
+    from the first panel, and the slices keep the spectra small. The
+    spectrum of D - I is taken once per panel and serves every slice.
 
     When no free row has a unit in a column, the pending panel is flushed,
     and a repair step adds h * (row r) to the first free row for each other
@@ -326,9 +359,10 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
         other = np.flatnonzero(aug[rows].any(axis=(0, 2)))
         other = other[other >= col + width]
         step = _panel_width(p, q)
+        d_spectrum = _spectrum(d_minus_i, p)
         for lo in range(0, other.size, step):
             cols = other[lo : lo + step]
-            upd = _block_matmul(d_minus_i, aug[np.ix_(rows, cols)], p, q)
+            upd = _spectral_matmul(d_spectrum, _spectrum(aug[np.ix_(rows, cols)], p), p, q)
             np.add(aug[:, cols], upd, out=upd)
             upd %= q
             aug[:, cols] = upd

@@ -143,18 +143,43 @@ def _cyclic_matmul_int64(A, B, q):
 
 
 @pytest.mark.parametrize("p", [1, 2, 101])
-def test_kernel_products_at_scheme_shapes_match_dense(p):
+def test_kernel_products_at_scheme_shapes_match_dense(p, monkeypatch):
     # p = 1 pads to a length-1 transform with an empty fold; p = 101 is the
-    # scheme's ring. All-(q-1) operands give the largest coefficients.
+    # scheme's ring. All-(q-1) operands give the largest coefficients. The
+    # shapes reach both contractions: np.matmul for a block product, einsum
+    # for a ring element, a vector and an outer product.
+    checked = []
+    real_check = qcalg._assert_fft_exact
+
+    def counting_check(inner, p, q):
+        checked.append(inner)
+        return real_check(inner, p, q)
+
+    monkeypatch.setattr(qcalg, "_assert_fft_exact", counting_check)
     rng = np.random.default_rng(30 + p)
-    operands = [(rand_qc(rng, 2, 3, p), rand_qc(rng, 3, 2, p)),
-                (QCMatrix(np.full((2, 3, p), Q - 1), Q), QCMatrix(np.full((3, 2, p), Q - 1), Q))]
-    for A, B in operands:
+
+    def draw(rows, cols, full):
+        return QCMatrix(np.full((rows, cols, p), Q - 1), Q) if full else rand_qc(rng, rows, cols, p)
+
+    products = 0
+    for full in (False, True):
+        A, B = draw(2, 3, full), draw(3, 2, full)
         assert np.array_equal(expand(qc_mat_mul(A, B)), gf_matmul(expand(A), expand(B), Q))
         a, b = QCMatrix(A.blocks[:1, :1], Q), QCMatrix(B.blocks[1:2, 1:2], Q)
         assert np.array_equal(expand(qc_mat_mul(a, b)), gf_matmul(expand(a), expand(b), Q))
+        col, row = QCMatrix(A.blocks[:, :1], Q), QCMatrix(B.blocks[:1], Q)
+        assert np.array_equal(expand(qc_mat_mul(col, row)), gf_matmul(expand(col), expand(row), Q))
         for v in (rng.integers(0, Q, 2 * p), np.full(2 * p, Q - 1)):
             assert np.array_equal(qc_vec_mul(v, A), gf_matmul(v[None, :], expand(A), Q)[0])
+        products += 5  # A B, a b, col row and the two vector products
+        # one spectrum of A serves several right-hand slices, as a panel's D does
+        spectrum = qcalg._spectrum(A.blocks, p)
+        for width in (2, 1, 2):
+            C = draw(3, width, full)
+            got = qcalg._spectral_matmul(spectrum, qcalg._spectrum(C.blocks, p), p, Q)
+            assert np.array_equal(expand(QCMatrix(got, Q)), gf_matmul(expand(A), expand(C), Q))
+            products += 1
+    assert len(checked) == products  # the bound is checked on every product
 
 
 def test_fft_bound_rejects_products_that_lose_precision():
@@ -170,9 +195,11 @@ def test_fft_bound_rejects_products_that_lose_precision():
 def test_fft_product_just_under_bound_is_exact():
     q, p, k = 4093, 101, 600
     assert 2**39.8 < k * p * (q - 1) ** 2 < 2**40
-    A, B = np.full((1, k, p), q - 1), np.full((k, 1, p), q - 1)
-    got = qc_mat_mul(QCMatrix(A, q), QCMatrix(B, q)).blocks
-    assert np.array_equal(got, _cyclic_matmul_int64(A, B, q))
+    # one row contracts by einsum, two rows by np.matmul on BLAS
+    for rows in (1, 2):
+        A, B = np.full((rows, k, p), q - 1), np.full((k, rows, p), q - 1)
+        got = qc_mat_mul(QCMatrix(A, q), QCMatrix(B, q)).blocks
+        assert np.array_equal(got, _cyclic_matmul_int64(A, B, q))
 
 
 def test_transpose_matches_dense():
@@ -310,16 +337,19 @@ def test_qc_mat_inv_updates_only_live_columns(monkeypatch):
     # generic A: each pivot column costs products of inner dimension 1 on the
     # panel's own columns and its record D; each panel then applies D to the
     # other live columns in products of inner dimension equal to its width,
-    # each writing at most b block columns however wide B is
+    # each writing at most b block columns however wide B is, and all of
+    # them reusing the one spectrum of D that the panel takes
     b = qcalg._PANEL_WIDTH
     calls = []
-    real_kernel = qcalg._block_matmul
+    real_product = qcalg._spectral_matmul
 
-    def recording_kernel(A, B, p, q):
-        calls.append((A.shape[1], B.shape[1]))  # inner dimension, output block width
-        return real_kernel(A, B, p, q)
+    def recording_product(FA, FB, p, q):
+        # inner dimension, output block width, and the left spectrum itself,
+        # kept alive so that distinct spectra keep distinct ids
+        calls.append((FA.shape[1], FB.shape[1], FA))
+        return real_product(FA, FB, p, q)
 
-    monkeypatch.setattr(qcalg, "_block_matmul", recording_kernel)
+    monkeypatch.setattr(qcalg, "_spectral_matmul", recording_product)
     rng = np.random.default_rng(41)
     for s, p in ((b, 13), (2 * b, 101), (2 * b + 3, 13)):
         assert qcalg._panel_width(p, Q) == b == 8
@@ -328,9 +358,11 @@ def test_qc_mat_inv_updates_only_live_columns(monkeypatch):
         for B in (QCMatrix.identity(s, p, Q), rand_qc(rng, s, s // 2, p)):
             calls.clear()
             X = qc_solve(A, B)
-            assert {inner for inner, _ in calls} <= {1, b, s % b}
-            assert any(inner == b for inner, _ in calls)
-            assert all(width <= b for inner, width in calls if inner > 1)
+            assert {inner for inner, _, _ in calls} <= {1, b, s % b}
+            assert any(inner == b for inner, _, _ in calls)
+            assert all(width <= b for inner, width, _ in calls if inner > 1)
+            d_spectra = {id(FA) for inner, _, FA in calls if inner > 1}
+            assert len(d_spectra) == -(-s // b)  # one spectrum of D per panel
             assert qc_mat_mul(A, X) == B
 
 
