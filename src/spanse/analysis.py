@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ldgm import codeword_from_generator, sample_generator
-from .params import DensityPolynomial, ParameterSet
+from .params import DensityPolynomial, ParameterSet, check_working_set
 from .qcalg import SparseVector
 
 
@@ -319,6 +319,7 @@ def rejection_rate_montecarlo(
     the base seed, so results are reproducible at any parallelism degree.
     At most one worker process runs per batch and per usable CPU.
     """
+    check_working_set(params, "monte-carlo")
     if trials < 1:
         raise ValueError("need at least one trial")
     if workers < 1:

@@ -4,10 +4,11 @@ The secret code is defined by a binary k x n generator G whose expanded
 rows all have Hamming weight exactly w_g. Because the matrix is
 quasi-cyclic it is enough to place w_g ones in the expanded first row of
 each block row; the circulant structure propagates the weight to every
-other row. A systematic parity-check matrix H = [-W^T | I], where
-G = [M1 | M2] and M1 W = M2, is derived by solving for W (M1^{-1} is never
-formed), so that syndromes of vectors of the form [0_k | s'] read off s'
-directly. make_code returns the pair (G, H); a private key keeps G.
+other row. G is held as those positions, (k0, w_g) sorted indices, as the
+key file stores them. Only the solve for a systematic parity-check matrix
+H = [-W^T | I], where G = [M1 | M2] and M1 W = M2, builds G's block form;
+it solves for W (M1^{-1} is never formed), so that syndromes of vectors
+of the form [0_k | s'] read off s' directly. make_code returns (G, H).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParameterSet
-from .qcalg import QCMatrix, SparseVector, qc_solve, qc_vec_mul
+from .qcalg import QCMatrix, SparseVector, qc_solve
 
 # how many generator resamples to attempt before declaring keygen failure
 MAX_GENERATOR_RETRIES = 100
@@ -29,19 +30,19 @@ class GenerationError(Exception):
     """Retry budget exhausted while sampling a reducible generator."""
 
 
-def sample_generator(params: ParameterSet, rng: np.random.Generator) -> QCMatrix:
-    """Binary QC matrix whose expanded rows all have weight exactly w_g.
+def sample_generator(params: ParameterSet, rng: np.random.Generator) -> np.ndarray:
+    """(k0, w_g) sorted one-positions: for each block row, w_g positions of its
+    expanded first row drawn uniformly without replacement, so every
+    expanded row of G has weight exactly w_g."""
+    return np.sort([rng.choice(params.n, size=params.w_g, replace=False)
+                    for _ in range(params.k0)], axis=1)
 
-    For each block row, w_g one-positions are drawn uniformly without
-    replacement from the n positions of that row's expanded first row.
-    """
-    p, n0, k0 = params.p, params.n0, params.k0
-    blocks = np.zeros((k0, n0, p), dtype=np.int64)
-    for i in range(k0):
-        pos = rng.choice(params.n, size=params.w_g, replace=False)
-        blk, off = np.divmod(pos, p)
-        np.add.at(blocks[i], (blk, off), 1)
-    return QCMatrix(blocks, params.q)
+
+def generator_matrix(G: np.ndarray, params: ParameterSet) -> QCMatrix:
+    """The block form of G, for the solves that need M1 and M2."""
+    blocks = np.zeros((params.k0, params.n0 * params.p), dtype=np.int64)
+    blocks[np.arange(params.k0)[:, None], G] = 1
+    return QCMatrix(blocks.reshape(params.k0, params.n0, params.p), params.q)
 
 
 def systematic_parity_check(G: QCMatrix) -> QCMatrix:
@@ -50,20 +51,21 @@ def systematic_parity_check(G: QCMatrix) -> QCMatrix:
     Raises NotReducibleError when the left block part M1 is singular.
     The identity right part means H e^T = s' for e = [0_k | s'^T].
     """
-    k0, p, q = G.rows0, G.p, G.q
+    k0, q = G.rows0, G.q
     W = qc_solve(QCMatrix(G.blocks[:, :k0], q), QCMatrix(G.blocks[:, k0:], q))
     if W is None:
         raise NotReducibleError("left block part of the generator is singular")
-    I = QCMatrix.identity(G.cols0 - k0, p, q)
-    return QCMatrix(np.concatenate([W.transpose().neg().blocks, I.blocks], axis=1), q)
+    I = QCMatrix.identity(G.cols0 - k0, G.p, q)
+    # QCMatrix reduces -W^T mod q
+    return QCMatrix(np.concatenate([-W.transpose().blocks, I.blocks], axis=1), q)
 
 
-def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[QCMatrix, QCMatrix]:
+def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[np.ndarray, QCMatrix]:
     """(G, H): sample generators until one admits a systematic parity check."""
     for _ in range(MAX_GENERATOR_RETRIES):
         G = sample_generator(params, rng)
         try:
-            H = systematic_parity_check(G)
+            H = systematic_parity_check(generator_matrix(G, params))
         except NotReducibleError:
             continue
         return G, H
@@ -72,19 +74,15 @@ def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[QCMatrix,
     )
 
 
-def codeword_from_generator(G: QCMatrix, params: ParameterSet, m_g: int,
+def codeword_from_generator(G: np.ndarray, params: ParameterSet, m_g: int,
                             rng: np.random.Generator) -> SparseVector:
-    """c = u G for uniform binary u of weight m_g.
-
-    The sum is taken over F_q, so overlapping selected rows can produce
-    entries larger than 1; the typical weight is close to m_g * w_g.
-    """
-    if m_g == 0:
-        return SparseVector(params.n, np.array([], dtype=np.int64),
-                            np.array([], dtype=np.int64), params.q)
-    if not (1 <= m_g <= params.k):
+    """c = u G for uniform binary u of weight m_g, read off G's one-positions:
+    row blk*p + t of G is block row blk's first row shifted right by t. Rows
+    that overlap add up; the typical weight is close to m_g * w_g."""
+    if not (0 <= m_g <= params.k):
         raise ValueError(f"m_g={m_g} outside [0, k={params.k}]")
-    pos = rng.choice(params.k, size=m_g, replace=False)
-    u = SparseVector(params.k, np.sort(pos), np.ones(m_g, dtype=np.int64), params.q)
-    dense = qc_vec_mul(u, G)
-    return SparseVector.from_dense(dense, params.q)
+    blk, shift = np.divmod(rng.choice(params.k, size=m_g, replace=False), params.p)
+    col_blk, off = np.divmod(G[blk], params.p)
+    pos, counts = np.unique(col_blk * params.p + (off + shift[:, None]) % params.p,
+                            return_counts=True)
+    return SparseVector(params.n, pos, counts, params.q)

@@ -10,6 +10,8 @@ serialization round-trips without float drift.
 
 from __future__ import annotations
 
+import os
+import resource
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -185,6 +187,21 @@ class ParameterSet:
             f"{self.name}: q={self.q} p={self.p} n={self.n} k={self.k} r={self.r} "
             f"w={self.w} w_g={self.w_g} m_g={self.m_g} density=[{self.density.format()}]"
         )
+
+
+def check_working_set(params: ParameterSet, command: str):
+    """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
+    in physical memory and under RLIMIT_AS: keygen's G blocks, S and
+    [S^T | H^T] (3 n0^2 p int64 words), or a trial's six length-n arrays."""
+    need = 8 * (3 * params.n0**2 * params.p if command == "keygen" else 6 * params.n)
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limit = min(limit, soft)
+    if need > limit:
+        raise ParameterError(f"{command} at n0={params.n0}, k0={params.k0}, p={params.p} "
+                             f"needs {need / 2**30:.1f} GiB, over the {limit / 2**30:.1f} GiB "
+                             "this process may use")
 
 
 def _make_registry() -> dict[str, ParameterSet]:

@@ -7,15 +7,16 @@ Multiplication of circulants is cyclic convolution of first rows.
 
 Block matrices of circulants (QCMatrix) store one row per block, a
 factor-p saving over the dense expansion, which only the tests form; a
-ring element is a 1 x 1 QCMatrix. Every ring product (block matrix, dense
-vector, inversion step) runs through one batched cyclic convolution kernel
-in two halves: a real FFT zero-padded to the power of two that holds the
-linear convolution, then a contraction of the spectra (np.matmul on BLAS
-for block products, einsum for vectors and outer products), the inverse
-transform and a fold mod x^p - 1. A spectrum may serve several products.
-Coefficients are small enough (bounded by inner_dim * p * (q-1)^2 <= 2^40)
-that rounding the inverse transform is exact, which is asserted on every
-product.
+ring element is a 1 x 1 QCMatrix. qc_mat_vec reads A as stored for
+expand(A) v^T: it gathers entries for a sparse v and correlates a dense
+one. Every ring product (block matrix, dense vector, inversion step) runs
+through one batched cyclic convolution kernel in two halves: a real FFT
+zero-padded to the power of two that holds the linear convolution, then a
+contraction of the spectra (np.matmul on BLAS for block products, einsum
+for vectors and outer products), the inverse transform and a fold mod
+x^p - 1. A spectrum may serve several products. Coefficients are small
+enough (bounded by inner_dim * p * (q-1)^2 <= 2^40) that rounding the
+inverse transform is exact, which is asserted on every product.
 
 Linear systems A X = B are solved, never by forming A^{-1}: qc_solve runs
 panelled Gauss-Jordan without row swaps on [A | B]. A panel of up to 8
@@ -47,6 +48,12 @@ _FFT_EXACT_BOUND = 2**40
 # inner dimension over the live block columns, so a wider panel makes fewer
 # passes over the matrix; _panel_width shrinks it for large p and q.
 _PANEL_WIDTH = 8
+
+# Support entries per gather of qc_mat_vec's sparse path. All of a
+# signing attempt's ~160 at once would gather 30 MB at spanse-128 (238
+# block rows); 32 keep it at 6 MB at about the same speed (3.84 against
+# 3.63 ms per attempt, measured in one process).
+_GATHER_CHUNK = 32
 
 
 class DimensionMismatchError(ValueError):
@@ -248,12 +255,7 @@ class QCMatrix:
         return cls(b, q)
 
     def transpose(self) -> "QCMatrix":
-        # transpose of circ(a) is circ(a') with a'_t = a_{(p-t) mod p}
-        rev = np.roll(self.blocks[..., ::-1], 1, axis=-1)
-        return QCMatrix(rev.swapaxes(0, 1).copy(), self.q)
-
-    def neg(self) -> "QCMatrix":
-        return QCMatrix((-self.blocks) % self.q, self.q)
+        return QCMatrix(_reverse(self.blocks).swapaxes(0, 1).copy(), self.q)
 
     def __eq__(self, other) -> bool:
         return (
@@ -455,27 +457,36 @@ class SparseVector:
         )
 
 
-def qc_vec_mul(v, A: QCMatrix) -> np.ndarray:
-    """v * expand(A) over F_q for v sparse or dense of length rows0*p.
+def qc_mat_vec(A: QCMatrix, v) -> np.ndarray:
+    """expand(A) v^T over F_q for v sparse or dense, read from A's blocks as stored.
 
-    The sparse path costs O(|support| * cols0 * p); the dense path runs one
-    cyclic convolution per block.
-    """
-    n_in = A.rows0 * A.p
+    Entry (u, c) of circ(a) is a_{(c-u) mod p}: a sparse v gathers those
+    entries, O(|support| rows0 p); a dense v is a correlation, block i being
+    rev(sum_j a_ij * rev v_j), one vector product on the FFT kernel."""
     p, q = A.p, A.q
+    length = v.length if isinstance(v, SparseVector) else np.size(v)
+    if length != A.cols0 * p:
+        raise DimensionMismatchError(f"vector length {length} != {A.cols0 * p}")
     if isinstance(v, SparseVector):
-        if v.length != n_in:
-            raise DimensionMismatchError(f"vector length {v.length} != {n_in}")
-        out = np.zeros((A.cols0, p), dtype=np.int64)
-        for idx, val in zip(v.indices.tolist(), v.values.tolist()):
-            blk, off = divmod(idx, p)
-            out += val * np.roll(A.blocks[blk], off, axis=-1)
+        blk, off = np.divmod(v.indices, p)
+        # entry u of column blk*p + off sits at offset (off - u) mod p of block column blk
+        cols = blk[:, None] * p + (off[:, None] - np.arange(p)) % p
+        flat = A.blocks.reshape(A.rows0, -1)
+        out = np.zeros((A.rows0, p), dtype=np.int64)
+        for lo in range(0, len(cols), _GATHER_CHUNK):
+            part = slice(lo, lo + _GATHER_CHUNK)
+            out += np.einsum("isu,s->iu", flat[:, cols[part]], v.values[part])
         return (out % q).reshape(-1)
-    v = np.asarray(v, dtype=np.int64)
-    if v.size != n_in:
-        raise DimensionMismatchError(f"vector length {v.size} != {n_in}")
-    vb = (v % q).reshape(1, A.rows0, p)
-    return _block_matmul(vb, A.blocks, p, q).reshape(-1)
+    vb = _reverse(np.asarray(v, dtype=np.int64).reshape(1, A.cols0, p) % q)
+    return _reverse(_block_matmul(vb, A.blocks.swapaxes(0, 1), p, q)).reshape(-1)
+
+
+def _reverse(x: np.ndarray) -> np.ndarray:
+    """(rev x)_t = x_{-t mod p} along the last axis; circ(rev a) = circ(a)^T."""
+    # C-ordered, unlike x[..., index]: a vector reversed by fancy indexing
+    # came back with its block axis innermost, which made the einsum on its
+    # spectrum about three times slower in a spanse-128 verify
+    return np.roll(x[..., ::-1], 1, axis=-1)
 
 
 # ---------------------------------------------------------------------------

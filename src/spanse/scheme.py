@@ -8,6 +8,8 @@ error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
 codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
 sigma has no zero entries mod q. Verification recomputes s from
 (message, theta) and checks H' sigma^T = s together with zero-freeness.
+Both read the keys as stored: sigma^T = S (e + c)^T, with c read off G's
+one-positions, and H' sigma^T; neither S^T nor H'^T is formed.
 
 The one-time contract (never sign two distinct messages with one key) is
 documented, not enforced: keys carry no usage state. Nothing here is
@@ -17,12 +19,12 @@ constant-time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ldgm import codeword_from_generator, make_code
-from .params import ParameterSet
+from .params import ParameterSet, check_working_set
 from .qcalg import (
     QCMatrix,
     QCPermutation,
@@ -30,7 +32,7 @@ from .qcalg import (
     perm_apply,
     perm_inv_mul,
     qc_solve,
-    qc_vec_mul,
+    qc_mat_vec,
     random_qc_permutation,
 )
 
@@ -58,28 +60,14 @@ class PrivateKey:
 
     params: ParameterSet
     P: QCPermutation  # r x r block-shift permutation
-    G: QCMatrix  # k0 x n0 blocks, sparse binary generator
+    G: np.ndarray  # (k0, w_g) sorted one-positions of the sparse binary generator
     S: QCMatrix  # n0 x n0 blocks, invertible
-    _St: QCMatrix | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def St(self) -> QCMatrix:
-        if self._St is None:
-            self._St = self.S.transpose()
-        return self._St
 
 
 @dataclass
 class PublicKey:
     params: ParameterSet
     Hpub: QCMatrix  # r0 x n0 blocks
-    _Ht: QCMatrix | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def Ht(self) -> QCMatrix:
-        if self._Ht is None:
-            self._Ht = self.Hpub.transpose()
-        return self._Ht
 
 
 @dataclass(frozen=True)
@@ -109,6 +97,7 @@ def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QC
 
 def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, PublicKey]:
     """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}, where H S^{-1} = (S^{-T} H^T)^T."""
+    check_working_set(params, "keygen")
     G, H = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, params.q, rng)
     Ht = H.transpose()
@@ -191,7 +180,7 @@ def sign(
     e = SparseVector(params.n, params.k + s_perm.indices, s_perm.values, params.q)
     for attempt in range(1, max_attempts + 1):
         c = codeword_from_generator(sk.G, params, params.m_g, rng)
-        sigma = qc_vec_mul(e.add(c), sk.St)
+        sigma = qc_mat_vec(sk.S, e.add(c))
         if np.all(sigma != 0):
             return Signature(sigma, theta), attempt
     raise SigningError(
@@ -209,7 +198,7 @@ def verify(pk: PublicKey, message: bytes, sig: Signature) -> VerifyResult:
     s_star = derive_syndrome(message, sig.theta, params)
     if s_star.weight() != params.w:
         return VerifyResult(False, "syndrome-weight")
-    syndrome = qc_vec_mul(sigma % params.q, pk.Ht)
+    syndrome = qc_mat_vec(pk.Hpub, sigma % params.q)
     if not np.array_equal(syndrome, s_star.to_dense()):
         return VerifyResult(False, "syndrome-mismatch")
     return VerifyResult(True)

@@ -22,10 +22,10 @@ Every symbol byte must be < q; anything else is a parse error. Loading
 checks everything that costs O(size): lengths, symbol ranges, the
 permutation, the shifts, that each generator row holds w_g distinct
 positions all of value 1 (as keygen writes it), and that no block row of
-S is zero (signing with such an S could never succeed). The parity check
-H and the inverse transform S^{-1} are neither stored nor derived, since
-signing reads neither; `check_private` runs the two O(n0^3 p) checks a
-load skips (M1 and S invertible). File writes go to a temporary name in the
+S is zero (signing with such an S could never succeed). Keys are held as
+stored (G as sorted one-positions, S and H' as blocks); H, S^{-1} and the
+transposes are not derived. `check_private` runs the two O(n0^3 p) checks
+a load skips (M1 and S invertible). File writes go to a temporary name in the
 target directory and are renamed into place, so failures never leave a
 partial file.
 """
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import NotReducibleError, systematic_parity_check
+from .ldgm import NotReducibleError, generator_matrix, systematic_parity_check
 from .params import DensityPolynomial, ParameterSet
 from .qcalg import QCMatrix, QCPermutation, qc_solve
 from .scheme import PrivateKey, PublicKey, Signature
@@ -166,15 +166,9 @@ def serialize_public(pk: PublicKey) -> bytes:
 def serialize_private(sk: PrivateKey) -> bytes:
     params = sk.params
     out = [_header(OBJ_PRIVATE, params)]
-    out.append(b"".join(_u16(int(v)) for v in sk.P.block_perm))
-    out.append(b"".join(_u16(int(v)) for v in sk.P.shifts))
-    for i in range(params.k0):
-        row = sk.G.blocks[i]  # (n0, p)
-        flat = row.reshape(-1)
-        pos = np.nonzero(flat)[0]
-        out.append(_u32(pos.size))
-        out.append(b"".join(_u32(int(v)) for v in pos))
-        out.append(flat[pos].astype(np.uint8).tobytes())
+    out.append(np.concatenate([sk.P.block_perm, sk.P.shifts]).astype("<u2").tobytes())
+    for row in sk.G:
+        out += [_u32(row.size), row.astype("<u4").tobytes(), bytes([1]) * row.size]
     out.append(sk.S.blocks.reshape(-1, params.p).astype(np.uint8).tobytes())
     return b"".join(out)
 
@@ -224,34 +218,31 @@ def deserialize_private(data: bytes) -> PrivateKey:
     r0, p, q = params.r0, params.p, params.q
     # permutation and shifts, one count word per generator row, then S
     rd.require(4 * r0 + 4 * params.k0 + params.n0 * params.n0 * p)
-    perm = np.array([rd.u16() for _ in range(r0)], dtype=np.int64)
-    shifts = np.array([rd.u16() for _ in range(r0)], dtype=np.int64)
+    perm, shifts = np.frombuffer(rd.take(4 * r0), dtype="<u2").astype(np.int64).reshape(2, r0)
     if np.any(shifts >= p):
         raise SerializationError("shift out of range")
     try:
         P = QCPermutation(perm, shifts, p, q)
     except ValueError as exc:
         raise SerializationError(f"invalid permutation: {exc}") from exc
-    g_blocks = np.zeros((params.k0, params.n0, p), dtype=np.int64)
+    G = np.empty((params.k0, params.w_g), dtype=np.int64)
     for i in range(params.k0):
         count = rd.u32()
         if count != params.w_g:
             raise SerializationError(f"generator row weight {count}, not w_g = {params.w_g}")
-        pos = np.array([rd.u32() for _ in range(count)], dtype=np.int64)
-        if pos.max() >= params.n or np.unique(pos).size != pos.size:
+        pos = np.sort(np.frombuffer(rd.take(4 * count), dtype="<u4").astype(np.int64))
+        if pos[-1] >= params.n or np.any(pos[1:] == pos[:-1]):
             raise SerializationError("bad generator positions")
-        vals = _symbols(rd, count, q)
-        if np.any(vals != 1):
+        if np.any(_symbols(rd, count, q) != 1):
             raise SerializationError("generator entry other than 1")
-        flat = g_blocks[i].reshape(-1)
-        flat[pos] = vals
+        G[i] = pos
     s_syms = _symbols(rd, params.n0 * params.n0 * p, q)
     rd.done()
     if not s_syms.reshape(params.n0, -1).any(axis=1).all():
         # singular, and that block of every signature would be zero
         raise SerializationError("dense transform has an all-zero block row")
     S = QCMatrix(s_syms.reshape(params.n0, params.n0, p), q)
-    return PrivateKey(params, P, QCMatrix(g_blocks, q), S)
+    return PrivateKey(params, P, G, S)
 
 
 def check_private(sk: PrivateKey):
@@ -262,7 +253,7 @@ def check_private(sk: PrivateKey):
     against a right-hand side with no block columns; no inverse is formed.
     """
     try:
-        systematic_parity_check(sk.G)
+        systematic_parity_check(generator_matrix(sk.G, sk.params))
     except NotReducibleError as exc:
         raise SerializationError(f"generator is not reducible: {exc}") from exc
     if qc_solve(sk.S, QCMatrix(sk.S.blocks[:, :0], sk.S.q)) is None:

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from spanse import cli, serial
 from spanse.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, main
+from spanse.params import ParameterSet, get_params
 from spanse.qcalg import QCMatrix
 from spanse.scheme import PrivateKey
 
@@ -94,15 +96,15 @@ def test_keycheck_accepts_a_keygen_key(workdir, capsys):
 def test_keycheck_rejects_singular_key(workdir, capsys, part):
     sk_path, _ = keygen_files(workdir)
     sk = serial.deserialize_private(sk_path.read_bytes())
-    parts = {"G": sk.G, "S": sk.S}
-    blocks = parts[part].blocks.copy()
+    # G's one-positions, or S's blocks, as arrays indexed by block row
+    parts = {"G": sk.G.copy(), "S": sk.S.blocks.copy()}
     # two equal block rows: S, or the generator's M1, is singular, yet the key loads
-    blocks[1] = blocks[0]
-    parts[part] = QCMatrix(blocks, sk.params.q)
-    data = serial.serialize_private(PrivateKey(sk.params, sk.P, parts["G"], parts["S"]))
+    parts[part][1] = parts[part][0]
+    S = QCMatrix(parts["S"], sk.params.q)
+    data = serial.serialize_private(PrivateKey(sk.params, sk.P, parts["G"], S))
     bad = workdir / "bad.bin"
     bad.write_bytes(data)
-    assert serial.deserialize_private(data).S == parts["S"]  # loading skips the check
+    assert serial.deserialize_private(data).S == S  # loading skips the check
     capsys.readouterr()
     assert run("keycheck", "--key", bad) == EXIT_INPUT
     err = capsys.readouterr().err
@@ -136,18 +138,21 @@ def test_zero_block_row_in_s_is_rejected_at_load(workdir, capsys, monkeypatch):
 @pytest.mark.parametrize("damage", ["weight-0", "value-2"])
 def test_generator_row_unlike_keygen_is_rejected_at_sign(workdir, capsys, damage):
     # keygen writes every generator row with w_g entries of value 1; a row
-    # of weight 0, or an entry of 2, must not load, sign and verify
+    # of weight 0, or an entry of 2, must not load, sign and verify. Held
+    # as positions, G cannot express either, so the bytes are edited: row 0
+    # is count u32, w_g u32 positions, w_g value bytes, after the header and
+    # the permutation's r0 u16 blocks and r0 u16 shifts.
     sk_path, _ = keygen_files(workdir)
-    sk = serial.deserialize_private(sk_path.read_bytes())
-    blocks = sk.G.blocks.copy()
-    row = blocks[0].reshape(-1)
+    data = bytearray(sk_path.read_bytes())
+    params = serial.deserialize_private(bytes(data)).params
+    row = len(serial.serialize_params(params)) + 4 * params.r0
+    values = row + 4 + 4 * params.w_g
     if damage == "weight-0":
-        row[:] = 0
+        data[row : values + params.w_g] = struct.pack("<I", 0)
     else:
-        row[np.flatnonzero(row)[0]] = 2
+        data[values] = 2
     bad = workdir / "bad.bin"
-    bad.write_bytes(serial.serialize_private(
-        PrivateKey(sk.params, sk.P, QCMatrix(blocks, sk.params.q), sk.S)))
+    bad.write_bytes(bytes(data))
     out = workdir / "sig.bin"
     capsys.readouterr()
     assert run("sign", "--key", bad, "--message", workdir / "msg.txt",
@@ -157,11 +162,12 @@ def test_generator_row_unlike_keygen_is_rejected_at_sign(workdir, capsys, damage
     assert not out.exists()
 
 
-def _python(*args) -> subprocess.CompletedProcess:
+def _python(*args, **run_args) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **run_args)
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
@@ -298,3 +304,48 @@ def test_params_file_with_q_above_byte_symbols_is_input_error(workdir, capsys):
                "--public", pk, "--seed", 1) == EXIT_INPUT
     assert "q <= 256" in capsys.readouterr().err
     assert not sk.exists() and not pk.exists()
+
+
+def _python_limited(*argv) -> subprocess.CompletedProcess:
+    """The spanse CLI in a child interpreter under a 4 GiB address-space
+    limit, so an allocation that slips past the working-set check fails
+    instead of taking real memory. The limit is set before spanse loads."""
+    code = ("import resource, runpy, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30)); "
+            "sys.argv[0] = 'spanse'; runpy.run_module('spanse', run_name='__main__')")
+    return _python("-c", code, *argv, timeout=120)
+
+
+def _params_file(path, p, n0, k0):
+    """spanse-128's field, weights and density at another size; 59 bytes."""
+    ref = get_params("spanse-128")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = ParameterSet("big", ref.q, p, n0, k0, ref.w, ref.w_g, ref.m_g, ref.density)
+    path.write_bytes(serial.serialize_params(params))
+    return path
+
+
+@pytest.mark.parametrize("argv, n0, k0, p", [
+    # G's block form alone would be 3.29 TiB
+    (["keygen", "--private", "{dir}/sk.bin", "--public", "{dir}/pk.bin", "--seed", "1"],
+     60000, 30000, 251),
+    # n = 4.29e9: every length-n array of a trial is 34 GB
+    (["analyze", "rejection", "--monte-carlo", "10", "--seed", "1"], 65535, 32767, 65521),
+], ids=["keygen", "monte-carlo"])
+def test_oversized_parameters_are_refused_before_allocating(workdir, argv, n0, k0, p):
+    pfile = _params_file(workdir / "big.params", p, n0, k0)
+    assert len(pfile.read_bytes()) == 59
+    argv = [a.format(dir=workdir) for a in argv]
+    proc = _python_limited(*argv, "--params", str(pfile))
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert f"n0={n0}, k0={k0}, p={p} needs " in proc.stderr and " GiB, over the " in proc.stderr
+    assert not (workdir / "sk.bin").exists() and not (workdir / "pk.bin").exists()
+
+
+@pytest.mark.parametrize("kind", ["attack", "sizes"])
+def test_closed_form_analyses_run_at_any_size(workdir, kind):
+    pfile = _params_file(workdir / "big.params", 65521, 65535, 32767)
+    proc = _python_limited("analyze", kind, "--params", str(pfile))
+    assert proc.returncode == EXIT_OK, proc.stderr

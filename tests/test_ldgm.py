@@ -7,6 +7,7 @@ from spanse.ldgm import (
     GenerationError,
     NotReducibleError,
     codeword_from_generator,
+    generator_matrix,
     make_code,
     sample_generator,
     systematic_parity_check,
@@ -21,7 +22,10 @@ def test_generator_row_weights_exact():
     rng = np.random.default_rng(0)
     for _ in range(20):
         G = sample_generator(DESK, rng)
-        dense = expand(G)
+        # the layout the key file stores: w_g sorted, distinct positions per block row
+        assert G.shape == (DESK.k0, DESK.w_g)
+        assert np.all(np.diff(G, axis=1) > 0) and G.min() >= 0 and G.max() < DESK.n
+        dense = expand(generator_matrix(G, DESK))
         assert dense.shape == (DESK.k, DESK.n)
         assert np.all(dense.sum(axis=1) == DESK.w_g)
         assert set(np.unique(dense)) <= {0, 1}
@@ -32,7 +36,7 @@ def test_generator_weight_one_blocks():
     ps = get_params("desk")
     tweaked = type(ps)(ps.name, ps.q, ps.p, ps.n0, ps.k0, ps.w, 1, ps.m_g, ps.density)
     G = sample_generator(tweaked, rng)
-    assert np.all(expand(G).sum(axis=1) == 1)
+    assert np.all(expand(generator_matrix(G, tweaked)).sum(axis=1) == 1)
 
 
 def test_generator_position_uniformity_chisquare():
@@ -41,7 +45,7 @@ def test_generator_position_uniformity_chisquare():
     samples = 1000
     for _ in range(samples):
         G = sample_generator(DESK, rng)
-        counts += expand(G)[0]  # first expanded row of the first block row
+        counts[G[0]] += 1  # first expanded row of the first block row
     # each position hit with prob w_g/n; chi-square against uniform
     _, pvalue = chisquare(counts)
     assert pvalue > 1e-4
@@ -51,7 +55,7 @@ def test_systematic_parity_check_identity_part_and_duality():
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 10:
-        G = sample_generator(DESK, rng)
+        G = generator_matrix(sample_generator(DESK, rng), DESK)
         try:
             H = systematic_parity_check(G)
         except NotReducibleError:
@@ -89,7 +93,8 @@ def test_syndrome_of_padded_pattern_reads_off_tail():
 def test_make_code_retries_and_caps(monkeypatch):
     rng = np.random.default_rng(6)
     G, H = make_code(DESK, rng)
-    assert (G.rows0, G.cols0, H.rows0, H.cols0) == (DESK.k0, DESK.n0, DESK.r0, DESK.n0)
+    assert G.shape == (DESK.k0, DESK.w_g) and (H.rows0, H.cols0) == (DESK.r0, DESK.n0)
+    assert not gf_matmul(expand(H), expand(generator_matrix(G, DESK)).T, DESK.q).any()
 
     import spanse.ldgm as ldgm_mod
 
@@ -120,11 +125,22 @@ def test_random_codeword_is_codeword_and_weight_model():
 def test_codeword_edge_cases():
     rng = np.random.default_rng(8)
     G, _ = make_code(DESK, rng)
+    dense = expand(generator_matrix(G, DESK))
     c0 = codeword_from_generator(G, DESK, 0, rng)
     assert c0.weight() == 0
     c1 = codeword_from_generator(G, DESK, 1, rng)
     assert c1.weight() == DESK.w_g  # single generator row
-    rows = {tuple(r) for r in expand(G)}
+    rows = {tuple(r) for r in dense}
     assert tuple(c1.to_dense()) in rows
+    # the positional codeword is u G against the block form, for the u its draw picks;
+    # m_g = k selects every row, so overlaps give entries above 1
+    for m_g in (2, DESK.m_g, DESK.k // 2, DESK.k):
+        state = rng.bit_generator.state
+        picked = rng.choice(DESK.k, size=m_g, replace=False)
+        rng.bit_generator.state = state
+        c = codeword_from_generator(G, DESK, m_g, rng)
+        u = np.zeros(DESK.k, dtype=np.int64)
+        u[picked] = 1
+        assert np.array_equal(c.to_dense(), gf_matmul(u[None, :], dense, DESK.q)[0])
     with pytest.raises(ValueError):
         codeword_from_generator(G, DESK, DESK.k + 1, rng)

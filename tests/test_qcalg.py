@@ -10,8 +10,8 @@ from spanse.qcalg import (
     SparseVector,
     perm_apply,
     perm_inv_mul,
+    qc_mat_vec,
     qc_solve,
-    qc_vec_mul,
     random_qc_permutation,
 )
 
@@ -169,8 +169,8 @@ def test_kernel_products_at_scheme_shapes_match_dense(p, monkeypatch):
         assert np.array_equal(expand(qc_mat_mul(a, b)), gf_matmul(expand(a), expand(b), Q))
         col, row = QCMatrix(A.blocks[:, :1], Q), QCMatrix(B.blocks[:1], Q)
         assert np.array_equal(expand(qc_mat_mul(col, row)), gf_matmul(expand(col), expand(row), Q))
-        for v in (rng.integers(0, Q, 2 * p), np.full(2 * p, Q - 1)):
-            assert np.array_equal(qc_vec_mul(v, A), gf_matmul(v[None, :], expand(A), Q)[0])
+        for v in (rng.integers(0, Q, 3 * p), np.full(3 * p, Q - 1)):
+            assert np.array_equal(qc_mat_vec(A, v), gf_matmul(expand(A), v[:, None], Q)[:, 0])
         products += 5  # A B, a b, col row and the two vector products
         # one spectrum of A serves several right-hand slices, as a panel's D does
         spectrum = qcalg._spectrum(A.blocks, p)
@@ -492,30 +492,56 @@ def test_sparse_add_matches_dense():
         assert np.array_equal(a.add(b).to_dense(), (a.to_dense() + b.to_dense()) % Q)
 
 
-def test_qc_vec_mul_unit_vectors_read_rows():
+def test_qc_mat_vec_unit_vectors_read_columns():
     rng = np.random.default_rng(19)
-    A = rand_qc(rng, 2, 3, 5)
+    A = rand_qc(rng, 3, 2, 5)
     dense = expand(A)
     for i in (0, 4, 9):
         e = np.zeros(10, dtype=np.int64)
         e[i] = 1
-        assert np.array_equal(qc_vec_mul(e, A), dense[i])
+        assert np.array_equal(qc_mat_vec(A, e), dense[:, i])
         sv = SparseVector(10, np.array([i]), np.array([1]), Q)
-        assert np.array_equal(qc_vec_mul(sv, A), dense[i])
+        assert np.array_equal(qc_mat_vec(A, sv), dense[:, i])
 
 
-def test_qc_vec_mul_oracle_sparse_and_dense():
+def test_qc_mat_vec_oracle_sparse_and_dense():
     rng = np.random.default_rng(20)
     for _ in range(100):
         p = int(rng.choice([3, 5, 13]))
         m, c = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         A = rand_qc(rng, m, c, p)
-        v = rng.integers(0, Q, m * p)
-        assert np.array_equal(qc_vec_mul(v, A), gf_matmul(v[None, :], expand(A), Q)[0])
-        sv = rand_sparse(rng, m * p)
-        assert np.array_equal(qc_vec_mul(sv, A),
-                              gf_matmul(sv.to_dense()[None, :], expand(A), Q)[0])
-    assert not qc_vec_mul(np.zeros(m * p, dtype=np.int64), A).any()
+        v = rng.integers(0, Q, c * p)
+        assert np.array_equal(qc_mat_vec(A, v), gf_matmul(expand(A), v[:, None], Q)[:, 0])
+        sv = rand_sparse(rng, c * p)
+        assert np.array_equal(qc_mat_vec(A, sv),
+                              gf_matmul(expand(A), sv.to_dense()[:, None], Q)[:, 0])
+    assert not qc_mat_vec(A, np.zeros(c * p, dtype=np.int64)).any()
+    with pytest.raises(DimensionMismatchError):
+        qc_mat_vec(A, np.zeros(m * p + c * p, dtype=np.int64))
+    with pytest.raises(DimensionMismatchError):
+        qc_mat_vec(A, SparseVector(c * p + 1, np.array([0]), np.array([1]), Q))
+
+
+@pytest.mark.parametrize("p", [1, 2, 13, 101])
+def test_qc_mat_vec_both_paths_match_dense_at_every_shape(p, monkeypatch):
+    # rows0 < cols0 and rows0 > cols0 catch a product taken against the
+    # wrong block axis; all-(q-1) operands give the largest coefficients.
+    # A support wider than one gather chunk crosses chunk boundaries.
+    monkeypatch.setattr(qcalg, "_GATHER_CHUNK", 3)
+    rng = np.random.default_rng(50 + p)
+    for rows0, cols0 in ((1, 1), (2, 5), (5, 2), (3, 3)):
+        for full in (False, True):
+            A = rand_qc(rng, rows0, cols0, p)
+            if full:
+                A = QCMatrix(np.full((rows0, cols0, p), Q - 1), Q)
+            v = np.full(cols0 * p, Q - 1) if full else rng.integers(0, Q, cols0 * p)
+            want = gf_matmul(expand(A), v[:, None], Q)[:, 0]
+            assert np.array_equal(qc_mat_vec(A, v), want)
+            assert np.array_equal(qc_mat_vec(A, SparseVector.from_dense(v, Q)), want)
+            sv = rand_sparse(rng, cols0 * p, density=0.3)
+            want = gf_matmul(expand(A), sv.to_dense()[:, None], Q)[:, 0]
+            assert np.array_equal(qc_mat_vec(A, sv), want)
+            assert np.array_equal(qc_mat_vec(A, sv.to_dense()), want)
 
 
 # --- permutations ----------------------------------------------------------

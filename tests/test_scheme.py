@@ -3,7 +3,7 @@ import pytest
 
 from oracles import expand, gf_matmul, perm_dense
 from spanse import ldgm, qcalg, scheme, serial
-from spanse.ldgm import codeword_from_generator, systematic_parity_check
+from spanse.ldgm import codeword_from_generator, generator_matrix, systematic_parity_check
 from spanse.params import get_params
 from spanse.qcalg import SparseVector, perm_apply
 from spanse.scheme import (
@@ -30,7 +30,7 @@ def test_keygen_structural_identities(keypair):
     q = DESK.q
     # H' = P^{-1} H S^{-1}, i.e. H' S = P^T H, against dense expansions
     lhs = expand(pk.Hpub)
-    H = systematic_parity_check(sk.G)
+    H = systematic_parity_check(generator_matrix(sk.G, DESK))
     assert np.array_equal(gf_matmul(lhs, expand(sk.S), q),
                           gf_matmul(perm_dense(sk.P).T, expand(H), q))
     # public H' annihilates S-transformed codewords: H' (S c^T) = 0
@@ -110,7 +110,7 @@ def test_chain_identity_term_by_term(keypair):
     sigma = gf_matmul(v[None, :], expand(sk.S).T, q)[0]
     # H' sigma^T = P^{-1} H (e + c)^T = P^{-1} s' = s
     t1 = gf_matmul(expand(pk.Hpub), sigma[:, None], q)[:, 0]
-    H = expand(systematic_parity_check(sk.G))
+    H = expand(systematic_parity_check(generator_matrix(sk.G, DESK)))
     t2 = gf_matmul(perm_dense(sk.P).T, gf_matmul(H, v[:, None], q), q)[:, 0]
     t3 = gf_matmul(perm_dense(sk.P).T, s_perm.to_dense()[:, None], q)[:, 0]
     assert np.array_equal(t1, t2)
@@ -199,4 +199,9 @@ def test_spanse_128_round_trip_and_tamper(monkeypatch):
     sk2 = serial.deserialize_private(data)
     sig2, _ = sign(sk2, b"after reload", rng=np.random.default_rng(13))
     monkeypatch.undo()
+    assert sk2.G.shape == (params.k0, params.w_g) and np.array_equal(sk2.G, sk.G)
     assert verify(pk, b"after reload", sig2).accepted
+    # and a public key reloaded from its bytes accepts sigma and rejects the tampered one
+    pk2 = serial.deserialize_public(serial.serialize_public(pk))
+    assert verify(pk2, msg, sig).accepted and verify(pk2, b"after reload", sig2).accepted
+    assert verify(pk2, msg, Signature(bumped, sig.theta)).reason == "syndrome-mismatch"

@@ -35,17 +35,37 @@ def test_public_round_trip(material):
     _, pk, _ = material
     pk2 = serial.deserialize_public(serial.serialize_public(pk))
     assert pk2.Hpub == pk.Hpub and pk2.params == pk.params
+    # the public key holds H' as stored and derives nothing from it
+    assert [f.name for f in dataclasses.fields(pk2)] == ["params", "Hpub"]
 
 
 def test_private_round_trip_rebuilds_derived_parts(material):
     sk, _, _ = material
     sk2 = serial.deserialize_private(serial.serialize_private(sk))
     assert sk2.S == sk.S
-    assert sk2.G == sk.G
+    assert np.array_equal(sk2.G, sk.G) and sk2.G.shape == (DESK.k0, DESK.w_g)
     assert np.array_equal(sk2.P.block_perm, sk.P.block_perm)
     assert np.array_equal(sk2.P.shifts, sk.P.shifts)
-    # nothing derived is stored or rebuilt: no H, no S^{-1}
-    assert [f.name for f in dataclasses.fields(sk2)] == ["params", "P", "G", "S", "_St"]
+    # nothing derived is stored or rebuilt: no H, no S^{-1}, no S^T
+    assert [f.name for f in dataclasses.fields(sk2)] == ["params", "P", "G", "S"]
+
+
+def test_generator_positions_load_sorted_and_distinct(material):
+    # row 0 of G in the file: count u32, w_g u32 positions, w_g value bytes
+    sk, _, _ = material
+    data = bytearray(serial.serialize_private(sk))
+    start = len(serial.serialize_params(DESK)) + 4 * DESK.r0 + 4
+    stored = np.frombuffer(bytes(data[start : start + 4 * DESK.w_g]), dtype="<u4")
+    assert np.array_equal(stored, sk.G[0])
+    # positions in another order are the same row
+    data[start : start + 4 * DESK.w_g] = stored[::-1].tobytes()
+    assert np.array_equal(serial.deserialize_private(bytes(data)).G, sk.G)
+    # a repeated position, not next to its twin in the file, is refused
+    twin = stored[::-1].copy()
+    twin[2] = twin[0]
+    data[start : start + 4 * DESK.w_g] = twin.tobytes()
+    with pytest.raises(serial.SerializationError, match="bad generator positions"):
+        serial.deserialize_private(bytes(data))
 
 
 def test_signature_round_trip(material):
