@@ -319,13 +319,13 @@ def rejection_rate_montecarlo(
     the base seed, so results are reproducible at any parallelism degree.
     At most one worker process runs per batch and per usable CPU.
     """
-    check_working_set(params, "monte-carlo")
     if trials < 1:
         raise ValueError("need at least one trial")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if batch_size < 1:
         raise ValueError(f"need a batch size of at least one, got {batch_size}")
+    check_working_set(params, "monte-carlo", batches=-(-trials // batch_size))
     sizes = [batch_size] * (trials // batch_size)
     if trials % batch_size:
         sizes.append(trials % batch_size)

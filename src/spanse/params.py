@@ -189,11 +189,19 @@ class ParameterSet:
         )
 
 
-def check_working_set(params: ParameterSet, command: str):
+# bytes a Monte Carlo run holds per batch before its first trial: the
+# batch's size, its spawned SeedSequence and later its count (424 measured
+# with tracemalloc)
+_BATCH_BYTES = 512
+
+
+def check_working_set(params: ParameterSet, command: str, batches: int = 0):
     """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
     in physical memory and under RLIMIT_AS: keygen's G blocks, S and
-    [S^T | H^T] (3 n0^2 p int64 words), or a trial's six length-n arrays."""
-    need = 8 * (3 * params.n0**2 * params.p if command == "keygen" else 6 * params.n)
+    [S^T | H^T] (3 n0^2 p int64 words), or a trial's six length-n arrays
+    and the bookkeeping of `batches` Monte Carlo batches."""
+    need = (8 * 3 * params.n0**2 * params.p if command == "keygen"
+            else 8 * 6 * params.n + _BATCH_BYTES * batches)
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:

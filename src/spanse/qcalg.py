@@ -9,7 +9,7 @@ Block matrices of circulants (QCMatrix) store one row per block, a
 factor-p saving over the dense expansion, which only the tests form; a
 ring element is a 1 x 1 QCMatrix. qc_mat_vec reads A as stored for
 expand(A) v^T: it gathers entries for a sparse v and correlates a dense
-one. Every ring product (block matrix, dense vector, inversion step) runs
+one. Every block product (block matrix, dense vector, pivot step) runs
 through one batched cyclic convolution kernel in two halves: a real FFT
 zero-padded to the power of two that holds the linear convolution, then a
 contraction of the spectra (np.matmul on BLAS for block products, einsum
@@ -17,6 +17,12 @@ for vectors and outer products), the inverse transform and a fold mod
 x^p - 1. A spectrum may serve several products. Coefficients are small
 enough (bounded by inner_dim * p * (q-1)^2 <= 2^40) that rounding the
 inverse transform is exact, which is asserted on every product.
+
+A pivot is a unit of R_p exactly when its idempotent e = a b is 1, where b
+comes from one closed form by Frobenius exponentiation (a^(q^d - 2) with
+d = ord_p(q) when p != q): one chain of ring products gives the inverse b,
+the unit test and the repair multiplier 1 - e. Its 1 x 1 products are
+direct np.convolve calls folded mod x^p - 1, exact in int64.
 
 Linear systems A X = B are solved, never by forming A^{-1}: qc_solve runs
 panelled Gauss-Jordan without row swaps on [A | B]. A panel of up to 8
@@ -61,98 +67,74 @@ class DimensionMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers (coefficient arrays of length p, canonical mod q)
+# units of R_p (coefficient arrays of length p, canonical mod q): a is a unit
+# exactly when its idempotent e is 1
 # ---------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Division with remainder in F_q[x]; inputs/outputs trimmed coefficient lists."""
-    num = num[:]
-    quot = [0] * max(0, len(num) - len(den) + 1)
-    inv_lead = pow(den[-1], -1, q)
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff = (num[shift + len(den) - 1] * inv_lead) % q
-        if coeff:
-            quot[shift] = coeff
-            for i, d in enumerate(den):
-                num[shift + i] = (num[shift + i] - coeff * d) % q
-    return _poly_trim(quot), _poly_trim(num)
-
-
-def _poly_mul_lists(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _poly_trim(out)
-
-
-def _poly_sub_lists(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % q
-    return _poly_trim(out)
-
-
-def _x_p_minus_1(p: int, q: int) -> list[int]:
-    modulus = [0] * (p + 1)
-    modulus[0] = q - 1  # -1
-    modulus[p] = 1
-    return modulus
-
-
-def _vanishing_cofactor(a: np.ndarray, p: int, q: int) -> np.ndarray:
-    """h = (x^p - 1) / gcd(a(x), x^p - 1) as length-p coefficients.
-
-    For squarefree x^p - 1, h is zero in exactly the CRT components of R_p
-    where a is nonzero.
-    """
-    modulus = _x_p_minus_1(p, q)
-    r0, r1 = modulus, _poly_trim([int(v) % q for v in a])
-    while r1:
-        r0, r1 = r1, _poly_divmod(r0, r1, q)[1]
-    h, _ = _poly_divmod(modulus, r0, q)
-    out = np.zeros(p, dtype=np.int64)
-    out[: len(h)] = h
-    return out
-
-
 def _poly_inv_raw(a: np.ndarray, p: int, q: int) -> np.ndarray | None:
-    """Inverse of a(x) in F_q[x]/(x^p - 1) via extended Euclid, or None.
+    """Inverse of a(x) in F_q[x]/(x^p - 1), or None when a is not a unit."""
+    b, e = _unit_idempotent(a, p, q)
+    return b if e[0] == 1 and not e[1:].any() else None
 
-    a is invertible iff gcd(a(x), x^p - 1) = 1.
+
+def _unit_idempotent(a: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b, e): e = a b is the idempotent of R_p that is 1 exactly where a is a unit.
+
+    Write p = m k with k the largest power of q dividing p, d = ord_m(q) and
+    r = 1 + q + ... + q^(d-1). A unit's order divides (q^d - 1) k, and a
+    non-unit of a local factor of R_p has a^k = 0 there. So b = t u^(q - 2)
+    and e = u^(q - 1), with t = a^(k r - 1) and u = a t. When q does not
+    divide p (k = 1), R_p is a product of fields and a (1 - e) = 0; the
+    local ring p = q (k = q, d = 1) gets b = a^(q - 1) a(1)^(q - 2).
+
+    Powers by q^j are gathers, a(x)^(q^j) = a(x^(q^j)), so Itoh-Tsujii's
+    chain r_2n = r_n + q^n r_n, r_(n+1) = 1 + q r_n gives y = a^(r_(d-1)),
+    r_n = 1 + q + ... + q^(n-1), in O(log d) products; t = a^(k-1) y^(k q).
     """
-    A = _poly_trim([int(v) % q for v in a])
-    if not A:
-        return None
-    modulus = _x_p_minus_1(p, q)
-    # invariants: r0 = t0*a (mod x^p - 1), r1 = t1*a (mod x^p - 1)
-    r0, r1 = modulus, A
-    t0, t1 = [], [1]
-    while True:
-        if len(r1) == 0:
-            return None  # gcd landed on earlier non-unit remainder
-        if len(r1) == 1:
-            break
-        quot, rem = _poly_divmod(r0, r1, q)
-        r0, r1 = r1, rem
-        t0, t1 = t1, _poly_sub_lists(t0, _poly_mul_lists(quot, t1, q), q)
-    scale = pow(r1[0], -1, q)
-    t1 = [(c * scale) % q for c in t1]
-    _, t1 = _poly_divmod(t1, modulus, q) if len(t1) > p else (None, t1)
-    out = np.zeros(p, dtype=np.int64)
-    out[: len(t1)] = t1
+    a = np.asarray(a, dtype=np.int64) % q
+    k = 1
+    while p % (k * q) == 0:
+        k *= q
+    m, d, qd = p // k, 1, q % (p // k)  # qd = q^d mod m
+    while qd != 1 % m:
+        d, qd = d + 1, qd * q % m
+    y, c = np.eye(1, p, dtype=np.int64)[0], 0  # y = a^(r_c)
+    for bit in bin(d - 1)[2:]:
+        if c:
+            y, c = _ring_mul(y, _frobenius(y, pow(q, c, p)), q), 2 * c
+        if bit == "1":
+            y, c = (_ring_mul(a, _frobenius(y, q), q) if c else a), c + 1
+    t = _ring_pow(a, k - 1, _frobenius(y, k * q), q)
+    b = _ring_pow(_ring_mul(a, t, q), q - 2, t, q)
+    return b, _ring_mul(a, b, q)
+
+
+def _frobenius(a: np.ndarray, s: int) -> np.ndarray:
+    """a(x^s) in R_p: coefficient i moves to i s mod p. Not reduced mod q:
+    when s is not a unit mod p, several coefficients add up in one."""
+    p = a.size
+    return np.bincount(np.arange(p) * (s % p) % p, weights=a, minlength=p).astype(np.int64)
+
+
+def _ring_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a b in R_p: a direct convolution, exact in int64, folded mod x^p - 1."""
+    p = a.size
+    lin = np.convolve(a, b)
+    out = lin[:p]
+    out[: p - 1] += lin[p:]
+    out %= q
     return out
+
+
+def _ring_pow(a: np.ndarray, n: int, acc: np.ndarray, q: int) -> np.ndarray:
+    """acc a^n in R_p by square and multiply."""
+    while n:
+        if n & 1:
+            acc = _ring_mul(acc, a, q)
+        n >>= 1
+        if n:
+            a = _ring_mul(a, a, q)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +213,11 @@ class QCMatrix:
     q: int
 
     def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=np.int64)
+        b = np.array(self.blocks, dtype=np.int64, order="C")  # one copy, never the caller's
         if b.ndim != 3:
             raise DimensionMismatchError("blocks must have shape (rows0, cols0, p)")
-        object.__setattr__(self, "blocks", b % self.q)
+        b %= self.q
+        object.__setattr__(self, "blocks", b)
 
     @property
     def rows0(self) -> int:
@@ -255,7 +238,7 @@ class QCMatrix:
         return cls(b, q)
 
     def transpose(self) -> "QCMatrix":
-        return QCMatrix(_reverse(self.blocks).swapaxes(0, 1).copy(), self.q)
+        return QCMatrix(_reverse(self.blocks).swapaxes(0, 1), self.q)
 
     def __eq__(self, other) -> bool:
         return (
@@ -286,20 +269,25 @@ def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
     spectrum of D - I is taken once per panel and serves every slice.
 
     When no free row has a unit in a column, the pending panel is flushed,
-    and a repair step adds h * (row r) to the first free row for each other
-    free row r, with h = (x^p - 1) / gcd(pivot, x^p - 1). Each addition is a
-    unimodular row operation; in the CRT splitting of R_p it fills in the
-    components where the pivot vanishes and leaves the others unchanged.
+    and a repair step adds (1 - e) * (row r) to the first free row for each
+    other free row r, with e the pivot's idempotent (_unit_idempotent): 1 in
+    the CRT components of R_p where the pivot is nonzero, 0 elsewhere. Each
+    addition is a unimodular row operation; it fills in the components
+    where the pivot vanishes and leaves the others unchanged.
     The next panel starts at that column.
 
     A is singular iff no addition makes the pivot a unit: then some CRT
     component of the column is zero in every free row. This criterion is
     exact for every prime p (x^p - 1 is squarefree over F_q when p != q,
-    and R_p is a local ring when p = q). No dense expansion is formed.
+    and R_p is a local ring when p = q). A zero block row or column is
+    singular at once, before any pivot is inverted: keygen's sparse M1
+    often has one. No dense expansion is formed.
     """
     if A.rows0 != A.cols0 or B.rows0 != A.rows0 or (B.p, B.q) != (A.p, A.q):
         raise DimensionMismatchError(f"cannot solve {A.rows0}x{A.cols0} against {B.rows0}x"
                                      f"{B.cols0} (p {A.p}/{B.p}, q {A.q}/{B.q})")
+    if not (A.blocks.any(axis=(0, 2)).all() and A.blocks.any(axis=(1, 2)).all()):
+        return None
     s, p, q = A.rows0, A.p, A.q
     aug = np.concatenate([A.blocks, B.blocks], axis=1)
     width = _panel_width(p, q)
@@ -376,7 +364,7 @@ def _find_unit(column: np.ndarray, free: list[int], p: int,
                q: int) -> tuple[int, np.ndarray] | None:
     """(row, inverse) for the first free row whose entry is a unit, or None."""
     for r in free:
-        inv = _poly_inv_raw(column[r], p, q)
+        inv = _poly_inv_raw(column[r], p, q) if column[r].any() else None
         if inv is not None:
             return r, inv
     return None
@@ -392,7 +380,7 @@ def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int, q: int) ->
     for r in free[1:]:
         if not aug[r, col].any():
             continue  # adding this row cannot change the pivot
-        h = _vanishing_cofactor(aug[target, col], p, q)
+        h = (np.eye(1, p, dtype=np.int64)[0] - _unit_idempotent(aug[target, col], p, q)[1]) % q
         aug[target] = (aug[target] + _block_matmul(h[None, None], aug[r][None], p, q)[0]) % q
         if _poly_inv_raw(aug[target, col], p, q) is not None:
             return True

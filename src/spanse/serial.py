@@ -148,7 +148,8 @@ def _header(objtype: int, params: ParameterSet) -> bytes:
 
 
 def _symbols(rd: _Reader, count: int, q: int) -> np.ndarray:
-    raw = np.frombuffer(rd.take(count), dtype=np.uint8).astype(np.int64)
+    """count symbol bytes as uint8, checked below q; QCMatrix widens them once."""
+    raw = np.frombuffer(rd.take(count), dtype=np.uint8)
     if raw.size and raw.max() >= q:
         raise SerializationError("symbol byte out of field range")
     return raw
@@ -264,7 +265,7 @@ def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:
     rd, _, params = _read_header(data, OBJ_SIGNATURE)
     tlen = rd.u16()
     theta = rd.take(tlen)
-    sigma = _symbols(rd, params.n, params.q)
+    sigma = _symbols(rd, params.n, params.q).astype(np.int64)
     rd.done()
     if np.any(sigma == 0):
         raise SerializationError("signature contains zero entries")

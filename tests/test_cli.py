@@ -332,7 +332,9 @@ def _params_file(path, p, n0, k0):
      60000, 30000, 251),
     # n = 4.29e9: every length-n array of a trial is 34 GB
     (["analyze", "rejection", "--monte-carlo", "10", "--seed", "1"], 65535, 32767, 65521),
-], ids=["keygen", "monte-carlo"])
+    # desk's size, but 10^9 batches of 1000 trials: their seeds and sizes alone are 477 GiB
+    (["analyze", "rejection", "--monte-carlo", "1000000000000", "--seed", "1"], 20, 10, 13),
+], ids=["keygen", "monte-carlo", "monte-carlo-batches"])
 def test_oversized_parameters_are_refused_before_allocating(workdir, argv, n0, k0, p):
     pfile = _params_file(workdir / "big.params", p, n0, k0)
     assert len(pfile.read_bytes()) == 59

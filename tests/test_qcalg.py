@@ -63,20 +63,36 @@ def test_poly_inv_examples():
     assert qcalg._poly_inv_raw(np.zeros(3, dtype=np.int64), 3, Q) is None
 
 
-def test_poly_inv_random_round_trips():
-    rng = np.random.default_rng(10)
-    hits = 0
-    for _ in range(300):
-        p = int(rng.choice([3, 5, 13]))
-        a = poly(rng.integers(0, Q, p))
-        b = qcalg._poly_inv_raw(a.blocks[0, 0], p, Q)
-        if b is not None:
-            assert qc_mat_mul(a, poly(b)) == QCMatrix.identity(1, p, Q)
-            hits += 1
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 127), (2, 127), (3, 3), (5, 5), (7, 2), (13, 127),
+                                 (101, 127), (199, 65521)])
+def test_poly_inv_random_round_trips(p, q):
+    # generic entries and the zero and non-unit kinds the repair tests use
+    rng = np.random.default_rng(10 + p + q)
+    one = poly(monomial(0, p), q)
+    outcomes = set()
+    for i in range(60 if p < 100 else 12):
+        a = poly(_non_unit_entry(rng, p, q) if i % 2 else rng.integers(0, q, p), q)
+        b, e = qcalg._unit_idempotent(a.blocks[0, 0], p, q)
+        e = poly(e, q)
+        assert qc_mat_mul(a, poly(b, q)) == e and qc_mat_mul(e, e) == e
+        inv = qcalg._poly_inv_raw(a.blocks[0, 0], p, q)
+        dense = gf_inv_dense(expand(a), q)
+        # e = 1 exactly for the units, and then b is the inverse
+        assert (inv is None) == (dense is None) == (e != one)
+        if inv is not None:
+            assert np.array_equal(inv, b) and np.array_equal(expand(poly(inv, q)), dense)
+        rest = qc_mat_mul(a, poly((monomial(0, p) - e.blocks[0, 0]) % q, q))
+        if p % q:
+            assert not rest.blocks.any()  # a (1 - e) = 0: e is the CRT idempotent
         else:
-            # singular circulant matrices have no inverse
-            assert gf_inv_dense(expand(a), Q) is None
-    assert hits > 200
+            # the local ring p = q: e is 0 or 1, and a non-unit is nilpotent
+            assert e in (one, poly(np.zeros(p, dtype=np.int64), q))
+            power = one
+            for _ in range(p):
+                power = qc_mat_mul(power, rest)
+            assert not power.blocks.any()
+        outcomes.add(inv is None)
+    assert outcomes == {True, False}
 
 
 def test_ring_isomorphism_mul_matches_dense():
@@ -422,6 +438,21 @@ def test_qc_mat_inv_repair_inside_a_panel(repairs, invertible):
         assert Ai is not None and np.array_equal(expand(Ai), dense)
     else:
         assert Ai is None
+
+
+def test_zero_block_row_or_column_is_singular_before_any_inversion(monkeypatch):
+    def inverted(*args):
+        raise AssertionError("pivot inverted")
+
+    rng = np.random.default_rng(15)
+    for zero in (np.s_[2], np.s_[:, 2]):
+        blocks = rng.integers(1, Q, (4, 4, 5))
+        blocks[zero] = 0
+        A = QCMatrix(blocks, Q)
+        assert gf_inv_dense(expand(A), Q) is None
+        with monkeypatch.context() as patched:
+            patched.setattr(qcalg, "_unit_idempotent", inverted)
+            assert qc_mat_inv(A) is None
 
 
 @pytest.mark.parametrize("p,s,width", [(101, 3, 2), (199, 2, 1)])

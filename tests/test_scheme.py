@@ -170,6 +170,7 @@ def forbid_inversion(monkeypatch):
     for module in (qcalg, ldgm, scheme, serial):
         monkeypatch.setattr(module, "qc_solve", inverted)
     monkeypatch.setattr(qcalg, "_poly_inv_raw", inverted)
+    monkeypatch.setattr(qcalg, "_unit_idempotent", inverted)
 
 
 def test_reloaded_key_signs_without_inverting(keypair, monkeypatch):

@@ -1,10 +1,13 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from spanse import serial
-from spanse.params import DensityPolynomial, get_params
+from spanse.params import DensityPolynomial, ParameterSet, get_params
+from spanse.qcalg import QCMatrix, random_qc_permutation
 from spanse.scheme import PrivateKey, PublicKey, Signature, keygen, sign
 
 DESK = get_params("desk")
@@ -48,6 +51,32 @@ def test_private_round_trip_rebuilds_derived_parts(material):
     assert np.array_equal(sk2.P.shifts, sk.P.shifts)
     # nothing derived is stored or rebuilt: no H, no S^{-1}, no S^T
     assert [f.name for f in dataclasses.fields(sk2)] == ["params", "P", "G", "S"]
+
+
+def test_key_load_makes_one_int64_copy():
+    # a p101-sized key (n0 = 84): S is 5.4 MiB as int64 and H' 2.7 MiB; load
+    # widens the file's symbol bytes once, so the peak is that copy plus the bytes
+    ref = get_params("spanse-128")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
+    rng = np.random.default_rng(7)
+    S = QCMatrix(rng.integers(1, ps.q, (ps.n0, ps.n0, ps.p)), ps.q)
+    G = np.sort([rng.choice(ps.n, ps.w_g, replace=False) for _ in range(ps.k0)], axis=1)
+    sk = PrivateKey(ps, random_qc_permutation(ps.r0, ps.p, ps.q, rng), G, S)
+    pk = PublicKey(ps, QCMatrix(rng.integers(0, ps.q, (ps.r0, ps.n0, ps.p)), ps.q))
+    cases = ((serial.deserialize_private, serial.serialize_private(sk), S.blocks),
+             (serial.deserialize_public, serial.serialize_public(pk), pk.Hpub.blocks))
+    for load, data, blocks in cases:
+        tracemalloc.start()
+        try:
+            loaded = load(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * blocks.nbytes + len(data)
+        stored = loaded.S if isinstance(loaded, PrivateKey) else loaded.Hpub
+        assert stored.blocks.dtype == np.int64 and np.array_equal(stored.blocks, blocks)
 
 
 def test_generator_positions_load_sorted_and_distinct(material):
