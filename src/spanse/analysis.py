@@ -9,7 +9,10 @@ syndrome are attacked at once. Its minimum over (b, nu, phi) is found
 exactly: for each b the cost is convex and piecewise linear in
 (nu(1-phi), phi), so it is least at a crossing of two lines of a fixed
 arrangement. The rejection model predicts the
-probability that a signing attempt yields a zero-free signature.
+probability that a signing attempt yields a zero-free signature: in closed
+form for binary densities, and for any density by a Monte Carlo over the
+masked vector v = e + c that scores each sampled v by its exact acceptance
+probability (1 - p0(v))^n, with p0(v) from cyclic convolutions over Z_q.
 """
 
 from __future__ import annotations
@@ -185,12 +188,14 @@ class RejectionReport:
         }
 
 
-def _fold_mod_q(pmf: np.ndarray, q: int) -> np.ndarray:
-    out = np.zeros(q)
-    for start in range(0, pmf.size, q):
-        chunk = pmf[start : start + q]
-        out[: chunk.size] += chunk
-    return out
+def _binomial_mod_q(trials: int, prob: float, q: int) -> np.ndarray:
+    """The pmf of Bin(trials, prob) reduced mod q."""
+    # imported here, its one use, so that importing the CLI for sign and
+    # verify does not load scipy.stats (about 1 s)
+    from scipy.stats import binom
+
+    counts = np.arange(trials + 1)
+    return np.bincount(counts % q, weights=binom.pmf(counts, trials, prob), minlength=q)
 
 
 @dataclass
@@ -203,9 +208,10 @@ class RejectionModel:
     sum of Bernoulli(d1) picks through the dense transform, reduced mod q.
 
     weight_model selects how the codeword weight z is treated:
-    "binomial" draws z ~ Bin(n, rho_c) truncated at zmax (the per-entry
-    Bernoulli model); "fixed" pins z at m_g*w_g, matching the sampler's
-    near-constant codeword weight.
+    "binomial" draws z ~ Bin(n, rho_c) (the per-entry Bernoulli model), so
+    by binomial thinning the codeword part is Bin(n, rho_c * d1);
+    "fixed" pins z at m_g*w_g, matching the sampler's near-constant
+    codeword weight, so the codeword part is Bin(m_g*w_g, d1).
     """
 
     params: ParameterSet
@@ -216,10 +222,6 @@ class RejectionModel:
     pattern_dist: np.ndarray = field(init=False)  # Pr[e-part = x mod q]
 
     def __post_init__(self):
-        # imported here, its one use, so that importing the CLI for sign and
-        # verify does not load scipy.stats (about 1 s)
-        from scipy.stats import binom as _binom
-
         ps = self.params
         if not ps.density.is_binary():
             raise ValueError("analytic model requires a binary density; use Monte Carlo")
@@ -227,24 +229,13 @@ class RejectionModel:
         self.rho_c = 1.0 - (1.0 - ps.w_g / n) ** ps.m_g
         self.rho_S = float(ps.density.d1)
         if self.weight_model == "binomial":
-            zmax = min(n, 4 * ps.m_g * ps.w_g)
-            zs = np.arange(zmax + 1)
-            pz = _binom.pmf(zs, n, self.rho_c)
-            pz = pz / pz.sum()
+            z, rho = n, self.rho_c * self.rho_S
         elif self.weight_model == "fixed":
-            zs = np.array([min(n, ps.m_g * ps.w_g)])
-            pz = np.array([1.0])
+            z, rho = min(n, ps.m_g * ps.w_g), self.rho_S
         else:
             raise ValueError(f"unknown weight model {self.weight_model!r}")
-        dist = np.zeros(q)
-        for z, pzv in zip(zs, pz):
-            if pzv == 0.0:
-                continue
-            pmf = _binom.pmf(np.arange(z + 1), z, self.rho_S)
-            dist += pzv * _fold_mod_q(pmf, q)
-        self.codeword_dist = dist / dist.sum()
-        ppat = _binom.pmf(np.arange(w + 1), w, self.rho_S)
-        self.pattern_dist = _fold_mod_q(ppat, q)
+        self.codeword_dist = _binomial_mod_q(z, rho, q)
+        self.pattern_dist = _binomial_mod_q(w, self.rho_S, q)
 
     def p_zero_entry(self) -> float:
         q = self.params.q
@@ -269,39 +260,71 @@ def rejection_rate_analytic(params: ParameterSet,
 # Monte Carlo rejection estimation
 # ---------------------------------------------------------------------------
 
+def _cyclic_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pmf of X + Y mod q for independent X ~ a, Y ~ b: a direct
+    convolution folded mod q. Every term is a product of nonnegative
+    numbers, so each entry keeps its relative accuracy however small."""
+    q = a.size
+    lin = np.convolve(a, b)
+    out = lin[:q]
+    out[: q - 1] += lin[q:]
+    return out
+
+
+def _p_zero(values: np.ndarray, pmf: np.ndarray, squares: dict) -> float:
+    """P(sum_j values_j X_j = 0 mod q) for X_j i.i.d. with `pmf` over Z_q.
+
+    For each distinct value g, taken t times, the pmf of g X is raised to
+    the t-th cyclic-convolution power by square-and-multiply. `squares`
+    maps g to the pmfs of g X summed 1, 2, 4, ... times; they depend only
+    on the density and g, so callers share one dict across vectors.
+    """
+    q = pmf.size
+    dist = np.eye(1, q)[0]
+    for g, t in zip(*np.unique(values, return_counts=True)):
+        powers = squares.setdefault(int(g), [np.bincount(int(g) * np.arange(q) % q,
+                                                         weights=pmf, minlength=q)])
+        for i in range(int(t).bit_length()):
+            if i == len(powers):
+                powers.append(_cyclic_mul(powers[-1], powers[-1]))
+            if t >> i & 1:
+                dist = _cyclic_mul(dist, powers[i])
+    return float(dist[0])
+
+
 def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
-                    trials: int, seed) -> int:
-    """Count accepted attempts among `trials`, with one shared code sample.
+                    trials: int, seed) -> tuple[float, float]:
+    """(sum, sum of squared deviations about the batch mean) of the
+    acceptance probabilities of `trials` sampled masked vectors, with one
+    shared code sample.
 
     Per trial the masked vector v = e + c is built exactly as in signing
     (real sparse codeword plus a fresh weight-w pattern in the last r
-    positions). Each signature entry is an independent sum
-    sum_j v_j * X_j with X_j i.i.d. from the density, so for each distinct
-    value g in v's support the contribution across all n entries is read
-    off a multinomial draw over the density's values — no dense n x n
-    matrix is ever materialized.
+    positions). Each signature entry is then an independent sum
+    sum_j v_j X_j with X_j i.i.d. from the density, so given v an attempt
+    is accepted with probability exactly (1 - p0(v))^n, p0 = `_p_zero`.
+    Scoring v by that probability instead of by one sampled attempt keeps
+    the estimand and lowers the variance. The moments are accumulated by
+    Welford's update, so nothing is kept per trial.
     """
     rng = np.random.default_rng(seed)
     q, n, k, r, w = params.q, params.n, params.k, params.r, params.w
-    pairs = [(v, pr) for v, pr in density.value_probabilities() if pr > 0]
-    dvals = np.array([v for v, _ in pairs], dtype=np.int64)
-    dprobs = np.array([float(pr) for _, pr in pairs])
-    dprobs /= dprobs.sum()
+    pmf = np.array([float(pr) for _, pr in density.value_probabilities()])
+    pmf /= pmf.sum()
+    squares: dict = {}
     G = sample_generator(params, rng)
-    accepted = 0
-    for _ in range(trials):
+    mean = m2 = 0.0
+    for i in range(1, trials + 1):
         c = codeword_from_generator(G, params, params.m_g, rng)
         epos = rng.choice(r, size=w, replace=False)
         e = SparseVector(n, k + np.sort(epos), np.ones(w, dtype=np.int64), q)
         v = c.add(e)
-        sigma = np.zeros(n, dtype=np.int64)
-        for g in np.unique(v.values):
-            t_g = int(np.count_nonzero(v.values == g))
-            counts = rng.multinomial(t_g, dprobs, size=n)
-            sigma += int(g) * (counts @ dvals)
-        if np.all(sigma % q != 0):
-            accepted += 1
-    return accepted
+        p0 = _p_zero(v.values, pmf, squares)
+        accept = math.exp(n * math.log1p(-p0)) if p0 < 1.0 else 0.0
+        delta = accept - mean
+        mean += delta / i
+        m2 += delta * (accept - mean)
+    return mean * trials, m2
 
 
 def rejection_rate_montecarlo(
@@ -312,12 +335,17 @@ def rejection_rate_montecarlo(
     batch_size: int = 1000,
     workers: int = 1,
 ) -> tuple[float, float]:
-    """Estimated acceptance probability and its binomial standard error.
+    """Estimated acceptance probability and its standard error.
 
-    Batches reuse one sampled generator (its influence enters only through
-    the codeword weight distribution); per-batch seeds are spawned from
-    the base seed, so results are reproducible at any parallelism degree.
-    At most one worker process runs per batch and per usable CPU.
+    The estimate is the mean over `trials` sampled masked vectors v of the
+    exact P(accept | v) (`_simulate_batch`); the standard error is the
+    sample standard deviation (ddof = 1) of those values over sqrt(trials),
+    or 1.0 for a single trial. Batches reuse one sampled generator (its
+    influence enters only through the codeword weight distribution);
+    per-batch seeds are spawned from the base seed, and the batches'
+    moments are combined in batch order by the pairwise update of Chan et
+    al., so results are bit-identical at any parallelism degree. At most
+    one worker process runs per batch and per usable CPU.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -335,16 +363,20 @@ def rejection_rate_montecarlo(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_simulate_batch,
-                                   [params] * len(sizes), [density] * len(sizes),
-                                   sizes, seeds))
+            moments = list(pool.map(_simulate_batch,
+                                    [params] * len(sizes), [density] * len(sizes),
+                                    sizes, seeds))
     else:
-        counts = [_simulate_batch(params, density, sz, sd)
-                  for sz, sd in zip(sizes, seeds)]
-    accepted = sum(counts)
-    p_hat = accepted / trials
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
-    return p_hat, stderr
+        moments = [_simulate_batch(params, density, sz, sd)
+                   for sz, sd in zip(sizes, seeds)]
+    done, mean, m2 = 0, 0.0, 0.0
+    for size, (total, batch_m2) in zip(sizes, moments):
+        delta = total / size - mean
+        mean += delta * size / (done + size)
+        m2 += batch_m2 + delta * delta * done * size / (done + size)
+        done += size
+    stderr = math.sqrt(m2 / (trials - 1) / trials) if trials > 1 else 1.0
+    return mean, stderr
 
 
 def _usable_cpus() -> int:

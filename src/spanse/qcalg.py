@@ -377,12 +377,15 @@ def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int, q: int) ->
     reached (the matrix is singular).
     """
     target = free[0]
+    one = np.eye(1, p, dtype=np.int64)[0]
+    e = _unit_idempotent(aug[target, col], p, q)[1]
     for r in free[1:]:
         if not aug[r, col].any():
             continue  # adding this row cannot change the pivot
-        h = (np.eye(1, p, dtype=np.int64)[0] - _unit_idempotent(aug[target, col], p, q)[1]) % q
+        h = (one - e) % q
         aug[target] = (aug[target] + _block_matmul(h[None, None], aug[r][None], p, q)[0]) % q
-        if _poly_inv_raw(aug[target, col], p, q) is not None:
+        e = _unit_idempotent(aug[target, col], p, q)[1]
+        if np.array_equal(e, one):
             return True
     return False
 

@@ -1,14 +1,20 @@
-"""Dense F_q reference code that the tests check the ring kernels against.
+"""Reference code that the tests check the library against.
 
 The library never forms a dense matrix; these oracles expand block matrices
 and permutations and multiply or invert them entry by entry. The library
 also never multiplies two block matrices, so the block product the tests
-check against these oracles is here too.
+check against these oracles is here too. The Monte Carlo oracle samples
+signing attempts entry by entry, where the library scores each masked
+vector by its exact acceptance probability.
 """
+
+import math
 
 import numpy as np
 
-from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul
+from spanse.ldgm import codeword_from_generator, sample_generator
+from spanse.params import DensityPolynomial, ParameterSet
+from spanse.qcalg import QCMatrix, QCPermutation, SparseVector, _block_matmul
 
 
 def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
@@ -68,3 +74,38 @@ def perm_qc_matrix(P: QCPermutation) -> QCMatrix:
 def perm_dense(P: QCPermutation) -> np.ndarray:
     """The dense permutation matrix of P."""
     return expand(perm_qc_matrix(P))
+
+
+def multinomial_acceptance(params: ParameterSet, density: DensityPolynomial,
+                           trials: int, seed: int,
+                           batch_size: int = 1000) -> tuple[float, float]:
+    """Accepted share of `trials` sampled signing attempts, and its binomial
+    standard error, in batches that each share one code sample and take
+    one seed spawned from `seed`, as the library's batches do.
+
+    The masked vector v = e + c is built as in signing. Each signature
+    entry is a sum sum_j v_j X_j with X_j i.i.d. from the density, so for
+    each distinct value g of v, taken t_g times, the contributions to all n
+    entries are read off n multinomial draws of t_g over the density's
+    values. An attempt is accepted when no entry is 0 mod q.
+    """
+    q, n, k, r, w = params.q, params.n, params.k, params.r, params.w
+    pairs = [(v, pr) for v, pr in density.value_probabilities() if pr > 0]
+    dvals = np.array([v for v, _ in pairs], dtype=np.int64)
+    dprobs = np.array([float(pr) for _, pr in pairs])
+    dprobs /= dprobs.sum()
+    accepted = 0
+    seeds = np.random.SeedSequence(seed).spawn(-(-trials // batch_size))
+    for i, batch_seed in enumerate(seeds):
+        rng = np.random.default_rng(batch_seed)
+        G = sample_generator(params, rng)
+        for _ in range(min(batch_size, trials - i * batch_size)):
+            c = codeword_from_generator(G, params, params.m_g, rng)
+            epos = rng.choice(r, size=w, replace=False)
+            v = c.add(SparseVector(n, k + np.sort(epos), np.ones(w, dtype=np.int64), q))
+            sigma = np.zeros(n, dtype=np.int64)
+            for g, t_g in zip(*np.unique(v.values, return_counts=True)):
+                sigma += int(g) * (rng.multinomial(t_g, dprobs, size=n) @ dvals)
+            accepted += bool(np.all(sigma % q != 0))
+    p_hat = accepted / trials
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -108,8 +108,8 @@ def test_criterion_06_monte_carlo_rejection_full_scale():
     elapsed = time.time() - t0
     r1, r2 = 1.0 - p1, 1.0 - p2
     ok = 0.002 <= r1 <= 0.05 and 0.95 <= r2 <= 0.999 and elapsed < 1800
-    report(6, ok, f"rejection {r1:.3%} (band 0.2%-5%) and {r2:.3%} "
-                  f"(band 95%-99.9%), {elapsed:.0f}s")
+    report(6, ok, f"rejection {r1:.3%} (stderr {se1:.2e}, band 0.2%-5%) and {r2:.3%} "
+                  f"(stderr {se2:.2e}, band 95%-99.9%), {elapsed:.0f}s")
     assert ok
 
 

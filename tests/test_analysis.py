@@ -1,8 +1,11 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import multinomial_acceptance
 from spanse import analysis
 from spanse.analysis import (
     AttackPoint,
@@ -185,6 +188,21 @@ def test_rejection_model_distributions_sum_to_one():
         assert model.rho_c == pytest.approx(1 - (1 - DESK.w_g / DESK.n) ** DESK.m_g)
 
 
+def test_rejection_binomial_model_is_the_thinned_mixture():
+    # z ~ Bin(n, rho_c) followed by Bin(z, d1) is Bin(n, rho_c d1): the
+    # model's one pmf equals the mixture summed over every z <= n
+    from scipy.stats import binom
+
+    model = RejectionModel(DESK)
+    n, q = DESK.n, DESK.q
+    mixture = np.zeros(q)
+    for z in range(n + 1):
+        pmf = binom.pmf(np.arange(z + 1), z, model.rho_S)
+        mixture += binom.pmf(z, n, model.rho_c) * np.bincount(np.arange(z + 1) % q,
+                                                              weights=pmf, minlength=q)
+    assert np.allclose(model.codeword_dist, mixture, rtol=1e-10, atol=0)
+
+
 def test_rejection_analytic_rejects_nonbinary():
     d = DensityPolynomial.parse("0.5,0.49,2:0.01", 127)
     ps = ParameterSet("x", 127, 13, 20, 10, 6, 5, 4, d)
@@ -233,6 +251,71 @@ def test_montecarlo_all_ones_density_rank_one():
     p_hat, _ = rejection_rate_montecarlo(DESK, d, 400, seed=17, batch_size=100)
     # the constant is ~uniform-ish over residues; rejection ~ 1/q, tiny
     assert p_hat > 0.9
+
+
+def _density_pmf(density):
+    return np.array([float(pr) for _, pr in density.value_probabilities()])
+
+
+@pytest.mark.parametrize("text", ["0.5,0.3,2:0.15,5:0.05", "0.6,0.1,3:0.3", "ones"])
+def test_p_zero_matches_enumeration(text):
+    # every assignment of density values to a support of 3 or 4 entries
+    # carrying values 1 and 2; "ones" is d(x) = x, whose p0 is 0 or 1
+    q = 127
+    density = (DensityPolynomial({0: 0, 1: 1}, q) if text == "ones"
+               else DensityPolynomial.parse(text, q))
+    pmf = _density_pmf(density)
+    support = [(x, pr) for x, pr in density.value_probabilities() if pr > 0]
+    squares = {}
+    for size in (3, 4):
+        for values in itertools.product((1, 2), repeat=size):
+            exact = sum(
+                (math.prod(pr for _, pr in pick) for pick in itertools.product(support, repeat=size)
+                 if sum(v * x for v, (x, _) in zip(values, pick)) % q == 0),
+                Fraction(0))
+            got = analysis._p_zero(np.array(values), pmf, squares)
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
+            if text == "ones":
+                assert got in (0.0, 1.0)
+
+
+def test_p_zero_keeps_relative_accuracy_near_1e_15():
+    # 157 unit entries under d = 1/2 + x/2: the sum is Bin(157, 1/2), which
+    # is 0 mod 127 at 0 and 127 only
+    pmf = _density_pmf(DensityPolynomial.parse("1/2,1/2", 127))
+    exact = (1 + math.comb(157, 127)) / 2**157
+    assert 1e-16 < exact < 1e-14
+    assert analysis._p_zero(np.ones(157, dtype=np.int64), pmf, {}) == pytest.approx(exact,
+                                                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["0.8,0.2", "0.7,0.25,2:0.03,5:0.02"])
+def test_montecarlo_agrees_with_multinomial_sampler(text):
+    density = DensityPolynomial.parse(text, DESK.q)
+    sampled, sampled_se = multinomial_acceptance(DESK, density, 10_000, seed=7)
+    estimate, stderr = rejection_rate_montecarlo(DESK, density, 4_000, seed=7)
+    assert stderr < sampled_se
+    assert abs(estimate - sampled) <= 4 * math.hypot(stderr, sampled_se)
+
+
+def test_montecarlo_stderr_is_the_sample_deviation_of_per_trial_values():
+    density = DensityPolynomial.parse("0.8,0.2", DESK.q)
+    seeds = np.random.SeedSequence(11).spawn(6)
+    values = [analysis._simulate_batch(DESK, density, 1, seed)[0] for seed in seeds]
+    estimate, stderr = rejection_rate_montecarlo(DESK, density, 6, seed=11, batch_size=1)
+    assert estimate == pytest.approx(np.mean(values), rel=1e-12)
+    assert stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(6), rel=1e-9)
+    assert 0 < stderr < 1
+
+
+def test_montecarlo_single_trial(pools):
+    density = DensityPolynomial.parse("0.8,0.2", DESK.q)
+    results = {rejection_rate_montecarlo(DESK, density, 1, seed=3, batch_size=b, workers=w)
+               for b in (1, 7, 1000) for w in (1, 2)}
+    assert len(results) == 1
+    estimate, stderr = results.pop()
+    assert 0 < estimate < 1 and stderr == 1.0
+    assert pools == []  # one batch never opens a pool
 
 
 def test_montecarlo_validates_trials():
