@@ -27,7 +27,6 @@ import numpy as np
 
 from .ldgm import codeword_from_generator, sample_generator
 from .params import DensityPolynomial, ParameterSet, check_working_set
-from .qcalg import SparseVector
 
 
 class ConstraintError(ValueError):
@@ -188,14 +187,30 @@ class RejectionReport:
         }
 
 
-def _binomial_mod_q(trials: int, prob: float, q: int) -> np.ndarray:
-    """The pmf of Bin(trials, prob) reduced mod q."""
-    # imported here, its one use, so that importing the CLI for sign and
-    # verify does not load scipy.stats (about 1 s)
-    from scipy.stats import binom
+def _cyclic_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pmf of X + Y mod q for independent X ~ a, Y ~ b: a direct
+    convolution folded mod q. Every term is a product of nonnegative
+    numbers, so each entry keeps its relative accuracy however small."""
+    q = a.size
+    lin = np.convolve(a, b)
+    out = lin[:q]
+    out[: q - 1] += lin[q:]
+    return out
 
-    counts = np.arange(trials + 1)
-    return np.bincount(counts % q, weights=binom.pmf(counts, trials, prob), minlength=q)
+
+def _binomial_mod_q(trials: int, prob: float, q: int) -> np.ndarray:
+    """The pmf of Bin(trials, prob) reduced mod q: the trials-th
+    cyclic-convolution power of the Bernoulli pmf (1 - prob, prob, 0, ...),
+    by square-and-multiply."""
+    dist, step = np.eye(1, q)[0], np.zeros(q)
+    step[:2] = 1.0 - prob, prob
+    while trials:
+        if trials & 1:
+            dist = _cyclic_mul(dist, step)
+        trials >>= 1
+        if trials:
+            step = _cyclic_mul(step, step)
+    return dist
 
 
 @dataclass
@@ -260,17 +275,6 @@ def rejection_rate_analytic(params: ParameterSet,
 # Monte Carlo rejection estimation
 # ---------------------------------------------------------------------------
 
-def _cyclic_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The pmf of X + Y mod q for independent X ~ a, Y ~ b: a direct
-    convolution folded mod q. Every term is a product of nonnegative
-    numbers, so each entry keeps its relative accuracy however small."""
-    q = a.size
-    lin = np.convolve(a, b)
-    out = lin[:q]
-    out[: q - 1] += lin[q:]
-    return out
-
-
 def _p_zero(values: np.ndarray, pmf: np.ndarray, squares: dict) -> float:
     """P(sum_j values_j X_j = 0 mod q) for X_j i.i.d. with `pmf` over Z_q.
 
@@ -298,11 +302,13 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
     acceptance probabilities of `trials` sampled masked vectors, with one
     shared code sample.
 
-    Per trial the masked vector v = e + c is built exactly as in signing
-    (real sparse codeword plus a fresh weight-w pattern in the last r
-    positions). Each signature entry is then an independent sum
-    sum_j v_j X_j with X_j i.i.d. from the density, so given v an attempt
-    is accepted with probability exactly (1 - p0(v))^n, p0 = `_p_zero`.
+    Per trial the masked vector v = e + c is built exactly as in signing,
+    as the positions of a fresh weight-w pattern in the last r positions
+    followed by a real codeword's, and each entry of v is the number of
+    times its position occurs, mod q. Each signature entry is then an
+    independent sum sum_j v_j X_j with X_j i.i.d. from the density, so
+    given v an attempt is accepted with probability exactly (1 - p0(v))^n,
+    p0 = `_p_zero`.
     Scoring v by that probability instead of by one sampled attempt keeps
     the estimand and lowers the variance. The moments are accumulated by
     Welford's update, so nothing is kept per trial.
@@ -316,10 +322,8 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
     mean = m2 = 0.0
     for i in range(1, trials + 1):
         c = codeword_from_generator(G, params, params.m_g, rng)
-        epos = rng.choice(r, size=w, replace=False)
-        e = SparseVector(n, k + np.sort(epos), np.ones(w, dtype=np.int64), q)
-        v = c.add(e)
-        p0 = _p_zero(v.values, pmf, squares)
+        v = np.concatenate([k + rng.choice(r, size=w, replace=False), c])
+        p0 = _p_zero(np.unique(v, return_counts=True)[1] % q, pmf, squares)
         accept = math.exp(n * math.log1p(-p0)) if p0 < 1.0 else 0.0
         delta = accept - mean
         mean += delta / i
@@ -340,10 +344,10 @@ def rejection_rate_montecarlo(
     The estimate is the mean over `trials` sampled masked vectors v of the
     exact P(accept | v) (`_simulate_batch`); the standard error is the
     sample standard deviation (ddof = 1) of those values over sqrt(trials),
-    or 1.0 for a single trial. Batches reuse one sampled generator (its
-    influence enters only through the codeword weight distribution);
-    per-batch seeds are spawned from the base seed, and the batches'
-    moments are combined in batch order by the pairwise update of Chan et
+    or 1.0 for a single trial. Each batch draws its own generator, which
+    that batch's trials share (it enters only through the codeword weight
+    distribution); per-batch seeds are spawned from the base seed, and the
+    batches' moments are combined in batch order by the pairwise update of Chan et
     al., so results are bit-identical at any parallelism degree. At most
     one worker process runs per batch and per usable CPU.
     """

@@ -1,9 +1,11 @@
 """Command-line front end: keygen, sign, verify, keycheck, analyze, params.
 
 Exit codes: 0 success/accept, 1 verification reject, 2 input or parse
-error, 3 internal failure. All randomness flows from --seed when given, so
-seeded invocations are bit-reproducible. Output files are written
-atomically; a failed command never leaves a partial file behind.
+error (including a parameter set from which keygen cannot draw a
+reducible generator or an invertible S), 3 internal failure. All
+randomness flows from --seed when given, so seeded invocations are
+bit-reproducible. Output files are written atomically; a failed command
+never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, serial
-from .ldgm import GenerationError
 from .params import REGISTRY, DensityPolynomial, ParameterError, ParameterSet, get_params
-from .scheme import KeygenError, SigningError, keygen, sign, verify
+from .scheme import SigningError, keygen, sign, verify
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -219,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
             IsADirectoryError, PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (KeygenError, GenerationError, SigningError) as exc:
+    except SigningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # e.g. MemoryError: never exit 1, which means reject

@@ -5,18 +5,20 @@ rows all have Hamming weight exactly w_g. Because the matrix is
 quasi-cyclic it is enough to place w_g ones in the expanded first row of
 each block row; the circulant structure propagates the weight to every
 other row. G is held as those positions, (k0, w_g) sorted indices, as the
-key file stores them. Only the solve for a systematic parity-check matrix
-H = [-W^T | I], where G = [M1 | M2] and M1 W = M2, builds G's block form;
-it solves for W (M1^{-1} is never formed), so that syndromes of vectors
-of the form [0_k | s'] read off s' directly. make_code returns (G, H).
+key file stores them, and a codeword u G as the positions of the rows u
+picks, a position repeated where rows overlap. Only the solve for a
+systematic parity-check matrix H = [-W^T | I], where G = [M1 | M2] and
+M1 W = M2, builds G's block form; it solves for W (M1^{-1} is never
+formed), so that syndromes of vectors of the form [0_k | s'] read off s'
+directly. make_code returns (G, H).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .params import ParameterSet
-from .qcalg import QCMatrix, SparseVector, qc_solve
+from .params import ParameterError, ParameterSet
+from .qcalg import QCMatrix, qc_solve
 
 # how many generator resamples to attempt before declaring keygen failure
 MAX_GENERATOR_RETRIES = 100
@@ -26,8 +28,9 @@ class NotReducibleError(Exception):
     """The left k x k part of G is singular; the caller should resample."""
 
 
-class GenerationError(Exception):
-    """Retry budget exhausted while sampling a reducible generator."""
+class GenerationError(ParameterError):
+    """Retry budget exhausted while sampling a reducible generator: the
+    parameter set's generators are almost never reducible."""
 
 
 def sample_generator(params: ParameterSet, rng: np.random.Generator) -> np.ndarray:
@@ -75,14 +78,13 @@ def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[np.ndarra
 
 
 def codeword_from_generator(G: np.ndarray, params: ParameterSet, m_g: int,
-                            rng: np.random.Generator) -> SparseVector:
-    """c = u G for uniform binary u of weight m_g, read off G's one-positions:
-    row blk*p + t of G is block row blk's first row shifted right by t. Rows
-    that overlap add up; the typical weight is close to m_g * w_g."""
+                            rng: np.random.Generator) -> np.ndarray:
+    """c = u G for uniform binary u of weight m_g, as the m_g * w_g positions
+    of the generator rows u picks: row blk*p + t of G is block row blk's
+    first row shifted right by t. Rows that overlap repeat a position, and
+    c's entry there is the number of repeats."""
     if not (0 <= m_g <= params.k):
         raise ValueError(f"m_g={m_g} outside [0, k={params.k}]")
     blk, shift = np.divmod(rng.choice(params.k, size=m_g, replace=False), params.p)
     col_blk, off = np.divmod(G[blk], params.p)
-    pos, counts = np.unique(col_blk * params.p + (off + shift[:, None]) % params.p,
-                            return_counts=True)
-    return SparseVector(params.n, pos, counts, params.q)
+    return (col_blk * params.p + (off + shift[:, None]) % params.p).reshape(-1)

@@ -198,10 +198,10 @@ _BATCH_BYTES = 512
 def check_working_set(params: ParameterSet, command: str, batches: int = 0):
     """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
     in physical memory and under RLIMIT_AS: keygen's G blocks, S and
-    [S^T | H^T] (3 n0^2 p int64 words), or a trial's six length-n arrays
-    and the bookkeeping of `batches` Monte Carlo batches."""
+    [S^T | H^T] (3 n0^2 p int64 words), or the Monte Carlo's generator
+    (k0 w_g int64 positions) and the bookkeeping of its `batches` batches."""
     need = (8 * 3 * params.n0**2 * params.p if command == "keygen"
-            else 8 * 6 * params.n + _BATCH_BYTES * batches)
+            else 8 * params.k0 * params.w_g + _BATCH_BYTES * batches)
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:

@@ -7,10 +7,12 @@ Multiplication of circulants is cyclic convolution of first rows.
 
 Block matrices of circulants (QCMatrix) store one row per block, a
 factor-p saving over the dense expansion, which only the tests form; a
-ring element is a 1 x 1 QCMatrix. qc_mat_vec reads A as stored for
-expand(A) v^T: it gathers entries for a sparse v and correlates a dense
-one. Every block product (block matrix, dense vector, pivot step) runs
-through one batched cyclic convolution kernel in two halves: a real FFT
+ring element is a 1 x 1 QCMatrix. A sparse vector is the int64 array of
+its positions, each counted once per occurrence, so a sum of sparse
+vectors is a concatenation. expand(A) v^T is read from A as stored:
+qc_mat_gather sums the columns at a position array, and qc_mat_vec
+correlates a dense v. Every block product (block matrix, dense vector,
+pivot step) runs through one batched cyclic convolution kernel in two halves: a real FFT
 zero-padded to the power of two that holds the linear convolution, then a
 contraction of the spectra (np.matmul on BLAS for block products, einsum
 for vectors and outer products), the inverse transform and a fold mod
@@ -55,10 +57,10 @@ _FFT_EXACT_BOUND = 2**40
 # passes over the matrix; _panel_width shrinks it for large p and q.
 _PANEL_WIDTH = 8
 
-# Support entries per gather of qc_mat_vec's sparse path. All of a
-# signing attempt's ~160 at once would gather 30 MB at spanse-128 (238
-# block rows); 32 keep it at 6 MB at about the same speed (3.84 against
-# 3.63 ms per attempt, measured in one process).
+# Positions per gather of qc_mat_gather. All of a signing attempt's ~160
+# at once would gather 30 MB at spanse-128 (238 block rows); 32 keep it at
+# 6 MB at about the same speed (3.84 against 3.63 ms per attempt,
+# measured in one process).
 _GATHER_CHUNK = 32
 
 
@@ -394,82 +396,33 @@ def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int, q: int) ->
 # vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse vector over F_q: strictly increasing indices, nonzero values."""
-
-    length: int
-    indices: np.ndarray
-    values: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.int64) % self.q
-        keep = val != 0
-        idx, val = idx[keep], val[keep]
-        order = np.argsort(idx)
-        idx, val = idx[order], val[order]
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.length):
-            raise ValueError("index out of range")
-        if idx.size > 1 and np.any(np.diff(idx) == 0):
-            raise ValueError("duplicate indices")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @classmethod
-    def from_dense(cls, v: np.ndarray, q: int) -> "SparseVector":
-        v = np.asarray(v, dtype=np.int64) % q
-        idx = np.nonzero(v)[0]
-        return cls(v.size, idx, v[idx], q)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.length, dtype=np.int64)
-        out[self.indices] = self.values
-        return out
-
-    def weight(self) -> int:
-        return int(self.indices.size)
-
-    def add(self, other: "SparseVector") -> "SparseVector":
-        if self.length != other.length or self.q != other.q:
-            raise DimensionMismatchError("sparse addition shape mismatch")
-        dense = self.to_dense()
-        np.add.at(dense, other.indices, other.values)
-        return SparseVector.from_dense(dense, self.q)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseVector)
-            and self.length == other.length
-            and self.q == other.q
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-
-def qc_mat_vec(A: QCMatrix, v) -> np.ndarray:
-    """expand(A) v^T over F_q for v sparse or dense, read from A's blocks as stored.
-
-    Entry (u, c) of circ(a) is a_{(c-u) mod p}: a sparse v gathers those
-    entries, O(|support| rows0 p); a dense v is a correlation, block i being
+def qc_mat_vec(A: QCMatrix, v: np.ndarray) -> np.ndarray:
+    """expand(A) v^T over F_q for a dense v, read from A's blocks as stored:
+    entry (u, c) of circ(a) is a_{(c-u) mod p}, so block i is the correlation
     rev(sum_j a_ij * rev v_j), one vector product on the FFT kernel."""
     p, q = A.p, A.q
-    length = v.length if isinstance(v, SparseVector) else np.size(v)
-    if length != A.cols0 * p:
-        raise DimensionMismatchError(f"vector length {length} != {A.cols0 * p}")
-    if isinstance(v, SparseVector):
-        blk, off = np.divmod(v.indices, p)
-        # entry u of column blk*p + off sits at offset (off - u) mod p of block column blk
-        cols = blk[:, None] * p + (off[:, None] - np.arange(p)) % p
-        flat = A.blocks.reshape(A.rows0, -1)
-        out = np.zeros((A.rows0, p), dtype=np.int64)
-        for lo in range(0, len(cols), _GATHER_CHUNK):
-            part = slice(lo, lo + _GATHER_CHUNK)
-            out += np.einsum("isu,s->iu", flat[:, cols[part]], v.values[part])
-        return (out % q).reshape(-1)
+    if np.size(v) != A.cols0 * p:
+        raise DimensionMismatchError(f"vector length {np.size(v)} != {A.cols0 * p}")
     vb = _reverse(np.asarray(v, dtype=np.int64).reshape(1, A.cols0, p) % q)
     return _reverse(_block_matmul(vb, A.blocks.swapaxes(0, 1), p, q)).reshape(-1)
+
+
+def qc_mat_gather(A: QCMatrix, positions: np.ndarray) -> np.ndarray:
+    """expand(A) v^T over F_q for the v whose entry at each position is the
+    number of times it occurs in `positions`: the sum of those columns of
+    expand(A), gathered from A's blocks as stored, O(|positions| rows0 p)."""
+    p, q = A.p, A.q
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size and (positions.min() < 0 or positions.max() >= A.cols0 * p):
+        raise DimensionMismatchError(f"position outside [0, {A.cols0 * p})")
+    blk, off = np.divmod(positions, p)
+    # entry u of column blk*p + off sits at offset (off - u) mod p of block column blk
+    cols = blk[:, None] * p + (off[:, None] - np.arange(p)) % p
+    flat = A.blocks.reshape(A.rows0, -1)
+    out = np.zeros((A.rows0, p), dtype=np.int64)
+    for lo in range(0, len(cols), _GATHER_CHUNK):
+        out += flat[:, cols[lo : lo + _GATHER_CHUNK]].sum(axis=1)
+    return (out % q).reshape(-1)
 
 
 def _reverse(x: np.ndarray) -> np.ndarray:
@@ -520,14 +473,11 @@ class QCPermutation:
         return self.size0 * self.p
 
 
-def perm_apply(P: QCPermutation, s: SparseVector) -> SparseVector:
-    """s' = P s, computed on the support; preserves Hamming weight."""
-    if s.length != P.dim:
-        raise DimensionMismatchError(f"vector length {s.length} != {P.dim}")
-    blk, off = np.divmod(s.indices, P.p)
+def perm_apply(P: QCPermutation, positions: np.ndarray) -> np.ndarray:
+    """The positions of P s for the vector s with ones at `positions`."""
+    blk, off = np.divmod(positions, P.p)
     out_blk = P._inv_perm[blk]
-    out_off = (off + P.shifts[out_blk]) % P.p
-    return SparseVector(s.length, out_blk * P.p + out_off, s.values.copy(), s.q)
+    return out_blk * P.p + (off + P.shifts[out_blk]) % P.p
 
 
 def perm_inv_mul(P: QCPermutation, M: QCMatrix) -> QCMatrix:

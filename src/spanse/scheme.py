@@ -8,8 +8,11 @@ error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
 codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
 sigma has no zero entries mod q. Verification recomputes s from
 (message, theta) and checks H' sigma^T = s together with zero-freeness.
-Both read the keys as stored: sigma^T = S (e + c)^T, with c read off G's
-one-positions, and H' sigma^T; neither S^T nor H'^T is formed.
+Both read the keys as stored: sigma^T = S (e + c)^T, and H' sigma^T;
+neither S^T nor H'^T is formed. Sparse vectors are position arrays: s and
+P s hold w positions, c the m_g * w_g positions of G's rows (a position
+repeated where rows overlap), and e + c is the concatenation of e's and
+c's positions, whose columns of S are gathered and summed.
 
 The one-time contract (never sign two distinct messages with one key) is
 documented, not enforced: keys carry no usage state. Nothing here is
@@ -24,15 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ldgm import codeword_from_generator, make_code
-from .params import ParameterSet, check_working_set
+from .params import ParameterError, ParameterSet, check_working_set
 from .qcalg import (
     QCMatrix,
     QCPermutation,
-    SparseVector,
     perm_apply,
     perm_inv_mul,
-    qc_solve,
+    qc_mat_gather,
     qc_mat_vec,
+    qc_solve,
     random_qc_permutation,
 )
 
@@ -46,8 +49,9 @@ MAX_S_RETRIES = 100
 DEFAULT_MAX_SIGN_ATTEMPTS = 10_000
 
 
-class KeygenError(Exception):
-    """Resample budget exhausted while drawing an invertible S."""
+class KeygenError(ParameterError):
+    """Resample budget exhausted while drawing an invertible S: the
+    parameter set's density almost never gives one."""
 
 
 class SigningError(Exception):
@@ -97,6 +101,8 @@ def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QC
 
 def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, PublicKey]:
     """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}, where H S^{-1} = (S^{-T} H^T)^T."""
+    if params.density.d0 == 1:
+        raise ParameterError("the density puts all its mass on 0, so every S is zero")
     check_working_set(params, "keygen")
     G, H = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, params.q, rng)
@@ -116,8 +122,9 @@ def _expand_stream(seed: bytes, nbytes: int) -> bytes:
     return hashlib.shake_256(seed).digest(nbytes)
 
 
-def derive_syndrome(message: bytes, theta: bytes, params: ParameterSet) -> SparseVector:
-    """s = F_theta(hash(message)): binary, length r, Hamming weight exactly w.
+def derive_syndrome(message: bytes, theta: bytes, params: ParameterSet) -> np.ndarray:
+    """s = F_theta(hash(message)): the w sorted positions of a binary
+    syndrome of length r, so of Hamming weight exactly w.
 
     The hash digest and theta seed an extendable-output stream read as
     little-endian 32-bit words; words are rejection-sampled into [0, r)
@@ -144,8 +151,7 @@ def derive_syndrome(message: bytes, theta: bytes, params: ParameterSet) -> Spars
         if idx not in seen:
             seen.add(idx)
             chosen.append(idx)
-    idx = np.sort(np.array(chosen, dtype=np.int64))
-    return SparseVector(r, idx, np.ones(w, dtype=np.int64), params.q)
+    return np.sort(np.array(chosen, dtype=np.int64))
 
 
 def choose_theta(message: bytes, mode: str, rng: np.random.Generator | None = None) -> bytes:
@@ -175,12 +181,10 @@ def sign(
         rng = np.random.default_rng()
     params = sk.params
     theta = choose_theta(message, mode, rng)
-    s = derive_syndrome(message, theta, params)
-    s_perm = perm_apply(sk.P, s)
-    e = SparseVector(params.n, params.k + s_perm.indices, s_perm.values, params.q)
+    e = params.k + perm_apply(sk.P, derive_syndrome(message, theta, params))
     for attempt in range(1, max_attempts + 1):
         c = codeword_from_generator(sk.G, params, params.m_g, rng)
-        sigma = qc_mat_vec(sk.S, e.add(c))
+        sigma = qc_mat_gather(sk.S, np.concatenate([e, c]))
         if np.all(sigma != 0):
             return Signature(sigma, theta), attempt
     raise SigningError(
@@ -196,9 +200,9 @@ def verify(pk: PublicKey, message: bytes, sig: Signature) -> VerifyResult:
     if sigma.size != params.n or np.any(sigma % params.q == 0):
         return VerifyResult(False, "zero-entry")
     s_star = derive_syndrome(message, sig.theta, params)
-    if s_star.weight() != params.w:
+    if s_star.size != params.w:
         return VerifyResult(False, "syndrome-weight")
     syndrome = qc_mat_vec(pk.Hpub, sigma % params.q)
-    if not np.array_equal(syndrome, s_star.to_dense()):
+    if not np.array_equal(syndrome, np.bincount(s_star, minlength=params.r)):
         return VerifyResult(False, "syndrome-mismatch")
     return VerifyResult(True)

@@ -14,7 +14,13 @@ import numpy as np
 
 from spanse.ldgm import codeword_from_generator, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
-from spanse.qcalg import QCMatrix, QCPermutation, SparseVector, _block_matmul
+from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul
+
+
+def dense_vector(positions: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The length-n vector over F_q whose entry at each position is the
+    number of times it occurs in `positions`."""
+    return np.bincount(positions, minlength=n) % q
 
 
 def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
@@ -101,10 +107,9 @@ def multinomial_acceptance(params: ParameterSet, density: DensityPolynomial,
         G = sample_generator(params, rng)
         for _ in range(min(batch_size, trials - i * batch_size)):
             c = codeword_from_generator(G, params, params.m_g, rng)
-            epos = rng.choice(r, size=w, replace=False)
-            v = c.add(SparseVector(n, k + np.sort(epos), np.ones(w, dtype=np.int64), q))
+            v = dense_vector(np.concatenate([k + rng.choice(r, size=w, replace=False), c]), n, q)
             sigma = np.zeros(n, dtype=np.int64)
-            for g, t_g in zip(*np.unique(v.values, return_counts=True)):
+            for g, t_g in zip(*np.unique(v[v != 0], return_counts=True)):
                 sigma += int(g) * (rng.multinomial(t_g, dprobs, size=n) @ dvals)
             accepted += bool(np.all(sigma % q != 0))
     p_hat = accepted / trials

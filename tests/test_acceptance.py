@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import expand, gf_inv_dense, gf_matmul, qc_mat_mul
+from oracles import dense_vector, expand, gf_inv_dense, gf_matmul, qc_mat_mul
 from spanse import serial
 from spanse.analysis import (
     AttackPoint,
@@ -136,7 +136,7 @@ def test_criterion_07_scheme_property_suite():
         hp = expand(pk.Hpub)
         for _ in range(25):
             c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
-            sc = gf_matmul(expand(sk.S), c.to_dense()[:, None], q)
+            sc = gf_matmul(expand(sk.S), dense_vector(c, DESK.n, q)[:, None], q)
             assert not gf_matmul(hp, sc, q).any()
 
     # 10^3 each: message tamper, sigma tamper, theta tamper, wrong key

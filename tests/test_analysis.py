@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +203,24 @@ def test_rejection_binomial_model_is_the_thinned_mixture():
         mixture += binom.pmf(z, n, model.rho_c) * np.bincount(np.arange(z + 1) % q,
                                                               weights=pmf, minlength=q)
     assert np.allclose(model.codeword_dist, mixture, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("weight_model", ["binomial", "fixed"])
+def test_rejection_pmfs_match_scipy_at_spanse_128(weight_model):
+    # each pmf mod q is a cyclic-convolution power of a Bernoulli pmf; at
+    # spanse-128 the binomial model's codeword part has n = 24038 trials
+    from scipy.stats import binom
+
+    ref = get_params("spanse-128")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ps = dataclasses.replace(ref, density=DensityPolynomial.parse("1/2,1/2", ref.q))
+    model = RejectionModel(ps, weight_model=weight_model)
+    z, rho = (ps.n, model.rho_c / 2) if weight_model == "binomial" else (ps.m_g * ps.w_g, 0.5)
+    for dist, trials, prob in ((model.codeword_dist, z, rho), (model.pattern_dist, ps.w, 0.5)):
+        counts = np.arange(trials + 1)
+        want = np.bincount(counts % ps.q, weights=binom.pmf(counts, trials, prob), minlength=ps.q)
+        assert np.allclose(dist, want, rtol=1e-10, atol=0)
 
 
 def test_rejection_analytic_rejects_nonbinary():

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import subprocess
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanse import cli, serial
+from spanse import cli, scheme, serial
 from spanse.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, main
-from spanse.params import ParameterSet, get_params
+from spanse.params import DensityPolynomial, ParameterSet, get_params
 from spanse.qcalg import QCMatrix
 from spanse.scheme import PrivateKey
 
@@ -316,27 +317,29 @@ def _python_limited(*argv) -> subprocess.CompletedProcess:
     return _python("-c", code, *argv, timeout=120)
 
 
-def _params_file(path, p, n0, k0):
-    """spanse-128's field, weights and density at another size; 59 bytes."""
+def _params_file(path, p, n0, k0, w_g=None, density=None):
+    """spanse-128's field, weights and density at another size, or with
+    another generator row weight or density; 59 bytes at spanse-128's density."""
     ref = get_params("spanse-128")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        params = ParameterSet("big", ref.q, p, n0, k0, ref.w, ref.w_g, ref.m_g, ref.density)
+        params = ParameterSet("big", ref.q, p, n0, k0, ref.w, w_g or ref.w_g, ref.m_g,
+                              density or ref.density)
     path.write_bytes(serial.serialize_params(params))
     return path
 
 
-@pytest.mark.parametrize("argv, n0, k0, p", [
+@pytest.mark.parametrize("argv, n0, k0, p, w_g", [
     # G's block form alone would be 3.29 TiB
     (["keygen", "--private", "{dir}/sk.bin", "--public", "{dir}/pk.bin", "--seed", "1"],
-     60000, 30000, 251),
-    # n = 4.29e9: every length-n array of a trial is 34 GB
-    (["analyze", "rejection", "--monte-carlo", "10", "--seed", "1"], 65535, 32767, 65521),
+     60000, 30000, 251, 11),
+    # G's 32767 x 65535 positions are 16 GiB
+    (["analyze", "rejection", "--monte-carlo", "10", "--seed", "1"], 65535, 32767, 65521, 65535),
     # desk's size, but 10^9 batches of 1000 trials: their seeds and sizes alone are 477 GiB
-    (["analyze", "rejection", "--monte-carlo", "1000000000000", "--seed", "1"], 20, 10, 13),
+    (["analyze", "rejection", "--monte-carlo", "1000000000000", "--seed", "1"], 20, 10, 13, 11),
 ], ids=["keygen", "monte-carlo", "monte-carlo-batches"])
-def test_oversized_parameters_are_refused_before_allocating(workdir, argv, n0, k0, p):
-    pfile = _params_file(workdir / "big.params", p, n0, k0)
+def test_oversized_parameters_are_refused_before_allocating(workdir, argv, n0, k0, p, w_g):
+    pfile = _params_file(workdir / "big.params", p, n0, k0, w_g)
     assert len(pfile.read_bytes()) == 59
     argv = [a.format(dir=workdir) for a in argv]
     proc = _python_limited(*argv, "--params", str(pfile))
@@ -351,3 +354,44 @@ def test_closed_form_analyses_run_at_any_size(workdir, kind):
     pfile = _params_file(workdir / "big.params", 65521, 65535, 32767)
     proc = _python_limited("analyze", kind, "--params", str(pfile))
     assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def test_monte_carlo_at_n_4e9_holds_positions_only(workdir):
+    # n = 4.29e9: a length-n array per trial would be 34 GB, but a trial
+    # holds only the positions of e and c, and G is 32767 x 11 positions
+    pfile = _params_file(workdir / "big.params", 65521, 65535, 32767)
+    proc = _python_limited("analyze", "rejection", "--monte-carlo", "10", "--seed", "1",
+                           "--params", str(pfile))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "p_valid = " in proc.stdout and proc.stderr == ""
+
+
+def test_zero_only_density_is_refused_by_keygen_not_by_analyze(workdir, capsys):
+    # d0 = 1 makes every S zero: keygen exits 2 before any draw instead of
+    # drawing S 100 times, while the rejection model reports p_valid = 0
+    desk = get_params("desk")
+    pfile = _params_file(workdir / "zero.params", desk.p, desk.n0, desk.k0,
+                         density=DensityPolynomial.parse("1,0", desk.q))
+    sk, pk = workdir / "sk.bin", workdir / "pk.bin"
+    drawn = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "make_code", lambda *a: drawn.append(a))
+        assert run("keygen", "--params", pfile, "--private", sk, "--public", pk,
+                   "--seed", 1) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "every S is zero" in err and "Traceback" not in err
+    assert not drawn and not sk.exists() and not pk.exists()
+    assert run("analyze", "rejection", "--params", pfile) == EXIT_OK
+    assert "p_valid = 0\n" in capsys.readouterr().out
+
+
+def test_fuzzed_files_end_in_exit_0_1_or_2_without_traceback(tmp_path):
+    # about 600 mutated desk keys, signatures and params files through
+    # sign, keycheck, verify, analyze and keygen, in one child interpreter
+    # under a 4 GiB address-space limit, each command under a 5 s budget
+    fuzz = Path(__file__).with_name("cli_fuzz.py")
+    proc = _python(str(fuzz), str(tmp_path), "0", "600", timeout=600)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["commands"] > 1000
+    assert not result["violations"], result["violations"][:5]

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from oracles import expand, gf_inv_dense, gf_matmul, perm_dense, perm_qc_matrix, qc_mat_mul
+from oracles import (
+    dense_vector,
+    expand,
+    gf_inv_dense,
+    gf_matmul,
+    perm_dense,
+    perm_qc_matrix,
+    qc_mat_mul,
+)
 from spanse import qcalg
 from spanse.qcalg import (
     DimensionMismatchError,
     QCMatrix,
     QCPermutation,
-    SparseVector,
     perm_apply,
     perm_inv_mul,
+    qc_mat_gather,
     qc_mat_vec,
     qc_solve,
     random_qc_permutation,
@@ -27,9 +35,9 @@ def qc_mat_inv(A):
     return qc_solve(A, QCMatrix.identity(A.rows0, A.p, A.q))
 
 
-def rand_sparse(rng, length, density=0.25, q=Q):
-    dense = (rng.random(length) < density) * rng.integers(1, q, size=length)
-    return SparseVector.from_dense(dense, q)
+def rand_positions(rng, length, density=0.25):
+    """About density * length positions drawn with replacement, so some repeat."""
+    return rng.integers(0, length, size=rng.binomial(length, density))
 
 
 # --- polynomial ring: 1 x 1 block matrices ---------------------------------
@@ -508,19 +516,30 @@ def test_qc_mat_inv_requires_square():
 # --- vectors ---------------------------------------------------------------
 
 def test_sparse_vector_invariants():
-    v = SparseVector(10, np.array([5, 2]), np.array([3, 0]), Q)
-    assert v.weight() == 1 and v.indices.tolist() == [5]
-    with pytest.raises(ValueError):
-        SparseVector(4, np.array([4]), np.array([1]), Q)
-    with pytest.raises(ValueError):
-        SparseVector(4, np.array([1, 1]), np.array([1, 2]), Q)
+    # a position array's entries are multiplicities mod q, in any order
+    rng = np.random.default_rng(18)
+    A = rand_qc(rng, 3, 2, 5)
+    dense = expand(A)
+    assert np.array_equal(qc_mat_gather(A, [7, 2, 7]), (dense[:, 2] + 2 * dense[:, 7]) % Q)
+    assert np.array_equal(qc_mat_gather(A, [2, 7, 7]), qc_mat_gather(A, [7, 7, 2]))
+    assert not qc_mat_gather(A, [4] * Q).any()
+    assert not qc_mat_gather(A, np.zeros(0, dtype=np.int64)).any()
+    for outside in ([10], [-1], [3, 10]):
+        with pytest.raises(DimensionMismatchError):
+            qc_mat_gather(A, outside)
 
 
 def test_sparse_add_matches_dense():
+    # the sum of two sparse vectors is the concatenation of their positions
     rng = np.random.default_rng(18)
     for _ in range(100):
-        a, b = rand_sparse(rng, 30), rand_sparse(rng, 30)
-        assert np.array_equal(a.add(b).to_dense(), (a.to_dense() + b.to_dense()) % Q)
+        p = int(rng.choice([3, 5, 13]))
+        A = rand_qc(rng, 2, 3, p)
+        a, b = rand_positions(rng, 3 * p), rand_positions(rng, 3 * p)
+        want = gf_matmul(expand(A), (dense_vector(a, 3 * p, Q) + dense_vector(b, 3 * p, Q))[:, None],
+                         Q)[:, 0]
+        assert np.array_equal(qc_mat_gather(A, np.concatenate([a, b])), want)
+        assert np.array_equal((qc_mat_gather(A, a) + qc_mat_gather(A, b)) % Q, want)
 
 
 def test_qc_mat_vec_unit_vectors_read_columns():
@@ -531,8 +550,7 @@ def test_qc_mat_vec_unit_vectors_read_columns():
         e = np.zeros(10, dtype=np.int64)
         e[i] = 1
         assert np.array_equal(qc_mat_vec(A, e), dense[:, i])
-        sv = SparseVector(10, np.array([i]), np.array([1]), Q)
-        assert np.array_equal(qc_mat_vec(A, sv), dense[:, i])
+        assert np.array_equal(qc_mat_gather(A, [i]), dense[:, i])
 
 
 def test_qc_mat_vec_oracle_sparse_and_dense():
@@ -543,21 +561,21 @@ def test_qc_mat_vec_oracle_sparse_and_dense():
         A = rand_qc(rng, m, c, p)
         v = rng.integers(0, Q, c * p)
         assert np.array_equal(qc_mat_vec(A, v), gf_matmul(expand(A), v[:, None], Q)[:, 0])
-        sv = rand_sparse(rng, c * p)
-        assert np.array_equal(qc_mat_vec(A, sv),
-                              gf_matmul(expand(A), sv.to_dense()[:, None], Q)[:, 0])
+        pos = rand_positions(rng, c * p)
+        assert np.array_equal(qc_mat_gather(A, pos),
+                              gf_matmul(expand(A), dense_vector(pos, c * p, Q)[:, None], Q)[:, 0])
     assert not qc_mat_vec(A, np.zeros(c * p, dtype=np.int64)).any()
     with pytest.raises(DimensionMismatchError):
         qc_mat_vec(A, np.zeros(m * p + c * p, dtype=np.int64))
     with pytest.raises(DimensionMismatchError):
-        qc_mat_vec(A, SparseVector(c * p + 1, np.array([0]), np.array([1]), Q))
+        qc_mat_gather(A, [c * p])
 
 
 @pytest.mark.parametrize("p", [1, 2, 13, 101])
 def test_qc_mat_vec_both_paths_match_dense_at_every_shape(p, monkeypatch):
     # rows0 < cols0 and rows0 > cols0 catch a product taken against the
     # wrong block axis; all-(q-1) operands give the largest coefficients.
-    # A support wider than one gather chunk crosses chunk boundaries.
+    # More positions than one gather chunk cross chunk boundaries.
     monkeypatch.setattr(qcalg, "_GATHER_CHUNK", 3)
     rng = np.random.default_rng(50 + p)
     for rows0, cols0 in ((1, 1), (2, 5), (5, 2), (3, 3)):
@@ -568,23 +586,21 @@ def test_qc_mat_vec_both_paths_match_dense_at_every_shape(p, monkeypatch):
             v = np.full(cols0 * p, Q - 1) if full else rng.integers(0, Q, cols0 * p)
             want = gf_matmul(expand(A), v[:, None], Q)[:, 0]
             assert np.array_equal(qc_mat_vec(A, v), want)
-            assert np.array_equal(qc_mat_vec(A, SparseVector.from_dense(v, Q)), want)
-            sv = rand_sparse(rng, cols0 * p, density=0.3)
-            want = gf_matmul(expand(A), sv.to_dense()[:, None], Q)[:, 0]
-            assert np.array_equal(qc_mat_vec(A, sv), want)
-            assert np.array_equal(qc_mat_vec(A, sv.to_dense()), want)
+            assert np.array_equal(qc_mat_gather(A, np.repeat(np.arange(v.size), v)), want)
+            pos = rand_positions(rng, cols0 * p, density=0.3)
+            want = gf_matmul(expand(A), dense_vector(pos, cols0 * p, Q)[:, None], Q)[:, 0]
+            assert np.array_equal(qc_mat_gather(A, pos), want)
+            assert np.array_equal(qc_mat_vec(A, dense_vector(pos, cols0 * p, Q)), want)
 
 
 # --- permutations ----------------------------------------------------------
 
 def test_perm_identity_and_shift_example():
     ident = QCPermutation(np.arange(3), np.zeros(3, dtype=np.int64), 5, Q)
-    s = SparseVector(15, np.array([1, 7]), np.array([1, 3]), Q)
-    assert perm_apply(ident, s) == s
+    assert perm_apply(ident, np.array([7, 1])).tolist() == [7, 1]
     # a single-block shift by x^2 maps index 0 to index 2
     P = QCPermutation(np.array([0]), np.array([2]), 5, Q)
-    out = perm_apply(P, SparseVector(5, np.array([0]), np.array([1]), Q))
-    assert out.indices.tolist() == [2]
+    assert perm_apply(P, np.array([0])).tolist() == [2]
 
 
 def test_perm_expansion_is_permutation_matrix():
@@ -600,10 +616,11 @@ def test_perm_apply_matches_expansion_and_inverts():
     rng = np.random.default_rng(22)
     for _ in range(100):
         P = random_qc_permutation(4, 7, Q, rng)
-        s = rand_sparse(rng, 28, density=0.3)
+        s = rng.choice(28, size=rng.integers(0, 29), replace=False)
         out = perm_apply(P, s)
-        assert out.weight() == s.weight()
-        assert np.array_equal(out.to_dense(), gf_matmul(perm_dense(P), s.to_dense()[:, None], Q)[:, 0])
+        assert np.unique(out).size == s.size
+        assert np.array_equal(dense_vector(out, 28, Q),
+                              gf_matmul(perm_dense(P), dense_vector(s, 28, Q)[:, None], Q)[:, 0])
         # permutation inverse = transpose of the expansion
         Pi = qc_mat_inv(perm_qc_matrix(P))
         assert np.array_equal(expand(Pi), perm_dense(P).T)

@@ -2,10 +2,13 @@
 
 Every top-level function and class in src/spanse/ must be named somewhere
 in src/spanse/ outside its own definition. Code that only tests call
-belongs in the tests (dense oracles go in tests/oracles.py).
+belongs in the tests (dense oracles go in tests/oracles.py). The library
+imports only the standard library, numpy and itself; scipy is a test
+dependency.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,3 +50,18 @@ def test_every_library_definition_is_reached():
                 unreached.append(f"{module}.{node.name}")
     assert not unreached, f"defined in src/spanse/ but named nowhere else there: {unreached}"
     assert set(ALLOWED) <= defined, "stale allowlist entry"
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}: {root}" for root in roots
+                        if root not in sys.stdlib_module_names and root not in ("numpy", "spanse")]
+    assert not foreign, f"src/spanse/ imports outside the stdlib and numpy: {foreign}"
