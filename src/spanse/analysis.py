@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -198,77 +198,42 @@ def _cyclic_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _binomial_mod_q(trials: int, prob: float, q: int) -> np.ndarray:
-    """The pmf of Bin(trials, prob) reduced mod q: the trials-th
-    cyclic-convolution power of the Bernoulli pmf (1 - prob, prob, 0, ...),
-    by square-and-multiply."""
-    dist, step = np.eye(1, q)[0], np.zeros(q)
-    step[:2] = 1.0 - prob, prob
-    while trials:
-        if trials & 1:
-            dist = _cyclic_mul(dist, step)
-        trials >>= 1
-        if trials:
-            step = _cyclic_mul(step, step)
+def _pmf_power(powers: list, t: int, dist: np.ndarray) -> np.ndarray:
+    """`dist` convolved with the t-th cyclic-convolution power of powers[0],
+    by square-and-multiply. powers[i] is powers[0] summed 2^i times; the
+    doublings t needs are appended in place, so callers that share the
+    list square each pmf once."""
+    for i in range(t.bit_length()):
+        if i == len(powers):
+            powers.append(_cyclic_mul(powers[-1], powers[-1]))
+        if t >> i & 1:
+            dist = _cyclic_mul(dist, powers[i])
     return dist
 
 
-@dataclass
-class RejectionModel:
-    """Entry-value distributions for one signing attempt.
+def rejection_rate_analytic(params: ParameterSet) -> RejectionReport:
+    """Closed-form acceptance probability for binary densities.
 
-    The masked vector v = e + c has two independent contributions per
-    signature entry: the codeword part (weight concentrated near m_g*w_g)
-    and the sparse syndrome part (weight exactly w). Each contributes a
-    sum of Bernoulli(d1) picks through the dense transform, reduced mod q.
-
-    weight_model selects how the codeword weight z is treated:
-    "binomial" draws z ~ Bin(n, rho_c) (the per-entry Bernoulli model), so
-    by binomial thinning the codeword part is Bin(n, rho_c * d1);
-    "fixed" pins z at m_g*w_g, matching the sampler's near-constant
-    codeword weight, so the codeword part is Bin(m_g*w_g, d1).
+    Each signature entry is the sum of a syndrome part and a codeword part,
+    each a sum of Bernoulli(d1) picks through the dense transform, reduced
+    mod q. The syndrome part sums w picks: Bin(w, d1). The codeword part
+    draws its weight z ~ Bin(n, rho_c), with rho_c the chance that one of
+    the m_g rows of weight w_g covers a position, and sums z picks; by
+    binomial thinning it is Bin(n, rho_c d1). An entry is 0 mod q with
+    probability p0, and an attempt is accepted with probability (1 - p0)^n.
     """
-
-    params: ParameterSet
-    weight_model: str = "binomial"
-    rho_c: float = field(init=False)
-    rho_S: float = field(init=False)
-    codeword_dist: np.ndarray = field(init=False)  # Pr[c-part = x mod q]
-    pattern_dist: np.ndarray = field(init=False)  # Pr[e-part = x mod q]
-
-    def __post_init__(self):
-        ps = self.params
-        if not ps.density.is_binary():
-            raise ValueError("analytic model requires a binary density; use Monte Carlo")
-        n, q, w = ps.n, ps.q, ps.w
-        self.rho_c = 1.0 - (1.0 - ps.w_g / n) ** ps.m_g
-        self.rho_S = float(ps.density.d1)
-        if self.weight_model == "binomial":
-            z, rho = n, self.rho_c * self.rho_S
-        elif self.weight_model == "fixed":
-            z, rho = min(n, ps.m_g * ps.w_g), self.rho_S
-        else:
-            raise ValueError(f"unknown weight model {self.weight_model!r}")
-        self.codeword_dist = _binomial_mod_q(z, rho, q)
-        self.pattern_dist = _binomial_mod_q(w, self.rho_S, q)
-
-    def p_zero_entry(self) -> float:
-        q = self.params.q
-        return float(
-            np.dot(self.codeword_dist, self.pattern_dist[(q - np.arange(q)) % q])
-        )
-
-    def report(self) -> RejectionReport:
-        p0 = self.p_zero_entry()
-        p_valid = (1.0 - p0) ** self.params.n
-        expected = math.inf if p_valid == 0.0 else 1.0 / p_valid
-        return RejectionReport(p0, p_valid, expected)
-
-
-def rejection_rate_analytic(params: ParameterSet,
-                            weight_model: str = "binomial") -> RejectionReport:
-    """Closed-form acceptance probability for binary densities."""
-    return RejectionModel(params, weight_model).report()
+    if not params.density.is_binary():
+        raise ValueError("analytic model requires a binary density; use Monte Carlo")
+    n, q, d1 = params.n, params.q, float(params.density.d1)
+    rho_c = 1.0 - (1.0 - params.w_g / n) ** params.m_g
+    dist = np.eye(1, q)[0]
+    for trials, prob in ((params.w, d1), (n, rho_c * d1)):
+        step = np.zeros(q)
+        step[:2] = 1.0 - prob, prob
+        dist = _pmf_power([step], trials, dist)
+    p0 = float(dist[0])
+    p_valid = (1.0 - p0) ** n
+    return RejectionReport(p0, p_valid, math.inf if p_valid == 0.0 else 1.0 / p_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +253,7 @@ def _p_zero(values: np.ndarray, pmf: np.ndarray, squares: dict) -> float:
     for g, t in zip(*np.unique(values, return_counts=True)):
         powers = squares.setdefault(int(g), [np.bincount(int(g) * np.arange(q) % q,
                                                          weights=pmf, minlength=q)])
-        for i in range(int(t).bit_length()):
-            if i == len(powers):
-                powers.append(_cyclic_mul(powers[-1], powers[-1]))
-            if t >> i & 1:
-                dist = _cyclic_mul(dist, powers[i])
+        dist = _pmf_power(powers, int(t), dist)
     return float(dist[0])
 
 

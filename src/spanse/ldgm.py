@@ -6,11 +6,12 @@ quasi-cyclic it is enough to place w_g ones in the expanded first row of
 each block row; the circulant structure propagates the weight to every
 other row. G is held as those positions, (k0, w_g) sorted indices, as the
 key file stores them, and a codeword u G as the positions of the rows u
-picks, a position repeated where rows overlap. Only the solve for a
-systematic parity-check matrix H = [-W^T | I], where G = [M1 | M2] and
-M1 W = M2, builds G's block form; it solves for W (M1^{-1} is never
-formed), so that syndromes of vectors of the form [0_k | s'] read off s'
-directly. make_code returns (G, H).
+picks, a position repeated where rows overlap. Only the solve for the
+systematic parity check builds G's block form: with G = [M1 | M2] and
+M1 W = M2 solved for (M1^{-1} is never formed), H = [-W^T | I], so that
+syndromes of vectors of the form [0_k | s'] read off s' directly. Keygen
+solves against H^T = [-W; I], so H itself is never built, and a singular
+M1 is reported as None. make_code returns (G, H^T).
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from .qcalg import QCMatrix, qc_solve
 
 # how many generator resamples to attempt before declaring keygen failure
 MAX_GENERATOR_RETRIES = 100
-
-
-class NotReducibleError(Exception):
-    """The left k x k part of G is singular; the caller should resample."""
 
 
 class GenerationError(ParameterError):
@@ -48,30 +45,25 @@ def generator_matrix(G: np.ndarray, params: ParameterSet) -> QCMatrix:
     return QCMatrix(blocks.reshape(params.k0, params.n0, params.p), params.q)
 
 
-def systematic_parity_check(G: QCMatrix) -> QCMatrix:
-    """H = [-W^T | I] from G = [M1 | M2], with W = M1^{-1} M2 solved for.
-
-    Raises NotReducibleError when the left block part M1 is singular.
-    The identity right part means H e^T = s' for e = [0_k | s'^T].
-    """
-    k0, q = G.rows0, G.q
-    W = qc_solve(QCMatrix(G.blocks[:, :k0], q), QCMatrix(G.blocks[:, k0:], q))
+def parity_check_transpose(G: np.ndarray, params: ParameterSet) -> QCMatrix | None:
+    """H^T = [-W; I] for G = [M1 | M2], with M1 W = M2 solved for, or None
+    when the left block part M1 is singular. H = [-W^T | I] has G H^T = 0
+    and an identity right part, so H e^T = s' for e = [0_k | s'^T]."""
+    blocks, q = generator_matrix(G, params).blocks, params.q
+    W = qc_solve(QCMatrix(blocks[:, :params.k0], q), QCMatrix(blocks[:, params.k0:], q))
     if W is None:
-        raise NotReducibleError("left block part of the generator is singular")
-    I = QCMatrix.identity(G.cols0 - k0, G.p, q)
-    # QCMatrix reduces -W^T mod q
-    return QCMatrix(np.concatenate([-W.transpose().blocks, I.blocks], axis=1), q)
+        return None
+    I = QCMatrix.identity(params.r0, params.p, q)
+    return QCMatrix(np.concatenate([-W.blocks, I.blocks]), q)  # reduces -W mod q
 
 
 def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[np.ndarray, QCMatrix]:
-    """(G, H): sample generators until one admits a systematic parity check."""
+    """(G, H^T): sample generators until one admits a systematic parity check."""
     for _ in range(MAX_GENERATOR_RETRIES):
         G = sample_generator(params, rng)
-        try:
-            H = systematic_parity_check(generator_matrix(G, params))
-        except NotReducibleError:
-            continue
-        return G, H
+        Ht = parity_check_transpose(G, params)
+        if Ht is not None:
+            return G, Ht
     raise GenerationError(
         f"no reducible generator found in {MAX_GENERATOR_RETRIES} attempts"
     )

@@ -178,10 +178,6 @@ class ParameterSet:
     def r0(self) -> int:
         return self.n0 - self.k0
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
     def describe(self) -> str:
         return (
             f"{self.name}: q={self.q} p={self.p} n={self.n} k={self.k} r={self.r} "

@@ -468,10 +468,6 @@ class QCPermutation:
     def size0(self) -> int:
         return int(self.block_perm.size)
 
-    @property
-    def dim(self) -> int:
-        return self.size0 * self.p
-
 
 def perm_apply(P: QCPermutation, positions: np.ndarray) -> np.ndarray:
     """The positions of P s for the vector s with ones at `positions`."""

@@ -2,7 +2,8 @@
 
 Key generation hides a sparse-generator code behind a quasi-cyclic
 permutation P and a dense invertible transformation S: the public matrix
-is H' = P^{-1} H S^{-1}, with H S^{-1} solved for; S^{-1} is never formed.
+is H' = P^{-1} H S^{-1}, with (H S^{-1})^T = S^{-T} H^T solved for against
+the H^T that ldgm.make_code returns; neither H nor S^{-1} is formed.
 Signing maps the message to a sparse weight-w syndrome s, lifts it to an
 error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
 codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
@@ -60,7 +61,7 @@ class SigningError(Exception):
 
 @dataclass
 class PrivateKey:
-    """{P, G, S}: exactly what signing reads. H lives only in keygen."""
+    """{P, G, S}: exactly what signing reads. H^T lives only in keygen."""
 
     params: ParameterSet
     P: QCPermutation  # r x r block-shift permutation
@@ -83,7 +84,7 @@ class Signature:
 @dataclass(frozen=True)
 class VerifyResult:
     accepted: bool
-    reason: str | None = None  # "zero-entry" | "syndrome-weight" | "syndrome-mismatch"
+    reason: str | None = None  # "zero-entry" | "syndrome-mismatch"
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -104,9 +105,8 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
     if params.density.d0 == 1:
         raise ParameterError("the density puts all its mass on 0, so every S is zero")
     check_working_set(params, "keygen")
-    G, H = make_code(params, rng)
+    G, Ht = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, params.q, rng)
-    Ht = H.transpose()
     for _ in range(MAX_S_RETRIES):
         S = sample_dense_transform(params, rng)
         X = qc_solve(S.transpose(), Ht)
@@ -194,14 +194,12 @@ def sign(
 
 
 def verify(pk: PublicKey, message: bytes, sig: Signature) -> VerifyResult:
-    """Check zero-freeness, syndrome weight, and H' sigma^T = s."""
+    """Check zero-freeness and H' sigma^T = s."""
     params = pk.params
     sigma = np.asarray(sig.sigma, dtype=np.int64)
     if sigma.size != params.n or np.any(sigma % params.q == 0):
         return VerifyResult(False, "zero-entry")
     s_star = derive_syndrome(message, sig.theta, params)
-    if s_star.size != params.w:
-        return VerifyResult(False, "syndrome-weight")
     syndrome = qc_mat_vec(pk.Hpub, sigma % params.q)
     if not np.array_equal(syndrome, np.bincount(s_star, minlength=params.r)):
         return VerifyResult(False, "syndrome-mismatch")

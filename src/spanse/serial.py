@@ -25,7 +25,8 @@ positions all of value 1 (as keygen writes it), and that no block row of
 S is zero (signing with such an S could never succeed). Keys are held as
 stored (G as sorted one-positions, S and H' as blocks); H, S^{-1} and the
 transposes are not derived. `check_private` runs the two O(n0^3 p) checks
-a load skips (M1 and S invertible). File writes go to a temporary name in the
+a load skips: M1 invertible, through ldgm.parity_check_transpose, and S
+invertible. File writes go to a temporary name in the
 target directory and are renamed into place, so failures never leave a
 partial file.
 """
@@ -40,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import NotReducibleError, generator_matrix, systematic_parity_check
+from .ldgm import parity_check_transpose
 from .params import DensityPolynomial, ParameterSet
 from .qcalg import QCMatrix, QCPermutation, qc_solve
 from .scheme import PrivateKey, PublicKey, Signature
@@ -253,10 +254,9 @@ def check_private(sk: PrivateKey):
     These are the two O(n0^3 p) checks that loading skips. S is eliminated
     against a right-hand side with no block columns; no inverse is formed.
     """
-    try:
-        systematic_parity_check(generator_matrix(sk.G, sk.params))
-    except NotReducibleError as exc:
-        raise SerializationError(f"generator is not reducible: {exc}") from exc
+    if parity_check_transpose(sk.G, sk.params) is None:
+        raise SerializationError(
+            "generator is not reducible: left block part of the generator is singular")
     if qc_solve(sk.S, QCMatrix(sk.S.blocks[:, :0], sk.S.q)) is None:
         raise SerializationError("dense transform is singular")
 

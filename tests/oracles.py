@@ -3,16 +3,20 @@
 The library never forms a dense matrix; these oracles expand block matrices
 and permutations and multiply or invert them entry by entry. The library
 also never multiplies two block matrices, so the block product the tests
-check against these oracles is here too. The Monte Carlo oracle samples
-signing attempts entry by entry, where the library scores each masked
-vector by its exact acceptance probability.
+check against these oracles is here too, nor forms the parity-check matrix
+H, only its transpose. The Monte Carlo oracle samples signing attempts
+entry by entry, where the library scores each masked vector by its exact
+acceptance probability; the fixed-weight rejection model is a closed form
+the Monte Carlo is checked against.
 """
 
 import math
 
 import numpy as np
 
-from spanse.ldgm import codeword_from_generator, sample_generator
+from scipy.stats import binom
+
+from spanse.ldgm import codeword_from_generator, parity_check_transpose, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
 from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul
 
@@ -26,6 +30,11 @@ def dense_vector(positions: np.ndarray, n: int, q: int) -> np.ndarray:
 def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
     """A B through the library's one FFT kernel."""
     return QCMatrix(_block_matmul(A.blocks, B.blocks, A.p, A.q), A.q)
+
+
+def parity_check(G: np.ndarray, params: ParameterSet) -> QCMatrix:
+    """H = [-W^T | I] for a generator whose left block part is invertible."""
+    return parity_check_transpose(G, params).transpose()
 
 
 def expand(A: QCMatrix) -> np.ndarray:
@@ -114,3 +123,12 @@ def multinomial_acceptance(params: ParameterSet, density: DensityPolynomial,
             accepted += bool(np.all(sigma % q != 0))
     p_hat = accepted / trials
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
+def fixed_weight_p_zero(params: ParameterSet) -> float:
+    """P(Bin(m_g w_g + w, d1) = 0 mod q) for a binary density: the chance
+    that a signature entry is 0 mod q when the masked vector has exactly
+    m_g w_g + w ones, that is when the codeword's rows never overlap."""
+    trials = params.m_g * params.w_g + params.w
+    zeros = np.arange(0, trials + 1, params.q)
+    return float(binom.pmf(zeros, trials, float(params.density.d1)).sum())

@@ -7,12 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import multinomial_acceptance
+from oracles import fixed_weight_p_zero, multinomial_acceptance
 from spanse import analysis
 from spanse.analysis import (
     AttackPoint,
     ConstraintError,
-    RejectionModel,
     brute_force_log2,
     log2_binomial,
     optimize_attack,
@@ -22,6 +21,7 @@ from spanse.analysis import (
     size_counts,
     size_report,
 )
+from spanse.cli import EXIT_OK, main
 from spanse.params import DensityPolynomial, ParameterSet, get_params
 from spanse.scheme import Signature
 from spanse.serial import serialize_signature
@@ -182,45 +182,73 @@ def test_pge_at_spanse_128_dims():
 
 # --- rejection model ----------------------------------------------------------
 
+def _with_density(params, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return dataclasses.replace(params, density=DensityPolynomial.parse(text, params.q))
+
+
+def _folded_binomial(trials, prob, q):
+    """scipy's Bin(trials, prob) pmf reduced mod q."""
+    from scipy.stats import binom
+
+    counts = np.arange(trials + 1)
+    return np.bincount(counts % q, weights=binom.pmf(counts, trials, prob), minlength=q)
+
+
 def test_rejection_model_distributions_sum_to_one():
-    for wm in ("binomial", "fixed"):
-        model = RejectionModel(DESK, weight_model=wm)
-        assert model.codeword_dist.sum() == pytest.approx(1.0, abs=1e-9)
-        assert model.pattern_dist.sum() == pytest.approx(1.0, abs=1e-9)
-        assert model.rho_c == pytest.approx(1 - (1 - DESK.w_g / DESK.n) ** DESK.m_g)
+    # the pmf powers of the analytic model and of the fixed-weight oracle's
+    # trial count: each sums to one and matches scipy, and the doublings it
+    # needs are appended to the shared list
+    q = DESK.q
+    rho_c = 1 - (1 - DESK.w_g / DESK.n) ** DESK.m_g
+    for trials, prob in ((DESK.w, 0.5), (DESK.n, rho_c * 0.5), (DESK.m_g * DESK.w_g, 0.5)):
+        step = np.zeros(q)
+        step[:2] = 1 - prob, prob
+        powers = [step]
+        dist = analysis._pmf_power(powers, trials, np.eye(1, q)[0])
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+        assert len(powers) == trials.bit_length()
+        assert np.allclose(dist, _folded_binomial(trials, prob, q), rtol=1e-10, atol=0)
+    report = rejection_rate_analytic(DESK)
+    assert report.p_valid == (1 - report.p_zero_entry) ** DESK.n
+    assert report.expected_attempts == 1 / report.p_valid
 
 
 def test_rejection_binomial_model_is_the_thinned_mixture():
     # z ~ Bin(n, rho_c) followed by Bin(z, d1) is Bin(n, rho_c d1): the
-    # model's one pmf equals the mixture summed over every z <= n
+    # analytic p0 equals that of the mixture summed over every z <= n
     from scipy.stats import binom
 
-    model = RejectionModel(DESK)
-    n, q = DESK.n, DESK.q
+    n, q, d1 = DESK.n, DESK.q, float(DESK.density.d1)
+    rho_c = 1 - (1 - DESK.w_g / n) ** DESK.m_g
     mixture = np.zeros(q)
     for z in range(n + 1):
-        pmf = binom.pmf(np.arange(z + 1), z, model.rho_S)
-        mixture += binom.pmf(z, n, model.rho_c) * np.bincount(np.arange(z + 1) % q,
-                                                              weights=pmf, minlength=q)
-    assert np.allclose(model.codeword_dist, mixture, rtol=1e-10, atol=0)
+        mixture += binom.pmf(z, n, rho_c) * _folded_binomial(z, d1, q)
+    pattern = _folded_binomial(DESK.w, d1, q)
+    p0 = np.dot(mixture, pattern[(q - np.arange(q)) % q])
+    assert rejection_rate_analytic(DESK).p_zero_entry == pytest.approx(p0, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("weight_model", ["binomial", "fixed"])
 def test_rejection_pmfs_match_scipy_at_spanse_128(weight_model):
-    # each pmf mod q is a cyclic-convolution power of a Bernoulli pmf; at
-    # spanse-128 the binomial model's codeword part has n = 24038 trials
-    from scipy.stats import binom
-
-    ref = get_params("spanse-128")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ps = dataclasses.replace(ref, density=DensityPolynomial.parse("1/2,1/2", ref.q))
-    model = RejectionModel(ps, weight_model=weight_model)
-    z, rho = (ps.n, model.rho_c / 2) if weight_model == "binomial" else (ps.m_g * ps.w_g, 0.5)
-    for dist, trials, prob in ((model.codeword_dist, z, rho), (model.pattern_dist, ps.w, 0.5)):
-        counts = np.arange(trials + 1)
-        want = np.bincount(counts % ps.q, weights=binom.pmf(counts, trials, prob), minlength=ps.q)
-        assert np.allclose(dist, want, rtol=1e-10, atol=0)
+    # "binomial": the analytic p0 at spanse-128, whose codeword part has
+    # n = 24038 trials, against scipy's Bin(n, rho_c/2) + Bin(w, 1/2) mod q.
+    # "fixed": a masked vector of m_g w_g + w distinct ones, as the
+    # fixed-weight model assumes, has the Monte Carlo's exact p0(v) of
+    # scipy's Bin(m_g w_g + w, 1/2) mod q
+    ps = _with_density(get_params("spanse-128"), "1/2,1/2")
+    q = ps.q
+    if weight_model == "binomial":
+        rho_c = 1 - (1 - ps.w_g / ps.n) ** ps.m_g
+        codeword, pattern = _folded_binomial(ps.n, rho_c / 2, q), _folded_binomial(ps.w, 0.5, q)
+        want = np.dot(codeword, pattern[(q - np.arange(q)) % q])
+        got = rejection_rate_analytic(ps).p_zero_entry
+    else:
+        want = fixed_weight_p_zero(ps)
+        got = analysis._p_zero(np.ones(ps.m_g * ps.w_g + ps.w, dtype=np.int64),
+                               _density_pmf(ps.density), {})
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_rejection_analytic_rejects_nonbinary():
@@ -230,28 +258,22 @@ def test_rejection_analytic_rejects_nonbinary():
         rejection_rate_analytic(ps)
 
 
-def test_rejection_degenerate_zero_weights():
-    d = DensityPolynomial.parse("1/2,1/2", 127)
-    # w=0 is rejected by the parameter invariants, so emulate the empty
-    # input vector through the model internals: with nothing to sum, every
-    # entry is 0 mod q and no attempt can succeed
-    model = RejectionModel.__new__(RejectionModel)
-    import numpy as _np
-
-    q = 127
-    dist = _np.zeros(q)
-    dist[0] = 1.0
-    model.params = ParameterSet("x", 127, 13, 20, 10, 6, 5, 4, d)
-    model.codeword_dist = dist
-    model.pattern_dist = dist
-    assert model.p_zero_entry() == pytest.approx(1.0)
-    assert model.report().p_valid == pytest.approx(0.0)
+def test_rejection_degenerate_zero_weights(capsys):
+    # d(x) = 1 puts all the density's mass on 0: every entry sums to 0 mod
+    # q and no attempt can succeed, in the library and in the CLI
+    report = rejection_rate_analytic(_with_density(DESK, "1,0"))
+    assert report.p_zero_entry == 1.0
+    assert report.p_valid == 0.0 and report.expected_attempts == math.inf
+    capsys.readouterr()
+    assert main(["analyze", "rejection", "--params", "desk", "--density", "1,0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "p_valid = 0\n" in out and "expected_attempts = inf\n" in out
 
 
 def test_rejection_analytic_against_monte_carlo_desk():
-    analytic = rejection_rate_analytic(DESK, weight_model="fixed")
+    analytic = (1 - fixed_weight_p_zero(DESK)) ** DESK.n
     estimate, stderr = rejection_rate_montecarlo(DESK, DESK.density, 20000, seed=99)
-    assert abs(estimate - analytic.p_valid) <= 3 * max(stderr, 1e-4)
+    assert abs(estimate - analytic) <= 3 * max(stderr, 1e-4)
 
 
 def test_montecarlo_reproducible_and_parallel_consistent():

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from oracles import dense_vector, expand, gf_matmul
+from oracles import dense_vector, expand, gf_matmul, parity_check
 from spanse.ldgm import (
     GenerationError,
-    NotReducibleError,
     codeword_from_generator,
     generator_matrix,
     make_code,
+    parity_check_transpose,
     sample_generator,
-    systematic_parity_check,
 )
 from spanse.params import get_params
 from spanse.qcalg import QCMatrix
@@ -55,35 +54,37 @@ def test_systematic_parity_check_identity_part_and_duality():
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 10:
-        G = generator_matrix(sample_generator(DESK, rng), DESK)
-        try:
-            H = systematic_parity_check(G)
-        except NotReducibleError:
+        G = sample_generator(DESK, rng)
+        Ht = parity_check_transpose(G, DESK)
+        if Ht is None:
             continue
         checked += 1
-        dh = expand(H)
+        dh = expand(Ht.transpose())
+        assert np.array_equal(dh, expand(Ht).T)
         assert np.array_equal(dh[:, DESK.k :], np.eye(DESK.r, dtype=np.int64))
-        assert not gf_matmul(dh, expand(G).T, DESK.q).any()
+        assert not gf_matmul(dh, expand(generator_matrix(G, DESK)).T, DESK.q).any()
 
 
 def test_systematic_input_passthrough():
+    # block row i of G = [I | M2] has its identity one at position i p and
+    # w_g - 1 ones in the right part, so W = M2 and H^T = [-M2; I]
     rng = np.random.default_rng(4)
-    p, k0, r0 = 5, 2, 2
-    W = rng.integers(0, DESK.q, (k0, r0, p))
-    blocks = np.zeros((k0, k0 + r0, p), dtype=np.int64)
-    blocks[np.arange(k0), np.arange(k0), 0] = 1
-    blocks[:, k0:] = W
-    G = QCMatrix(blocks, DESK.q)
-    H = systematic_parity_check(G)
-    dense = expand(H)
-    assert np.array_equal(dense[:, : k0 * p], (-expand(QCMatrix(W, DESK.q)).T) % DESK.q)
-    assert not gf_matmul(dense, expand(G).T, DESK.q).any()
+    k, q = DESK.k, DESK.q
+    right = k + np.array([rng.choice(DESK.r, DESK.w_g - 1, replace=False) for _ in range(DESK.k0)])
+    G = np.sort(np.column_stack([np.arange(DESK.k0) * DESK.p, right]), axis=1)
+    M = generator_matrix(G, DESK)
+    assert np.array_equal(expand(M)[:, :k], np.eye(k, dtype=np.int64))
+    M2 = QCMatrix(M.blocks[:, DESK.k0 :], q)
+    dense = expand(parity_check(G, DESK))
+    assert np.array_equal(dense[:, :k], (-expand(M2).T) % q)
+    assert np.array_equal(dense[:, k:], np.eye(DESK.r, dtype=np.int64))
+    assert not gf_matmul(dense, expand(M).T, q).any()
 
 
 def test_syndrome_of_padded_pattern_reads_off_tail():
     rng = np.random.default_rng(5)
-    _, H = make_code(DESK, rng)
-    dh = expand(H)
+    _, Ht = make_code(DESK, rng)
+    dh = expand(Ht.transpose())
     for _ in range(20):
         s = rng.integers(0, DESK.q, DESK.r)
         e = np.concatenate([np.zeros(DESK.k, dtype=np.int64), s])
@@ -92,24 +93,21 @@ def test_syndrome_of_padded_pattern_reads_off_tail():
 
 def test_make_code_retries_and_caps(monkeypatch):
     rng = np.random.default_rng(6)
-    G, H = make_code(DESK, rng)
-    assert G.shape == (DESK.k0, DESK.w_g) and (H.rows0, H.cols0) == (DESK.r0, DESK.n0)
-    assert not gf_matmul(expand(H), expand(generator_matrix(G, DESK)).T, DESK.q).any()
+    G, Ht = make_code(DESK, rng)
+    assert G.shape == (DESK.k0, DESK.w_g) and (Ht.rows0, Ht.cols0) == (DESK.n0, DESK.r0)
+    assert not gf_matmul(expand(generator_matrix(G, DESK)), expand(Ht), DESK.q).any()
 
     import spanse.ldgm as ldgm_mod
 
-    def always_singular(G):
-        raise NotReducibleError("forced")
-
-    monkeypatch.setattr(ldgm_mod, "systematic_parity_check", always_singular)
+    monkeypatch.setattr(ldgm_mod, "parity_check_transpose", lambda G, params: None)
     with pytest.raises(GenerationError):
         make_code(DESK, rng)
 
 
 def test_random_codeword_is_codeword_and_weight_model():
     rng = np.random.default_rng(7)
-    G, H = make_code(DESK, rng)
-    dh = expand(H)
+    G, Ht = make_code(DESK, rng)
+    dh = expand(Ht.transpose())
     weights = []
     for _ in range(2000):
         c = codeword_from_generator(G, DESK, DESK.m_g, rng)

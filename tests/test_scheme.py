@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import dense_vector, expand, gf_matmul, perm_dense
+from oracles import dense_vector, expand, gf_matmul, parity_check, perm_dense
 from spanse import ldgm, qcalg, scheme, serial
-from spanse.ldgm import codeword_from_generator, generator_matrix, systematic_parity_check
+from spanse.ldgm import codeword_from_generator
 from spanse.params import get_params
 from spanse.qcalg import perm_apply, qc_mat_gather
 from spanse.scheme import (
@@ -30,7 +30,7 @@ def test_keygen_structural_identities(keypair):
     q = DESK.q
     # H' = P^{-1} H S^{-1}, i.e. H' S = P^T H, against dense expansions
     lhs = expand(pk.Hpub)
-    H = systematic_parity_check(generator_matrix(sk.G, DESK))
+    H = parity_check(sk.G, DESK)
     assert np.array_equal(gf_matmul(lhs, expand(sk.S), q),
                           gf_matmul(perm_dense(sk.P).T, expand(H), q))
     # public H' annihilates S-transformed codewords: H' (S c^T) = 0
@@ -57,6 +57,11 @@ def test_derive_syndrome_contract():
     assert s1.size == DESK.w and np.all(np.diff(s1) > 0) and 0 <= s1[0] and s1[-1] < DESK.r
     assert not np.array_equal(derive_syndrome(b"message", b"other-theta", DESK), s1)
     assert not np.array_equal(derive_syndrome(b"other", b"theta", DESK), s1)
+    # spanse-128: w = 26 distinct sorted positions among r = 12 019
+    ps = get_params("spanse-128")
+    for i in range(50):
+        s = derive_syndrome(b"message %d" % i, b"theta", ps)
+        assert s.size == ps.w and np.all(np.diff(s) > 0) and 0 <= s[0] and s[-1] < ps.r
 
 
 def test_derive_syndrome_position_uniformity():
@@ -109,7 +114,7 @@ def test_chain_identity_term_by_term(keypair):
     assert np.array_equal(sigma, qc_mat_gather(sk.S, np.concatenate([DESK.k + s_perm, c])))
     # H' sigma^T = P^{-1} H (e + c)^T = P^{-1} s' = s
     t1 = gf_matmul(expand(pk.Hpub), sigma[:, None], q)[:, 0]
-    H = expand(systematic_parity_check(generator_matrix(sk.G, DESK)))
+    H = expand(parity_check(sk.G, DESK))
     t2 = gf_matmul(perm_dense(sk.P).T, gf_matmul(H, v[:, None], q), q)[:, 0]
     t3 = gf_matmul(perm_dense(sk.P).T, dense_vector(s_perm, DESK.r, q)[:, None], q)[:, 0]
     assert np.array_equal(t1, t2)

@@ -1,7 +1,8 @@
 """The library holds what the scheme, the analysis suite and the CLI reach.
 
-Every top-level function and class in src/spanse/ must be named somewhere
-in src/spanse/ outside its own definition. Code that only tests call
+Every top-level function and class in src/spanse/, and every method and
+property of its classes other than dunders, must be named somewhere in
+src/spanse/ outside its own definition. Code that only tests call
 belongs in the tests (dense oracles go in tests/oracles.py). The library
 imports only the standard library, numpy and itself; scipy is a test
 dependency.
@@ -48,6 +49,13 @@ def test_every_library_definition_is_reached():
             outside = everywhere[node.name] - _names(node)[node.name]
             if outside == 0 and (module, node.name) not in ALLOWED:
                 unreached.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                # methods and properties; dunders are reached by the language
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not (member.name.startswith("__") and member.name.endswith("__"))
+                            and everywhere[member.name] == _names(member)[member.name]):
+                        unreached.append(f"{module}.{node.name}.{member.name}")
     assert not unreached, f"defined in src/spanse/ but named nowhere else there: {unreached}"
     assert set(ALLOWED) <= defined, "stale allowlist entry"
 
