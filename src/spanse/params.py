@@ -195,7 +195,10 @@ def check_working_set(params: ParameterSet, command: str, batches: int = 0):
     """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
     in physical memory and under RLIMIT_AS: keygen's G blocks, S and
     [S^T | H^T] (3 n0^2 p int64 words), or the Monte Carlo's generator
-    (k0 w_g int64 positions) and the bookkeeping of its `batches` batches."""
+    (k0 w_g int64 positions) and the bookkeeping of its `batches` batches.
+    The Monte Carlo's score memo is not counted: it holds one small entry
+    per distinct masked-vector multiset of the running batch, at most
+    `batch_size` and 4 to 8 measured per 1000 trials."""
     need = (8 * 3 * params.n0**2 * params.p if command == "keygen"
             else 8 * params.k0 * params.w_g + _BATCH_BYTES * batches)
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -6,8 +6,10 @@ also never multiplies two block matrices, so the block product the tests
 check against these oracles is here too, nor forms the parity-check matrix
 H, only its transpose. The Monte Carlo oracle samples signing attempts
 entry by entry, where the library scores each masked vector by its exact
-acceptance probability; the fixed-weight rejection model is a closed form
-the Monte Carlo is checked against.
+acceptance probability; the per-trial oracle scores every masked vector
+afresh, where the library scores each distinct one once per batch; the
+fixed-weight rejection model is a closed form the Monte Carlo is checked
+against.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 
 from scipy.stats import binom
 
+from spanse.analysis import _p_zero
 from spanse.ldgm import codeword_from_generator, parity_check_transpose, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
 from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul
@@ -89,6 +92,44 @@ def perm_qc_matrix(P: QCPermutation) -> QCMatrix:
 def perm_dense(P: QCPermutation) -> np.ndarray:
     """The dense permutation matrix of P."""
     return expand(perm_qc_matrix(P))
+
+
+def value_pairs(values: np.ndarray) -> tuple:
+    """The (g, t) pairs of a multiset of values, as `_p_zero` takes them:
+    each distinct value g in increasing order and its count t."""
+    g, t = np.unique(values, return_counts=True)
+    return tuple(zip(g.tolist(), t.tolist()))
+
+
+def masked_vector_pairs(params: ParameterSet, trials: int, seed):
+    """The (g, t) pairs of each masked vector of one Monte Carlo batch, in
+    trial order, from the same random stream as the library's batch: one
+    generator, then per trial a codeword and a weight-w pattern."""
+    q, k, r, w = params.q, params.k, params.r, params.w
+    rng = np.random.default_rng(seed)
+    G = sample_generator(params, rng)
+    for _ in range(trials):
+        c = codeword_from_generator(G, params, params.m_g, rng)
+        v = np.concatenate([k + rng.choice(r, size=w, replace=False), c])
+        yield value_pairs(np.unique(v, return_counts=True)[1] % q)
+
+
+def per_trial_moments(params: ParameterSet, density: DensityPolynomial,
+                      trials: int, seed) -> tuple[float, float]:
+    """One Monte Carlo batch's (sum, sum of squared deviations) with a
+    `_p_zero` call on every trial, accumulated by Welford's update in
+    trial order."""
+    pmf = np.array([float(pr) for _, pr in density.value_probabilities()])
+    pmf /= pmf.sum()
+    squares: dict = {}
+    mean = m2 = 0.0
+    for i, pairs in enumerate(masked_vector_pairs(params, trials, seed), 1):
+        p0 = _p_zero(pairs, pmf, squares)
+        accept = math.exp(params.n * math.log1p(-p0)) if p0 < 1.0 else 0.0
+        delta = accept - mean
+        mean += delta / i
+        m2 += delta * (accept - mean)
+    return mean * trials, m2
 
 
 def multinomial_acceptance(params: ParameterSet, density: DensityPolynomial,

@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import fixed_weight_p_zero, multinomial_acceptance
+from oracles import (
+    fixed_weight_p_zero,
+    masked_vector_pairs,
+    multinomial_acceptance,
+    per_trial_moments,
+    value_pairs,
+)
 from spanse import analysis
 from spanse.analysis import (
     AttackPoint,
@@ -246,7 +252,7 @@ def test_rejection_pmfs_match_scipy_at_spanse_128(weight_model):
         got = rejection_rate_analytic(ps).p_zero_entry
     else:
         want = fixed_weight_p_zero(ps)
-        got = analysis._p_zero(np.ones(ps.m_g * ps.w_g + ps.w, dtype=np.int64),
+        got = analysis._p_zero(value_pairs(np.ones(ps.m_g * ps.w_g + ps.w, dtype=np.int64)),
                                _density_pmf(ps.density), {})
     assert got == pytest.approx(want, rel=1e-10, abs=0)
 
@@ -315,7 +321,7 @@ def test_p_zero_matches_enumeration(text):
                 (math.prod(pr for _, pr in pick) for pick in itertools.product(support, repeat=size)
                  if sum(v * x for v, (x, _) in zip(values, pick)) % q == 0),
                 Fraction(0))
-            got = analysis._p_zero(np.array(values), pmf, squares)
+            got = analysis._p_zero(value_pairs(np.array(values)), pmf, squares)
             assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
             if text == "ones":
                 assert got in (0.0, 1.0)
@@ -327,8 +333,8 @@ def test_p_zero_keeps_relative_accuracy_near_1e_15():
     pmf = _density_pmf(DensityPolynomial.parse("1/2,1/2", 127))
     exact = (1 + math.comb(157, 127)) / 2**157
     assert 1e-16 < exact < 1e-14
-    assert analysis._p_zero(np.ones(157, dtype=np.int64), pmf, {}) == pytest.approx(exact,
-                                                                                    rel=1e-12)
+    got = analysis._p_zero(value_pairs(np.ones(157, dtype=np.int64)), pmf, {})
+    assert got == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("text", ["0.8,0.2", "0.7,0.25,2:0.03,5:0.02"])
@@ -348,6 +354,42 @@ def test_montecarlo_stderr_is_the_sample_deviation_of_per_trial_values():
     assert estimate == pytest.approx(np.mean(values), rel=1e-12)
     assert stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(6), rel=1e-9)
     assert 0 < stderr < 1
+
+
+CRITERION_6_DENSITIES = ["0.5783,0.4167,2:0.0042,13:0.00083",
+                         "0.5775,0.4167,2:0.0042,13:0.00083,25:0.00083"]
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 1000])
+@pytest.mark.parametrize("text", ["1/2,1/2", *CRITERION_6_DENSITIES])
+@pytest.mark.parametrize("name", ["desk", "spanse-128"])
+def test_batch_moments_equal_a_p_zero_call_per_trial(name, text, batch_size):
+    # scoring each distinct (g, t) multiset once per batch changes no bit of
+    # the batch's moments
+    ps = get_params(name)
+    density = _with_density(ps, text).density
+    seed = np.random.SeedSequence(1001).spawn(1)[0]
+    want = per_trial_moments(ps, density, batch_size, seed)
+    assert analysis._simulate_batch(ps, density, batch_size, seed) == want
+
+
+def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
+    ps = get_params("spanse-128")
+    density = _with_density(ps, CRITERION_6_DENSITIES[0]).density
+    calls, p_zero = [], analysis._p_zero
+
+    def counted(pairs, pmf, squares):
+        calls.append(pairs)
+        return p_zero(pairs, pmf, squares)
+
+    monkeypatch.setattr(analysis, "_p_zero", counted)
+    seeds = np.random.SeedSequence(5).spawn(3)
+    rejection_rate_montecarlo(ps, density, 3000, seed=5, batch_size=1000)
+    # each batch scores the keys it meets, in the order it first meets them,
+    # and starts with an empty memo
+    want = [key for seed in seeds for key in dict.fromkeys(masked_vector_pairs(ps, 1000, seed))]
+    assert calls == want
+    assert len(calls) < 100
 
 
 def test_montecarlo_single_trial(pools):

@@ -234,6 +234,18 @@ def test_analyze_rejection_monte_carlo_needs_trials_and_workers(capsys):
     assert "at least one worker" in capsys.readouterr().err
 
 
+def test_analyze_monte_carlo_with_one_worker_at_spanse_128(capsys):
+    # the Monte Carlo command line of the benchmark's analysis workload
+    assert run("analyze", "rejection", "--params", "spanse-128",
+               "--density", "0.5783,0.4167,2:0.0042,13:0.00083",
+               "--monte-carlo", 100, "--seed", 7, "--workers", 1) == EXIT_OK
+    report = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert set(report) >= {"p_valid", "stderr", "rejection_rate"}
+    p_valid, stderr = float(report["p_valid"]), float(report["stderr"])
+    assert 0.95 < p_valid < 1 and 0 < stderr < 0.01
+    assert float(report["rejection_rate"]) == pytest.approx(1 - p_valid, abs=1e-5)
+
+
 def test_params_subcommands(capsys):
     assert run("params", "list") == EXIT_OK
     assert "desk" in capsys.readouterr().out
