@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .ldgm import codeword_from_generator, sample_generator
 from .params import DensityPolynomial, ParameterSet, check_working_set
+from .qcalg import cyclic_convolve
 
 
 class ConstraintError(ValueError):
@@ -187,27 +187,22 @@ class RejectionReport:
         }
 
 
-def _cyclic_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The pmf of X + Y mod q for independent X ~ a, Y ~ b: a direct
-    convolution folded mod q. Every term is a product of nonnegative
-    numbers, so each entry keeps its relative accuracy however small."""
-    q = a.size
-    lin = np.convolve(a, b)
-    out = lin[:q]
-    out[: q - 1] += lin[q:]
-    return out
-
-
 def _pmf_power(powers: list, t: int, dist: np.ndarray) -> np.ndarray:
     """`dist` convolved with the t-th cyclic-convolution power of powers[0],
     by square-and-multiply. powers[i] is powers[0] summed 2^i times; the
     doublings t needs are appended in place, so callers that share the
-    list square each pmf once."""
+    list square each pmf once.
+
+    Each step is the pmf of X + Y mod q for independent X and Y, by a
+    direct convolution rather than an FFT, whose rounding error near 1e-15
+    of the largest entry would swamp a small p0: every term of a direct
+    convolution is a product of nonnegative numbers, so each entry keeps
+    its relative accuracy however small."""
     for i in range(t.bit_length()):
         if i == len(powers):
-            powers.append(_cyclic_mul(powers[-1], powers[-1]))
+            powers.append(cyclic_convolve(powers[-1], powers[-1]))
         if t >> i & 1:
-            dist = _cyclic_mul(dist, powers[i])
+            dist = cyclic_convolve(dist, powers[i])
     return dist
 
 
@@ -313,7 +308,6 @@ def rejection_rate_montecarlo(
     trials: int,
     seed: int | None = None,
     batch_size: int = 1000,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Estimated acceptance probability and its standard error.
 
@@ -322,48 +316,28 @@ def rejection_rate_montecarlo(
     sample standard deviation (ddof = 1) of those values over sqrt(trials),
     or 1.0 for a single trial. Each batch draws its own generator, which
     that batch's trials share (it enters only through the codeword weight
-    distribution); per-batch seeds are spawned from the base seed, and the
-    batches' moments are combined in batch order by the pairwise update of Chan et
-    al., so results are bit-identical at any parallelism degree. At most
-    one worker process runs per batch and per usable CPU.
+    distribution). The batches run in order in this process, each from its
+    own seed spawned from the base seed, and each batch's moments are
+    combined into the running ones as it returns, by the pairwise update of
+    Chan et al.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
     if batch_size < 1:
         raise ValueError(f"need a batch size of at least one, got {batch_size}")
     check_working_set(params, "monte-carlo", batches=-(-trials // batch_size))
     sizes = [batch_size] * (trials // batch_size)
     if trials % batch_size:
         sizes.append(trials % batch_size)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    workers = min(workers, len(sizes), _usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            moments = list(pool.map(_simulate_batch,
-                                    [params] * len(sizes), [density] * len(sizes),
-                                    sizes, seeds))
-    else:
-        moments = [_simulate_batch(params, density, sz, sd)
-                   for sz, sd in zip(sizes, seeds)]
     done, mean, m2 = 0, 0.0, 0.0
-    for size, (total, batch_m2) in zip(sizes, moments):
+    for size, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        total, batch_m2 = _simulate_batch(params, density, size, seed_seq)
         delta = total / size - mean
         mean += delta * size / (done + size)
         m2 += batch_m2 + delta * delta * done * size / (done + size)
         done += size
     stderr = math.sqrt(m2 / (trials - 1) / trials) if trials > 1 else 1.0
     return mean, stderr
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,19 @@ def _frobenius(a: np.ndarray, s: int) -> np.ndarray:
     return np.bincount(np.arange(p) * (s % p) % p, weights=a, minlength=p).astype(np.int64)
 
 
-def _ring_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a b in R_p: a direct convolution, exact in int64, folded mod x^p - 1."""
-    p = a.size
+def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b mod x^n - 1 for a and b of one length n, not reduced mod q: a
+    direct convolution, with coefficient n + t folded into coefficient t."""
+    n = a.size
     lin = np.convolve(a, b)
-    out = lin[:p]
-    out[: p - 1] += lin[p:]
-    out %= q
+    out = lin[:n]
+    out[: n - 1] += lin[n:]
     return out
+
+
+def _ring_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a b in R_p, exact in int64."""
+    return cyclic_convolve(a, b) % q
 
 
 def _ring_pow(a: np.ndarray, n: int, acc: np.ndarray, q: int) -> np.ndarray:
@@ -448,7 +453,6 @@ class QCPermutation:
     block_perm: np.ndarray  # pi, permutation of {0..m-1}
     shifts: np.ndarray  # t_i in [0, p)
     p: int
-    q: int
     _inv_perm: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -487,5 +491,5 @@ def perm_inv_mul(P: QCPermutation, M: QCMatrix) -> QCMatrix:
     return QCMatrix(np.take_along_axis(M.blocks[src], idx[:, None, :], axis=2), M.q)
 
 
-def random_qc_permutation(size0: int, p: int, q: int, rng: np.random.Generator) -> QCPermutation:
-    return QCPermutation(rng.permutation(size0), rng.integers(0, p, size=size0), p, q)
+def random_qc_permutation(size0: int, p: int, rng: np.random.Generator) -> QCPermutation:
+    return QCPermutation(rng.permutation(size0), rng.integers(0, p, size=size0), p)

@@ -106,7 +106,7 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
         raise ParameterError("the density puts all its mass on 0, so every S is zero")
     check_working_set(params, "keygen")
     G, Ht = make_code(params, rng)
-    P = random_qc_permutation(params.r0, params.p, params.q, rng)
+    P = random_qc_permutation(params.r0, params.p, rng)
     for _ in range(MAX_S_RETRIES):
         S = sample_dense_transform(params, rng)
         X = qc_solve(S.transpose(), Ht)

@@ -25,10 +25,10 @@ positions all of value 1 (as keygen writes it), and that no block row of
 S is zero (signing with such an S could never succeed). Keys are held as
 stored (G as sorted one-positions, S and H' as blocks); H, S^{-1} and the
 transposes are not derived. `check_private` runs the two O(n0^3 p) checks
-a load skips: M1 invertible, through ldgm.parity_check_transpose, and S
-invertible. File writes go to a temporary name in the
-target directory and are renamed into place, so failures never leave a
-partial file.
+a load skips: M1 and S invertible, each eliminated against no right-hand
+side, so neither W nor an inverse is formed. File writes go to a
+temporary name in the target directory and are renamed into place, so
+failures never leave a partial file.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import parity_check_transpose
+from .ldgm import generator_matrix
 from .params import DensityPolynomial, ParameterSet
 from .qcalg import QCMatrix, QCPermutation, qc_solve
 from .scheme import PrivateKey, PublicKey, Signature
@@ -224,7 +224,7 @@ def deserialize_private(data: bytes) -> PrivateKey:
     if np.any(shifts >= p):
         raise SerializationError("shift out of range")
     try:
-        P = QCPermutation(perm, shifts, p, q)
+        P = QCPermutation(perm, shifts, p)
     except ValueError as exc:
         raise SerializationError(f"invalid permutation: {exc}") from exc
     G = np.empty((params.k0, params.w_g), dtype=np.int64)
@@ -251,14 +251,16 @@ def check_private(sk: PrivateKey):
     """Raise SerializationError unless M1 (the generator's left block part)
     and S are invertible, as they are in every key keygen writes.
 
-    These are the two O(n0^3 p) checks that loading skips. S is eliminated
-    against a right-hand side with no block columns; no inverse is formed.
+    These are the two O(n0^3 p) checks that loading skips. Each matrix is
+    eliminated against a right-hand side with no block columns, so neither
+    M1's solution W nor an inverse is formed.
     """
-    if parity_check_transpose(sk.G, sk.params) is None:
-        raise SerializationError(
-            "generator is not reducible: left block part of the generator is singular")
-    if qc_solve(sk.S, QCMatrix(sk.S.blocks[:, :0], sk.S.q)) is None:
-        raise SerializationError("dense transform is singular")
+    M1 = QCMatrix(generator_matrix(sk.G, sk.params).blocks[:, :sk.params.k0], sk.params.q)
+    for A, error in ((M1, "generator is not reducible: "
+                          "left block part of the generator is singular"),
+                     (sk.S, "dense transform is singular")):
+        if qc_solve(A, QCMatrix(A.blocks[:, :0], A.q)) is None:
+            raise SerializationError(error)
 
 
 def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:

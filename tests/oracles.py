@@ -80,18 +80,18 @@ def gf_inv_dense(M: np.ndarray, q: int) -> np.ndarray | None:
     return W[:, n:] % q
 
 
-def perm_qc_matrix(P: QCPermutation) -> QCMatrix:
-    """P as a block matrix of monomials; its transpose is P^{-1}."""
+def perm_qc_matrix(P: QCPermutation, q: int) -> QCMatrix:
+    """P as a block matrix of monomials over F_q; its transpose is P^{-1}."""
     blocks = np.zeros((P.size0, P.size0, P.p), dtype=np.int64)
     for i in range(P.size0):
         # first-row convention: coefficient (p - t) mod p realizes j -> j + t
         blocks[i, P.block_perm[i], (P.p - P.shifts[i]) % P.p] = 1
-    return QCMatrix(blocks, P.q)
+    return QCMatrix(blocks, q)
 
 
-def perm_dense(P: QCPermutation) -> np.ndarray:
-    """The dense permutation matrix of P."""
-    return expand(perm_qc_matrix(P))
+def perm_dense(P: QCPermutation, q: int) -> np.ndarray:
+    """The dense permutation matrix of P over F_q."""
+    return expand(perm_qc_matrix(P, q))
 
 
 def value_pairs(values: np.ndarray) -> tuple:

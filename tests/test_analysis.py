@@ -282,12 +282,10 @@ def test_rejection_analytic_against_monte_carlo_desk():
     assert abs(estimate - analytic) <= 3 * max(stderr, 1e-4)
 
 
-def test_montecarlo_reproducible_and_parallel_consistent():
+def test_montecarlo_reproducible():
     p1, e1 = rejection_rate_montecarlo(DESK, DESK.density, 3000, seed=5)
     p2, e2 = rejection_rate_montecarlo(DESK, DESK.density, 3000, seed=5)
     assert p1 == p2 and e1 == e2
-    p3, _ = rejection_rate_montecarlo(DESK, DESK.density, 3000, seed=5, workers=2)
-    assert p3 == p1
 
 
 def test_montecarlo_all_ones_density_rank_one():
@@ -392,14 +390,13 @@ def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
     assert len(calls) < 100
 
 
-def test_montecarlo_single_trial(pools):
+def test_montecarlo_single_trial():
     density = DensityPolynomial.parse("0.8,0.2", DESK.q)
-    results = {rejection_rate_montecarlo(DESK, density, 1, seed=3, batch_size=b, workers=w)
-               for b in (1, 7, 1000) for w in (1, 2)}
+    results = {rejection_rate_montecarlo(DESK, density, 1, seed=3, batch_size=b)
+               for b in (1, 7, 1000)}
     assert len(results) == 1
     estimate, stderr = results.pop()
     assert 0 < estimate < 1 and stderr == 1.0
-    assert pools == []  # one batch never opens a pool
 
 
 def test_montecarlo_validates_trials():
@@ -407,54 +404,10 @@ def test_montecarlo_validates_trials():
         rejection_rate_montecarlo(DESK, DESK.density, 0)
 
 
-def test_montecarlo_validates_workers():
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match="worker"):
-            rejection_rate_montecarlo(DESK, DESK.density, 10, workers=workers)
-
-
 def test_montecarlo_validates_batch_size():
     for batch_size in (0, -5):
         with pytest.raises(ValueError, match="batch size"):
             rejection_rate_montecarlo(DESK, DESK.density, 10, batch_size=batch_size)
-
-
-@pytest.fixture()
-def pools(monkeypatch):
-    """max_workers of every process pool the Monte Carlo opens; none starts."""
-    import concurrent.futures
-
-    opened = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return opened
-
-
-def test_montecarlo_caps_workers_at_batches_and_cpus(pools, monkeypatch):
-    def estimate(workers, trials=300):
-        return rejection_rate_montecarlo(DESK, DESK.density, trials, seed=5,
-                                         batch_size=100, workers=workers)
-
-    serial = estimate(1)
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 64)
-    assert estimate(10**9) == serial  # three batches, so three workers
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
-    assert estimate(10**9) == serial
-    estimate(2, trials=100)  # one batch: no pool
-    assert pools == [3, 2]
 
 
 # --- sizes ---------------------------------------------------------------------

@@ -229,9 +229,13 @@ def test_analyze_rejection_monte_carlo_needs_trials_and_workers(capsys):
     assert run("analyze", "rejection", "--params", "desk", "--monte-carlo", 0) == EXIT_INPUT
     captured = capsys.readouterr()
     assert "at least one trial" in captured.err and "p_valid" not in captured.out
-    assert run("analyze", "rejection", "--params", "desk",
-               "--monte-carlo", 10, "--workers", 0) == EXIT_INPUT
-    assert "at least one worker" in capsys.readouterr().err
+    # the Monte Carlo runs in one process; --workers accepts only 1
+    for workers in (0, 2):
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "rejection", "--params", "desk",
+                "--monte-carlo", 10, "--workers", workers)
+        assert exc.value.code == EXIT_INPUT
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_analyze_monte_carlo_with_one_worker_at_spanse_128(capsys):

@@ -596,18 +596,18 @@ def test_qc_mat_vec_both_paths_match_dense_at_every_shape(p, monkeypatch):
 # --- permutations ----------------------------------------------------------
 
 def test_perm_identity_and_shift_example():
-    ident = QCPermutation(np.arange(3), np.zeros(3, dtype=np.int64), 5, Q)
+    ident = QCPermutation(np.arange(3), np.zeros(3, dtype=np.int64), 5)
     assert perm_apply(ident, np.array([7, 1])).tolist() == [7, 1]
     # a single-block shift by x^2 maps index 0 to index 2
-    P = QCPermutation(np.array([0]), np.array([2]), 5, Q)
+    P = QCPermutation(np.array([0]), np.array([2]), 5)
     assert perm_apply(P, np.array([0])).tolist() == [2]
 
 
 def test_perm_expansion_is_permutation_matrix():
     rng = np.random.default_rng(21)
     for _ in range(50):
-        P = random_qc_permutation(4, 7, Q, rng)
-        M = perm_dense(P)
+        P = random_qc_permutation(4, 7, rng)
+        M = perm_dense(P, Q)
         assert np.array_equal(np.sort(M.sum(axis=0)), np.ones(28))
         assert np.array_equal(np.sort(M.sum(axis=1)), np.ones(28))
 
@@ -615,26 +615,26 @@ def test_perm_expansion_is_permutation_matrix():
 def test_perm_apply_matches_expansion_and_inverts():
     rng = np.random.default_rng(22)
     for _ in range(100):
-        P = random_qc_permutation(4, 7, Q, rng)
+        P = random_qc_permutation(4, 7, rng)
         s = rng.choice(28, size=rng.integers(0, 29), replace=False)
         out = perm_apply(P, s)
         assert np.unique(out).size == s.size
         assert np.array_equal(dense_vector(out, 28, Q),
-                              gf_matmul(perm_dense(P), dense_vector(s, 28, Q)[:, None], Q)[:, 0])
+                              gf_matmul(perm_dense(P, Q), dense_vector(s, 28, Q)[:, None], Q)[:, 0])
         # permutation inverse = transpose of the expansion
-        Pi = qc_mat_inv(perm_qc_matrix(P))
-        assert np.array_equal(expand(Pi), perm_dense(P).T)
+        Pi = qc_mat_inv(perm_qc_matrix(P, Q))
+        assert np.array_equal(expand(Pi), perm_dense(P, Q).T)
 
 
 @pytest.mark.parametrize("p", [1, 2, 13, 101])
 def test_perm_inv_mul_matches_dense_block_product(p):
     rng = np.random.default_rng(40 + p)
     for size0, cols0 in ((1, 1), (3, 2), (5, 4)):
-        P = random_qc_permutation(size0, p, Q, rng)
+        P = random_qc_permutation(size0, p, rng)
         M = rand_qc(rng, size0, cols0, p)
         out = perm_inv_mul(P, M)
         # the block matrix of P^{-1} is the transpose of P's
-        assert out == qc_mat_mul(perm_qc_matrix(P).transpose(), M)
-        assert np.array_equal(expand(out), gf_matmul(perm_dense(P).T, expand(M), Q))
+        assert out == qc_mat_mul(perm_qc_matrix(P, Q).transpose(), M)
+        assert np.array_equal(expand(out), gf_matmul(perm_dense(P, Q).T, expand(M), Q))
     with pytest.raises(DimensionMismatchError):
         perm_inv_mul(P, rand_qc(rng, size0 + 1, 1, p))

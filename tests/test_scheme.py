@@ -32,7 +32,7 @@ def test_keygen_structural_identities(keypair):
     lhs = expand(pk.Hpub)
     H = parity_check(sk.G, DESK)
     assert np.array_equal(gf_matmul(lhs, expand(sk.S), q),
-                          gf_matmul(perm_dense(sk.P).T, expand(H), q))
+                          gf_matmul(perm_dense(sk.P, q).T, expand(H), q))
     # public H' annihilates S-transformed codewords: H' (S c^T) = 0
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -115,8 +115,8 @@ def test_chain_identity_term_by_term(keypair):
     # H' sigma^T = P^{-1} H (e + c)^T = P^{-1} s' = s
     t1 = gf_matmul(expand(pk.Hpub), sigma[:, None], q)[:, 0]
     H = expand(parity_check(sk.G, DESK))
-    t2 = gf_matmul(perm_dense(sk.P).T, gf_matmul(H, v[:, None], q), q)[:, 0]
-    t3 = gf_matmul(perm_dense(sk.P).T, dense_vector(s_perm, DESK.r, q)[:, None], q)[:, 0]
+    t2 = gf_matmul(perm_dense(sk.P, q).T, gf_matmul(H, v[:, None], q), q)[:, 0]
+    t3 = gf_matmul(perm_dense(sk.P, q).T, dense_vector(s_perm, DESK.r, q)[:, None], q)[:, 0]
     assert np.array_equal(t1, t2)
     assert np.array_equal(t2, t3)
     assert np.array_equal(t3, dense_vector(s, DESK.r, q))

@@ -63,7 +63,7 @@ def test_key_load_makes_one_int64_copy():
     rng = np.random.default_rng(7)
     S = QCMatrix(rng.integers(1, ps.q, (ps.n0, ps.n0, ps.p)), ps.q)
     G = np.sort([rng.choice(ps.n, ps.w_g, replace=False) for _ in range(ps.k0)], axis=1)
-    sk = PrivateKey(ps, random_qc_permutation(ps.r0, ps.p, ps.q, rng), G, S)
+    sk = PrivateKey(ps, random_qc_permutation(ps.r0, ps.p, rng), G, S)
     pk = PublicKey(ps, QCMatrix(rng.integers(0, ps.q, (ps.r0, ps.n0, ps.p)), ps.q))
     cases = ((serial.deserialize_private, serial.serialize_private(sk), S.blocks),
              (serial.deserialize_public, serial.serialize_public(pk), pk.Hpub.blocks))
