@@ -399,6 +399,52 @@ def test_montecarlo_single_trial():
     assert 0 < estimate < 1 and stderr == 1.0
 
 
+def test_montecarlo_combines_uneven_batches_into_pooled_moments(monkeypatch):
+    # 10 trials in batches of 4, 4 and 2: the running combination equals the
+    # mean and ddof=1 deviation of all ten values, and batch i gets spawned seed i
+    values = np.array([0.9, 0.5, 0.75, 1.0, 0.25, 0.6, 0.95, 0.1, 0.8, 0.3])
+    bounds = [(0, 4), (4, 8), (8, 10)]
+    seen = []
+
+    def fake_batch(params, density, trials, seed):
+        lo, hi = bounds[len(seen)]
+        seen.append((trials, seed.spawn_key))
+        batch = values[lo:hi]
+        return float(batch.sum()), float(((batch - batch.mean()) ** 2).sum())
+
+    monkeypatch.setattr(analysis, "_simulate_batch", fake_batch)
+    estimate, stderr = rejection_rate_montecarlo(DESK, DESK.density, 10, seed=3, batch_size=4)
+    want_keys = [s.spawn_key for s in np.random.SeedSequence(3).spawn(3)]
+    assert seen == [(4, want_keys[0]), (4, want_keys[1]), (2, want_keys[2])]
+    assert estimate == pytest.approx(values.mean(), rel=1e-12)
+    assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(10), rel=1e-12)
+
+
+# (params, density, seed, batch_size, trials) -> (p_valid, stderr), as float hex
+RECORDED_ESTIMATES = [
+    ("desk", "1/2,1/2", 5, 1000, 2000,
+     "0x1.fffeba49ab01ap-1", "0x1.956de1e251609p-23"),
+    ("desk", CRITERION_6_DENSITIES[0], 1001, 1, 300,
+     "0x1.ffd3615786549p-1", "0x1.f7593a64c9e26p-17"),
+    ("desk", CRITERION_6_DENSITIES[1], 1, 1000, 2000,
+     "0x1.ffd3c02407f10p-1", "0x1.75911bc599e15p-18"),
+    ("spanse-128", CRITERION_6_DENSITIES[0], 5, 1, 300,
+     "0x1.fbeb30e0f25fdp-1", "0x1.1aed66ce95131p-13"),
+]
+
+
+def test_montecarlo_reproduces_recorded_estimates():
+    # regression pins: any change to the batches, their seeds, the trial
+    # sampler or the combination order moves these values
+    for name, text, seed, batch_size, trials, p_hex, se_hex in RECORDED_ESTIMATES:
+        ps = get_params(name)
+        density = DensityPolynomial.parse(text, ps.q)
+        estimate, stderr = rejection_rate_montecarlo(ps, density, trials, seed=seed,
+                                                     batch_size=batch_size)
+        assert estimate == pytest.approx(float.fromhex(p_hex), rel=1e-12)
+        assert stderr == pytest.approx(float.fromhex(se_hex), rel=1e-9)
+
+
 def test_montecarlo_validates_trials():
     with pytest.raises(ValueError):
         rejection_rate_montecarlo(DESK, DESK.density, 0)
