@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import codeword_from_generator, sample_generator
+from .ldgm import codeword_positions, sample_generator
 from .params import DensityPolynomial, ParameterSet, check_working_set
 from .qcalg import cyclic_convolve
 
@@ -256,6 +256,34 @@ def _p_zero(pairs: tuple, pmf: np.ndarray, squares: dict) -> float:
     return float(dist[0])
 
 
+def _value_counts(positions: np.ndarray, q: int) -> np.ndarray:
+    """Each row's multiset of entries, as a histogram: `positions` holds one
+    masked vector per row, as positions that each add 1 to the entry there,
+    and entry [i, g] of the result is the number of distinct positions of
+    row i whose entry is g mod q. Column 0 counts the positions whose
+    entry wrapped to 0. An entry is at most the row length, so the
+    histogram is min(q, length + 1) wide.
+
+    Built for all rows at once: each row is sorted, so a position's entry
+    is the length of its run of equal values, and the runs of all rows are
+    binned in one `np.bincount`."""
+    trials, size = positions.shape
+    width = min(q, size + 1)
+    positions = np.sort(positions, axis=1)
+    starts = np.ones(positions.shape, dtype=bool)
+    np.not_equal(positions[:, 1:], positions[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    runs = np.diff(first, append=trials * size)
+    return np.bincount(first // size * width + runs % q,
+                       minlength=trials * width).reshape(trials, width)
+
+
+def _pairs(counts: np.ndarray) -> tuple:
+    """A histogram row of `_value_counts` as the (g, t) pairs `_p_zero` takes."""
+    g = np.flatnonzero(counts)
+    return tuple(zip(g.tolist(), counts[g].tolist()))
+
+
 def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
                     trials: int, seed) -> tuple[float, float]:
     """(sum, sum of squared deviations about the batch mean) of the
@@ -273,29 +301,38 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
     the estimand and lowers the variance. p0(v) depends on v only through
     the multiset of its entries at the positions that occur, as (g, t)
     pairs: each value g mod q and the number t of positions carrying it.
-    A batch meets few distinct multisets (4 to 8 per 1000 trials), so
-    `scores` computes each one's (1 - p0)^n once and looks it up after
-    that; it lives for this batch only. The moments are accumulated by
-    Welford's update.
+
+    The batch first makes all its draws, in the order signing would: the
+    generator, then per trial the codeword's m_g generator rows and the
+    pattern's w positions. It then builds every trial's positions
+    (`codeword_positions`) and multiset (`_value_counts`) with whole-batch
+    array operations. A batch meets few distinct multisets (4 to 8 per
+    1000 trials), so `scores`, keyed by the multiset's histogram row,
+    computes each one's (1 - p0)^n once, in the order they are first met,
+    and looks it up after that; it lives for this batch only. The moments
+    are accumulated by Welford's update in trial order.
     """
     rng = np.random.default_rng(seed)
-    q, n, k, r, w = params.q, params.n, params.k, params.r, params.w
+    q, n, k, r, w, m_g = params.q, params.n, params.k, params.r, params.w, params.m_g
     pmf = np.array([float(pr) for _, pr in density.value_probabilities()])
     pmf /= pmf.sum()
+    G = sample_generator(params, rng)
+    rows = np.empty((trials, m_g), dtype=np.int64)
+    pattern = np.empty((trials, w), dtype=np.int64)
+    for i in range(trials):
+        rows[i] = rng.choice(k, size=m_g, replace=False)
+        pattern[i] = rng.choice(r, size=w, replace=False)
+    counts = _value_counts(
+        np.concatenate([k + pattern, codeword_positions(G, rows, params.p)], axis=1), q)
     squares: dict = {}
     scores: dict = {}
-    G = sample_generator(params, rng)
     mean = m2 = 0.0
-    for i in range(1, trials + 1):
-        c = codeword_from_generator(G, params, params.m_g, rng)
-        v = np.concatenate([k + rng.choice(r, size=w, replace=False), c])
-        t = np.bincount(np.unique(v, return_counts=True)[1] % q)
-        g = np.flatnonzero(t)
-        pairs = tuple(zip(g.tolist(), t[g].tolist()))
-        accept = scores.get(pairs)
+    for i, row in enumerate(counts, 1):
+        key = row.tobytes()
+        accept = scores.get(key)
         if accept is None:
-            p0 = _p_zero(pairs, pmf, squares)
-            accept = scores[pairs] = math.exp(n * math.log1p(-p0)) if p0 < 1.0 else 0.0
+            p0 = _p_zero(_pairs(row), pmf, squares)
+            accept = scores[key] = math.exp(n * math.log1p(-p0)) if p0 < 1.0 else 0.0
         delta = accept - mean
         mean += delta / i
         m2 += delta * (accept - mean)
@@ -325,7 +362,8 @@ def rejection_rate_montecarlo(
         raise ValueError("need at least one trial")
     if batch_size < 1:
         raise ValueError(f"need a batch size of at least one, got {batch_size}")
-    check_working_set(params, "monte-carlo", batches=-(-trials // batch_size))
+    check_working_set(params, "monte-carlo", batches=-(-trials // batch_size),
+                      batch_size=min(batch_size, trials))
     sizes = [batch_size] * (trials // batch_size)
     if trials % batch_size:
         sizes.append(trials % batch_size)

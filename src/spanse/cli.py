@@ -5,13 +5,15 @@ error (including a parameter set from which keygen cannot draw a
 reducible generator or an invertible S), 3 internal failure. All
 randomness flows from --seed when given, so seeded invocations are
 bit-reproducible. Output files are written atomically; a failed command
-never leaves a partial file behind.
+never leaves a partial file behind. The argument parser is built once per
+process, so repeated calls to `main` in one process only parse.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -157,6 +159,7 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="spanse", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -6,12 +6,13 @@ quasi-cyclic it is enough to place w_g ones in the expanded first row of
 each block row; the circulant structure propagates the weight to every
 other row. G is held as those positions, (k0, w_g) sorted indices, as the
 key file stores them, and a codeword u G as the positions of the rows u
-picks, a position repeated where rows overlap. Only the solve for the
-systematic parity check builds G's block form: with G = [M1 | M2] and
-M1 W = M2 solved for (M1^{-1} is never formed), H = [-W^T | I], so that
-syndromes of vectors of the form [0_k | s'] read off s' directly. Keygen
-solves against H^T = [-W; I], so H itself is never built, and a singular
-M1 is reported as None. make_code returns (G, H^T).
+picks, a position repeated where rows overlap; `codeword_positions` builds
+any number of codewords at once. Only the solve for the systematic parity
+check builds G's block form: with G = [M1 | M2] and M1 W = M2 solved for
+(M1^{-1} is never formed), H = [-W^T | I], so that syndromes of vectors of
+the form [0_k | s'] read off s' directly. Keygen solves against
+H^T = [-W; I], so H itself is never built, and a singular M1 is reported
+as None. make_code returns (G, H^T).
 """
 
 from __future__ import annotations
@@ -69,14 +70,21 @@ def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[np.ndarra
     )
 
 
+def codeword_positions(G: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """The positions of c = u G for the generator rows `rows` that u picks,
+    (..., m) -> (..., m * w_g) for any leading shape: row blk*p + t of G is
+    block row blk's first row shifted right by t. Rows that overlap repeat
+    a position, and c's entry there is the number of repeats."""
+    blk, shift = np.divmod(rows, p)
+    col_blk, off = np.divmod(G[blk], p)
+    positions = col_blk * p + (off + shift[..., None]) % p
+    return positions.reshape(rows.shape[:-1] + (rows.shape[-1] * G.shape[1],))
+
+
 def codeword_from_generator(G: np.ndarray, params: ParameterSet, m_g: int,
                             rng: np.random.Generator) -> np.ndarray:
     """c = u G for uniform binary u of weight m_g, as the m_g * w_g positions
-    of the generator rows u picks: row blk*p + t of G is block row blk's
-    first row shifted right by t. Rows that overlap repeat a position, and
-    c's entry there is the number of repeats."""
+    of the generator rows u picks (`codeword_positions`)."""
     if not (0 <= m_g <= params.k):
         raise ValueError(f"m_g={m_g} outside [0, k={params.k}]")
-    blk, shift = np.divmod(rng.choice(params.k, size=m_g, replace=False), params.p)
-    col_blk, off = np.divmod(G[blk], params.p)
-    return (col_blk * params.p + (off + shift[:, None]) % params.p).reshape(-1)
+    return codeword_positions(G, rng.choice(params.k, size=m_g, replace=False), params.p)

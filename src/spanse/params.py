@@ -189,18 +189,28 @@ class ParameterSet:
 # batch's size, its spawned SeedSequence and later its count (424 measured
 # with tracemalloc)
 _BATCH_BYTES = 512
+# int64 arrays of one batch's masked-vector positions that a batch holds at
+# once while it builds them and their multisets (4.5 measured with
+# tracemalloc at desk and spanse-128, 1000 and 5000 trials)
+_POSITION_COPIES = 5
 
 
-def check_working_set(params: ParameterSet, command: str, batches: int = 0):
+def check_working_set(params: ParameterSet, command: str, batches: int = 0,
+                      batch_size: int = 0):
     """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
     in physical memory and under RLIMIT_AS: keygen's G blocks, S and
     [S^T | H^T] (3 n0^2 p int64 words), or the Monte Carlo's generator
-    (k0 w_g int64 positions) and the bookkeeping of its `batches` batches.
-    The Monte Carlo's score memo is not counted: it holds one small entry
-    per distinct masked-vector multiset of the running batch, at most
-    `batch_size` and 4 to 8 measured per 1000 trials."""
+    (k0 w_g int64 positions), the bookkeeping of its `batches` batches and
+    the arrays its largest batch, of `batch_size` trials, builds at once:
+    copies of its batch_size x (w + m_g w_g) int64 positions and its
+    batch_size x min(q, w + m_g w_g + 1) int64 histogram of multisets.
+    The Monte Carlo's score memo is not counted: it holds one entry, keyed
+    by a histogram row, per distinct masked-vector multiset of the running
+    batch, at most `batch_size` and 4 to 8 measured per 1000 trials."""
+    length = params.w + params.m_g * params.w_g
     need = (8 * 3 * params.n0**2 * params.p if command == "keygen"
-            else 8 * params.k0 * params.w_g + _BATCH_BYTES * batches)
+            else 8 * params.k0 * params.w_g + _BATCH_BYTES * batches
+            + 8 * batch_size * (_POSITION_COPIES * length + min(params.q, length + 1)))
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:

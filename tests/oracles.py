@@ -6,8 +6,9 @@ also never multiplies two block matrices, so the block product the tests
 check against these oracles is here too, nor forms the parity-check matrix
 H, only its transpose. The Monte Carlo oracle samples signing attempts
 entry by entry, where the library scores each masked vector by its exact
-acceptance probability; the per-trial oracle scores every masked vector
-afresh, where the library scores each distinct one once per batch; the
+acceptance probability; the per-trial oracle builds every masked vector
+alone and scores it afresh, where the library builds a batch's masked
+vectors at once and scores each distinct one once per batch; the
 fixed-weight rejection model is a closed form the Monte Carlo is checked
 against.
 """

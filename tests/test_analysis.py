@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -28,6 +29,7 @@ from spanse.analysis import (
     size_report,
 )
 from spanse.cli import EXIT_OK, main
+from spanse.ldgm import codeword_positions, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet, get_params
 from spanse.scheme import Signature
 from spanse.serial import serialize_signature
@@ -369,6 +371,46 @@ def test_batch_moments_equal_a_p_zero_call_per_trial(name, text, batch_size):
     seed = np.random.SeedSequence(1001).spawn(1)[0]
     want = per_trial_moments(ps, density, batch_size, seed)
     assert analysis._simulate_batch(ps, density, batch_size, seed) == want
+
+
+def test_value_counts_give_each_rows_multiplicities_mod_q():
+    # hand-made position rows, unsorted, against np.unique's multiplicities
+    q, k = DESK.q, DESK.k
+    rng = np.random.default_rng(3)
+    others = rng.permutation(np.arange(100, 300))
+    size = q + 1 + 9
+    rows = {
+        "q repeats": np.concatenate([np.full(q, 7), others[:size - q]]),
+        "q + 1 repeats": np.concatenate([np.full(q + 1, 7), others[:size - q - 1]]),
+        "distinct": others[:size],
+        "mixed": rng.integers(0, 20, size=size),
+    }
+    rows = {name: rng.permutation(row) for name, row in rows.items()}
+    want = {name: value_pairs(np.unique(row, return_counts=True)[1] % q)
+            for name, row in rows.items()}
+    assert (0, 1) in want["q repeats"] and want["q + 1 repeats"] == ((1, size - q),)
+    assert want["distinct"] == ((1, size),)
+    counts = analysis._value_counts(np.stack(list(rows.values())), q)
+    assert counts.shape == (len(rows), q)
+    assert [analysis._pairs(c) for c in counts] == list(want.values())
+    for name, row in rows.items():  # trials = 1
+        assert [analysis._pairs(c) for c in analysis._value_counts(row[None], q)] == [want[name]]
+    # m_g = 0: the masked vector is the weight-w pattern alone, and a short
+    # row's histogram is only as wide as its largest possible entry
+    G = sample_generator(DESK, rng)
+    pattern = np.stack([rng.choice(DESK.r, size=DESK.w, replace=False) for _ in range(3)])
+    empty = codeword_positions(G, np.empty((3, 0), dtype=np.int64), DESK.p)
+    counts = analysis._value_counts(np.concatenate([k + pattern, empty], axis=1), q)
+    assert counts.shape == (3, DESK.w + 1)
+    assert [analysis._pairs(c) for c in counts] == [((1, DESK.w),)] * 3
+
+
+def test_batch_with_more_codeword_rows_than_k_raises_value_error():
+    # a ParameterSet refuses m_g > k, so force one past its checks
+    bad = copy.copy(DESK)
+    object.__setattr__(bad, "m_g", DESK.k + 1)
+    with pytest.raises(ValueError):
+        analysis._simulate_batch(bad, DESK.density, 3, 1)
 
 
 def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanse import cli, scheme, serial
+from spanse import analysis, cli, scheme, serial
 from spanse.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_REJECT, main
 from spanse.params import DensityPolynomial, ParameterSet, get_params
 from spanse.qcalg import QCMatrix
@@ -250,6 +250,30 @@ def test_analyze_monte_carlo_with_one_worker_at_spanse_128(capsys):
     assert float(report["rejection_rate"]) == pytest.approx(1 - p_valid, abs=1e-5)
 
 
+def test_parser_is_built_once_and_no_option_leaks_into_the_next_call(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seeds, estimate = [], analysis.rejection_rate_montecarlo
+
+    def recorded(*args, seed=None, **kwargs):
+        seeds.append(seed)
+        return estimate(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(analysis, "rejection_rate_montecarlo", recorded)
+    mc = ("analyze", "rejection", "--params", "desk", "--monte-carlo", 10)
+    assert run(*mc, "--seed", 5) == EXIT_OK
+    assert run(*mc) == EXIT_OK
+    assert seeds == [5, None]
+    capsys.readouterr()
+    reports = []
+    for argv in ((), ("--b", 9, "--nu", 0.010725, "--phi", 0.493), ()):
+        assert run("analyze", "attack", *argv) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    ps = get_params("spanse-128")  # analyze's default
+    best = analysis.optimize_attack(n=ps.n, k=ps.k, q=ps.q, p=ps.p)
+    assert reports[0] == reports[2] != reports[1]
+    assert f"b = {best.point.b}\n" in reports[2] and "b = 9\n" in reports[1]
+
+
 def test_params_subcommands(capsys):
     assert run("params", "list") == EXIT_OK
     assert "desk" in capsys.readouterr().out
@@ -353,7 +377,9 @@ def _params_file(path, p, n0, k0, w_g=None, density=None):
     (["analyze", "rejection", "--monte-carlo", "10", "--seed", "1"], 65535, 32767, 65521, 65535),
     # desk's size, but 10^9 batches of 1000 trials: their seeds and sizes alone are 477 GiB
     (["analyze", "rejection", "--monte-carlo", "1000000000000", "--seed", "1"], 20, 10, 13, 11),
-], ids=["keygen", "monte-carlo", "monte-carlo-batches"])
+    # G is 5 MiB, but a batch of 1000 trials holds 1000 x 786 446 positions at once
+    (["analyze", "rejection", "--monte-carlo", "1000", "--seed", "1"], 20, 10, 65521, 65535),
+], ids=["keygen", "monte-carlo", "monte-carlo-batches", "monte-carlo-batch-arrays"])
 def test_oversized_parameters_are_refused_before_allocating(workdir, argv, n0, k0, p, w_g):
     pfile = _params_file(workdir / "big.params", p, n0, k0, w_g)
     assert len(pfile.read_bytes()) == 59
@@ -363,6 +389,22 @@ def test_oversized_parameters_are_refused_before_allocating(workdir, argv, n0, k
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert f"n0={n0}, k0={k0}, p={p} needs " in proc.stderr and " GiB, over the " in proc.stderr
     assert not (workdir / "sk.bin").exists() and not (workdir / "pk.bin").exists()
+
+
+def test_monte_carlo_batch_that_would_not_fit_exits_2_before_drawing(capsys, monkeypatch):
+    # a 1 MB limit fits desk's generator and a batch of 100 trials, but not
+    # a batch of 1000: their positions and histograms alone are 1.3 MB
+    batches = []
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10**6}.get)
+    monkeypatch.setattr(analysis, "_simulate_batch",
+                        lambda *args: batches.append(args[2]) or (float(args[2]), 0.0))
+    mc = ("analyze", "rejection", "--params", "desk", "--seed", 1, "--monte-carlo")
+    assert run(*mc, 1000) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: monte-carlo at n0=20") and " GiB, over the " in err
+    assert not batches
+    assert run(*mc, 100) == EXIT_OK
+    assert batches == [100]
 
 
 @pytest.mark.parametrize("kind", ["attack", "sizes"])

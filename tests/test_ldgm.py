@@ -6,6 +6,7 @@ from oracles import dense_vector, expand, gf_matmul, parity_check
 from spanse.ldgm import (
     GenerationError,
     codeword_from_generator,
+    codeword_positions,
     generator_matrix,
     make_code,
     parity_check_transpose,
@@ -144,3 +145,21 @@ def test_codeword_edge_cases():
                               gf_matmul(u[None, :], dense, DESK.q)[0])
     with pytest.raises(ValueError):
         codeword_from_generator(G, DESK, DESK.k + 1, rng)
+
+
+def test_codeword_positions_work_on_any_leading_shape():
+    # a batch of codewords is each row's codeword, and one draw then the
+    # builder is codeword_from_generator
+    rng = np.random.default_rng(9)
+    G = sample_generator(DESK, rng)
+    rows = np.stack([rng.choice(DESK.k, size=DESK.m_g, replace=False) for _ in range(6)])
+    batch = codeword_positions(G, rows.reshape(2, 3, DESK.m_g), DESK.p)
+    assert batch.shape == (2, 3, DESK.m_g * DESK.w_g)
+    for i, picked in enumerate(rows):
+        assert np.array_equal(batch.reshape(6, -1)[i], codeword_positions(G, picked, DESK.p))
+    state = rng.bit_generator.state
+    picked = rng.choice(DESK.k, size=DESK.m_g, replace=False)
+    rng.bit_generator.state = state
+    assert np.array_equal(codeword_from_generator(G, DESK, DESK.m_g, rng),
+                          codeword_positions(G, picked, DESK.p))
+    assert codeword_positions(G, np.empty((4, 0), dtype=np.int64), DESK.p).shape == (4, 0)
