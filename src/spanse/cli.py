@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,9 +134,7 @@ def cmd_analyze(args) -> int:
                 raise ParameterError(
                     "analytic model needs a binary density; pass --monte-carlo N"
                 )
-            with warnings.catch_warnings():  # params was checked when it was built
-                warnings.simplefilter("ignore")
-                tuned = dataclasses.replace(params, density=density)
+            tuned = dataclasses.replace(params, density=density)
             report = analysis.rejection_rate_analytic(tuned)
             _print_report(report.as_dict())
             print(f"rejection_rate = {1.0 - report.p_valid:.6g}")

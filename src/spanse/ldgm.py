@@ -7,12 +7,13 @@ each block row; the circulant structure propagates the weight to every
 other row. G is held as those positions, (k0, w_g) sorted indices, as the
 key file stores them, and a codeword u G as the positions of the rows u
 picks, a position repeated where rows overlap; `codeword_positions` builds
-any number of codewords at once. Only the solve for the systematic parity
-check builds G's block form: with G = [M1 | M2] and M1 W = M2 solved for
-(M1^{-1} is never formed), H = [-W^T | I], so that syndromes of vectors of
-the form [0_k | s'] read off s' directly. Keygen solves against
-H^T = [-W; I], so H itself is never built, and a singular M1 is reported
-as None. make_code returns (G, H^T).
+any number of codewords at once. A generator G = [M1 | M2] is reducible
+when its left block part M1 is invertible: then H = [-W^T | I] with
+M1 W = M2 is a parity check of G, and syndromes of vectors of the form
+[0_k | s'] read off s' directly. `reducible` only tests M1, by
+eliminating it against no right-hand side, so neither W nor H is formed;
+keygen solves for the public H'^T directly (scheme.keygen). make_code
+returns G.
 """
 
 from __future__ import annotations
@@ -40,31 +41,26 @@ def sample_generator(params: ParameterSet, rng: np.random.Generator) -> np.ndarr
 
 
 def generator_matrix(G: np.ndarray, params: ParameterSet) -> QCMatrix:
-    """The block form of G, for the solves that need M1 and M2."""
+    """The block form of G, whose left part M1 `reducible` tests."""
     blocks = np.zeros((params.k0, params.n0 * params.p), dtype=np.int64)
     blocks[np.arange(params.k0)[:, None], G] = 1
     return QCMatrix(blocks.reshape(params.k0, params.n0, params.p), params.q)
 
 
-def parity_check_transpose(G: np.ndarray, params: ParameterSet) -> QCMatrix | None:
-    """H^T = [-W; I] for G = [M1 | M2], with M1 W = M2 solved for, or None
-    when the left block part M1 is singular. H = [-W^T | I] has G H^T = 0
-    and an identity right part, so H e^T = s' for e = [0_k | s'^T]."""
-    blocks, q = generator_matrix(G, params).blocks, params.q
-    W = qc_solve(QCMatrix(blocks[:, :params.k0], q), QCMatrix(blocks[:, params.k0:], q))
-    if W is None:
-        return None
-    I = QCMatrix.identity(params.r0, params.p, q)
-    return QCMatrix(np.concatenate([-W.blocks, I.blocks]), q)  # reduces -W mod q
+def reducible(G: np.ndarray, params: ParameterSet) -> bool:
+    """Whether G's left block part M1 is invertible, so that G has the
+    systematic parity check H = [-W^T | I], M1 W = M2. M1 is eliminated
+    against a right-hand side with no block columns: W is not formed."""
+    M1 = generator_matrix(G, params).blocks[:, :params.k0]
+    return qc_solve(QCMatrix(M1, params.q), QCMatrix(M1[:, :0], params.q)) is not None
 
 
-def make_code(params: ParameterSet, rng: np.random.Generator) -> tuple[np.ndarray, QCMatrix]:
-    """(G, H^T): sample generators until one admits a systematic parity check."""
+def make_code(params: ParameterSet, rng: np.random.Generator) -> np.ndarray:
+    """G: sample generators until one is reducible."""
     for _ in range(MAX_GENERATOR_RETRIES):
         G = sample_generator(params, rng)
-        Ht = parity_check_transpose(G, params)
-        if Ht is not None:
-            return G, Ht
+        if reducible(G, params):
+            return G
     raise GenerationError(
         f"no reducible generator found in {MAX_GENERATOR_RETRIES} attempts"
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import resource
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -155,12 +154,6 @@ class ParameterSet:
             raise ParameterError("m_g and w must be below q")
         if self.density.q != self.q:
             raise ParameterError("density field size disagrees with q")
-        if self.m_g * self.w_g >= self.q:
-            warnings.warn(
-                f"{self.name}: m_g*w_g = {self.m_g * self.w_g} >= q = {self.q}; "
-                "codeword entries can wrap around the field",
-                stacklevel=2,
-            )
 
     @property
     def n(self) -> int:
@@ -185,6 +178,12 @@ class ParameterSet:
         )
 
 
+# n0^2 p int64 words keygen holds at its peak, as its solve returns: S,
+# T S^T, [0; P] (r0 block columns), the solve's augmented [T S^T | [0; P]]
+# and two r0-wide copies of the result as it leaves the augmented matrix
+# (measured with tracemalloc: 5.00 at spanse-128, 5.07 at spanse-128's
+# ring with n0 = 84, where 0.4 MiB of small arrays add to it)
+_KEYGEN_WORDS = 5
 # bytes a Monte Carlo run holds per batch before its first trial: the
 # batch's size, its spawned SeedSequence and later its count (424 measured
 # with tracemalloc)
@@ -198,17 +197,18 @@ _POSITION_COPIES = 5
 def check_working_set(params: ParameterSet, command: str, batches: int = 0,
                       batch_size: int = 0):
     """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
-    in physical memory and under RLIMIT_AS: keygen's G blocks, S and
-    [S^T | H^T] (3 n0^2 p int64 words), or the Monte Carlo's generator
-    (k0 w_g int64 positions), the bookkeeping of its `batches` batches and
-    the arrays its largest batch, of `batch_size` trials, builds at once:
+    in physical memory and under RLIMIT_AS: keygen's S, T S^T, [0; P] and
+    its solve's augmented matrix and result (_KEYGEN_WORDS n0^2 p int64
+    words), or the Monte Carlo's generator (k0 w_g int64 positions), the
+    bookkeeping of its `batches` batches and the arrays its largest batch,
+    of `batch_size` trials, builds at once:
     copies of its batch_size x (w + m_g w_g) int64 positions and its
     batch_size x min(q, w + m_g w_g + 1) int64 histogram of multisets.
     The Monte Carlo's score memo is not counted: it holds one entry, keyed
     by a histogram row, per distinct masked-vector multiset of the running
     batch, at most `batch_size` and 4 to 8 measured per 1000 trials."""
     length = params.w + params.m_g * params.w_g
-    need = (8 * 3 * params.n0**2 * params.p if command == "keygen"
+    need = (8 * _KEYGEN_WORDS * params.n0**2 * params.p if command == "keygen"
             else 8 * params.k0 * params.w_g + _BATCH_BYTES * batches
             + 8 * batch_size * (_POSITION_COPIES * length + min(params.q, length + 1)))
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -233,19 +233,17 @@ def _make_registry() -> dict[str, ParameterSet]:
         m_g=4,
         density=DensityPolynomial.parse("1/2,1/2", 127),
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        spanse128 = ParameterSet(
-            name="spanse-128",
-            q=127,
-            p=101,
-            n0=238,
-            k0=119,
-            w=26,
-            w_g=11,
-            m_g=12,
-            density=DensityPolynomial.parse("0.5783,0.4167,2:0.0042,13:0.00083", 127),
-        )
+    spanse128 = ParameterSet(
+        name="spanse-128",
+        q=127,
+        p=101,
+        n0=238,
+        k0=119,
+        w=26,
+        w_g=11,
+        m_g=12,
+        density=DensityPolynomial.parse("0.5783,0.4167,2:0.0042,13:0.00083", 127),
+    )
     return {ps.name: ps for ps in (desk, spanse128)}
 
 

@@ -238,12 +238,6 @@ class QCMatrix:
     def p(self) -> int:
         return self.blocks.shape[2]
 
-    @classmethod
-    def identity(cls, size0: int, p: int, q: int) -> "QCMatrix":
-        b = np.zeros((size0, size0, p), dtype=np.int64)
-        b[np.arange(size0), np.arange(size0), 0] = 1
-        return cls(b, q)
-
     def transpose(self) -> "QCMatrix":
         return QCMatrix(_reverse(self.blocks).swapaxes(0, 1), self.q)
 
@@ -468,27 +462,12 @@ class QCPermutation:
         inv[perm] = np.arange(perm.size)
         object.__setattr__(self, "_inv_perm", inv)
 
-    @property
-    def size0(self) -> int:
-        return int(self.block_perm.size)
-
 
 def perm_apply(P: QCPermutation, positions: np.ndarray) -> np.ndarray:
     """The positions of P s for the vector s with ones at `positions`."""
     blk, off = np.divmod(positions, P.p)
     out_blk = P._inv_perm[blk]
     return out_blk * P.p + (off + P.shifts[out_blk]) % P.p
-
-
-def perm_inv_mul(P: QCPermutation, M: QCMatrix) -> QCMatrix:
-    """P^{-1} M by indexing: block row i is block row pi^{-1}(i) of M with
-    every circulant's first row rolled right by that row's shift."""
-    if M.rows0 != P.size0 or M.p != P.p:
-        raise DimensionMismatchError(f"permutation of {P.size0} blocks of size {P.p} against "
-                                     f"{M.rows0} block rows of size {M.p}")
-    src = P._inv_perm
-    idx = (np.arange(P.p) - P.shifts[src][:, None]) % P.p
-    return QCMatrix(np.take_along_axis(M.blocks[src], idx[:, None, :], axis=2), M.q)
 
 
 def random_qc_permutation(size0: int, p: int, rng: np.random.Generator) -> QCPermutation:

@@ -2,8 +2,11 @@
 
 Key generation hides a sparse-generator code behind a quasi-cyclic
 permutation P and a dense invertible transformation S: the public matrix
-is H' = P^{-1} H S^{-1}, with (H S^{-1})^T = S^{-T} H^T solved for against
-the H^T that ldgm.make_code returns; neither H nor S^{-1} is formed.
+is H' = P^{-1} H S^{-1}, where H = [-W^T | I] is the systematic parity
+check of G = [M1 | M2]. With T = [[M1, M2], [0, I]], H = [0 | I] T^{-T},
+and P^{-T} = P for a permutation, so H'^T = (T S^T)^{-1} [0; P]: keygen
+builds T S^T from gathers of S's columns and solves that one system per
+S draw. Neither H, W, S^T nor an inverse is formed.
 Signing maps the message to a sparse weight-w syndrome s, lifts it to an
 error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
 codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
@@ -33,7 +36,6 @@ from .qcalg import (
     QCMatrix,
     QCPermutation,
     perm_apply,
-    perm_inv_mul,
     qc_mat_gather,
     qc_mat_vec,
     qc_solve,
@@ -61,7 +63,7 @@ class SigningError(Exception):
 
 @dataclass
 class PrivateKey:
-    """{P, G, S}: exactly what signing reads. H^T lives only in keygen."""
+    """{P, G, S}: exactly what signing reads."""
 
     params: ParameterSet
     P: QCPermutation  # r x r block-shift permutation
@@ -101,17 +103,32 @@ def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QC
 
 
 def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, PublicKey]:
-    """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}, where H S^{-1} = (S^{-T} H^T)^T."""
+    """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}, as H'^T = (T S^T)^{-1} [0; P].
+
+    Block row i of T S^T has first row expand(S) t_i^T, where t_i is the
+    first row of T's block row i: G's row i for i < k0, the one-position
+    i p for i >= k0. T is invertible, so T S^T is singular exactly when S is.
+    """
     if params.density.d0 == 1:
         raise ParameterError("the density puts all its mass on 0, so every S is zero")
     check_working_set(params, "keygen")
-    G, Ht = make_code(params, rng)
-    P = random_qc_permutation(params.r0, params.p, rng)
+    n0, k0, r0, p = params.n0, params.k0, params.r0, params.p
+    G = make_code(params, rng)
+    P = random_qc_permutation(r0, p, rng)
+    # both are written in place, with canonical entries, so that no second
+    # copy of an n0 x n0 block matrix is made; [0; P] has x^(-shift_i) at
+    # block (k0 + i, pi(i))
+    rhs = QCMatrix(np.zeros((n0, r0, p), dtype=np.int64), params.q)
+    rhs.blocks[k0 + np.arange(r0), P.block_perm, -P.shifts % p] = 1
+    TSt = QCMatrix(np.zeros((n0, n0, p), dtype=np.int64), params.q)
+    t = list(G) + [[i * p] for i in range(k0, n0)]
     for _ in range(MAX_S_RETRIES):
         S = sample_dense_transform(params, rng)
-        X = qc_solve(S.transpose(), Ht)
+        for i, t_i in enumerate(t):
+            TSt.blocks[i] = qc_mat_gather(S, t_i).reshape(n0, p)
+        X = qc_solve(TSt, rhs)
         if X is not None:
-            return PrivateKey(params, P, G, S), PublicKey(params, perm_inv_mul(P, X.transpose()))
+            return PrivateKey(params, P, G, S), PublicKey(params, X.transpose())
     raise KeygenError(
         f"no invertible dense transform in {MAX_S_RETRIES} draws; "
         "the density may be degenerate"

@@ -25,10 +25,11 @@ positions all of value 1 (as keygen writes it), and that no block row of
 S is zero (signing with such an S could never succeed). Keys are held as
 stored (G as sorted one-positions, S and H' as blocks); H, S^{-1} and the
 transposes are not derived. `check_private` runs the two O(n0^3 p) checks
-a load skips: M1 and S invertible, each eliminated against no right-hand
-side, so neither W nor an inverse is formed. File writes go to a
-temporary name in the target directory and are renamed into place, so
-failures never leave a partial file.
+a load skips: that the generator is reducible (ldgm.reducible) and that S
+is invertible, each by an elimination against no right-hand side, so
+neither W nor an inverse is formed. File writes go to a temporary name in
+the target directory and are renamed into place, so failures never leave
+a partial file.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-import warnings
 from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import generator_matrix
+from .ldgm import reducible
 from .params import DensityPolynomial, ParameterSet
 from .qcalg import QCMatrix, QCPermutation, qc_solve
 from .scheme import PrivateKey, PublicKey, Signature
@@ -137,9 +137,7 @@ def _read_params(rd: _Reader) -> ParameterSet:
         coeffs[value] = Fraction(num, den)
     try:
         density = DensityPolynomial(coeffs, q)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return ParameterSet("restored", q, p, n0, k0, w, w_g, m_g, density)
+        return ParameterSet("restored", q, p, n0, k0, w, w_g, m_g, density)
     except ValueError as exc:
         raise SerializationError(f"invalid parameters: {exc}") from exc
 
@@ -248,19 +246,19 @@ def deserialize_private(data: bytes) -> PrivateKey:
 
 
 def check_private(sk: PrivateKey):
-    """Raise SerializationError unless M1 (the generator's left block part)
-    and S are invertible, as they are in every key keygen writes.
+    """Raise SerializationError unless the generator is reducible (its left
+    block part M1 invertible) and S is invertible, as in every key keygen
+    writes.
 
     These are the two O(n0^3 p) checks that loading skips. Each matrix is
     eliminated against a right-hand side with no block columns, so neither
     M1's solution W nor an inverse is formed.
     """
-    M1 = QCMatrix(generator_matrix(sk.G, sk.params).blocks[:, :sk.params.k0], sk.params.q)
-    for A, error in ((M1, "generator is not reducible: "
-                          "left block part of the generator is singular"),
-                     (sk.S, "dense transform is singular")):
-        if qc_solve(A, QCMatrix(A.blocks[:, :0], A.q)) is None:
-            raise SerializationError(error)
+    if not reducible(sk.G, sk.params):
+        raise SerializationError("generator is not reducible: "
+                                 "left block part of the generator is singular")
+    if qc_solve(sk.S, QCMatrix(sk.S.blocks[:, :0], sk.S.q)) is None:
+        raise SerializationError("dense transform is singular")
 
 
 def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:

@@ -23,7 +23,6 @@ import signal
 import sys
 import time
 import traceback
-import warnings
 from pathlib import Path
 
 LIMIT_BYTES = 4 * 2**30
@@ -91,12 +90,10 @@ def _run(main, argv: list[str]) -> tuple[int | str, str, float]:
 
 def _loads(serial, data: bytes) -> bool:
     """Whether `data` is a valid params file (its errors are ValueErrors)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            serial.deserialize_params(data)
-        except ValueError:
-            return False
+    try:
+        serial.deserialize_params(data)
+    except ValueError:
+        return False
     return True
 
 

@@ -3,14 +3,15 @@
 The library never forms a dense matrix; these oracles expand block matrices
 and permutations and multiply or invert them entry by entry. The library
 also never multiplies two block matrices, so the block product the tests
-check against these oracles is here too, nor forms the parity-check matrix
-H, only its transpose. The Monte Carlo oracle samples signing attempts
-entry by entry, where the library scores each masked vector by its exact
-acceptance probability; the per-trial oracle builds every masked vector
-alone and scores it afresh, where the library builds a batch's masked
-vectors at once and scores each distinct one once per batch; the
-fixed-weight rejection model is a closed form the Monte Carlo is checked
-against.
+check against these oracles is here too, nor forms the identity block
+matrix or the parity-check matrix H: keygen solves for H' directly, so H
+is built here from G's dense expansion alone. The Monte Carlo oracle
+samples signing attempts entry by entry, where the library scores each
+masked vector by its exact acceptance probability; the per-trial oracle
+builds every masked vector alone and scores it afresh, where the library
+builds a batch's masked vectors at once and scores each distinct one once
+per batch; the fixed-weight rejection model is a closed form the Monte
+Carlo is checked against.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.stats import binom
 
 from spanse.analysis import _p_zero
-from spanse.ldgm import codeword_from_generator, parity_check_transpose, sample_generator
+from spanse.ldgm import codeword_from_generator, generator_matrix, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
 from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul
 
@@ -36,9 +37,23 @@ def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
     return QCMatrix(_block_matmul(A.blocks, B.blocks, A.p, A.q), A.q)
 
 
-def parity_check(G: np.ndarray, params: ParameterSet) -> QCMatrix:
-    """H = [-W^T | I] for a generator whose left block part is invertible."""
-    return parity_check_transpose(G, params).transpose()
+def identity(size0: int, p: int, q: int) -> QCMatrix:
+    """The size0 x size0 identity block matrix."""
+    b = np.zeros((size0, size0, p), dtype=np.int64)
+    b[np.arange(size0), np.arange(size0), 0] = 1
+    return QCMatrix(b, q)
+
+
+def parity_check(G: np.ndarray, params: ParameterSet) -> np.ndarray:
+    """The dense H = [-W^T | I] for a generator G = [M1 | M2] whose left
+    part is invertible, with W = M1^{-1} M2 by dense Gauss-Jordan on the
+    expansion: no library solve takes part."""
+    k, q = params.k, params.q
+    dense = expand(generator_matrix(G, params))
+    M1_inv = gf_inv_dense(dense[:, :k], q)
+    assert M1_inv is not None, "the generator is not reducible"
+    W = gf_matmul(M1_inv, dense[:, k:], q)
+    return np.concatenate([(-W.T) % q, np.eye(params.r, dtype=np.int64)], axis=1)
 
 
 def expand(A: QCMatrix) -> np.ndarray:
@@ -83,8 +98,9 @@ def gf_inv_dense(M: np.ndarray, q: int) -> np.ndarray | None:
 
 def perm_qc_matrix(P: QCPermutation, q: int) -> QCMatrix:
     """P as a block matrix of monomials over F_q; its transpose is P^{-1}."""
-    blocks = np.zeros((P.size0, P.size0, P.p), dtype=np.int64)
-    for i in range(P.size0):
+    size0 = P.block_perm.size
+    blocks = np.zeros((size0, size0, P.p), dtype=np.int64)
+    for i in range(size0):
         # first-row convention: coefficient (p - t) mod p realizes j -> j + t
         blocks[i, P.block_perm[i], (P.p - P.shifts[i]) % P.p] = 1
     return QCMatrix(blocks, q)

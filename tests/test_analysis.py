@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -191,9 +190,7 @@ def test_pge_at_spanse_128_dims():
 # --- rejection model ----------------------------------------------------------
 
 def _with_density(params, text):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return dataclasses.replace(params, density=DensityPolynomial.parse(text, params.q))
+    return dataclasses.replace(params, density=DensityPolynomial.parse(text, params.q))
 
 
 def _folded_binomial(trials, prob, q):

@@ -3,7 +3,6 @@ import os
 import struct
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,10 +360,8 @@ def _params_file(path, p, n0, k0, w_g=None, density=None):
     """spanse-128's field, weights and density at another size, or with
     another generator row weight or density; 59 bytes at spanse-128's density."""
     ref = get_params("spanse-128")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = ParameterSet("big", ref.q, p, n0, k0, ref.w, w_g or ref.w_g, ref.m_g,
-                              density or ref.density)
+    params = ParameterSet("big", ref.q, p, n0, k0, ref.w, w_g or ref.w_g, ref.m_g,
+                          density or ref.density)
     path.write_bytes(serial.serialize_params(params))
     return path
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from oracles import dense_vector, expand, gf_matmul, parity_check
+from oracles import dense_vector, expand, gf_inv_dense, gf_matmul, parity_check
+from spanse import ldgm
 from spanse.ldgm import (
     GenerationError,
     codeword_from_generator,
     codeword_positions,
     generator_matrix,
     make_code,
-    parity_check_transpose,
+    reducible,
     sample_generator,
 )
 from spanse.params import get_params
@@ -52,18 +53,23 @@ def test_generator_position_uniformity_chisquare():
 
 
 def test_systematic_parity_check_identity_part_and_duality():
+    # reducible agrees with dense inversion of M1 on every draw, and each
+    # reducible G has the parity check H = [-W^T | I] with H G^T = 0
     rng = np.random.default_rng(3)
-    checked = 0
+    checked = rejected = 0
     while checked < 10:
         G = sample_generator(DESK, rng)
-        Ht = parity_check_transpose(G, DESK)
-        if Ht is None:
+        dense = expand(generator_matrix(G, DESK))
+        invertible = gf_inv_dense(dense[:, :DESK.k], DESK.q) is not None
+        assert reducible(G, DESK) == invertible
+        if not invertible:
+            rejected += 1
             continue
         checked += 1
-        dh = expand(Ht.transpose())
-        assert np.array_equal(dh, expand(Ht).T)
+        dh = parity_check(G, DESK)
         assert np.array_equal(dh[:, DESK.k :], np.eye(DESK.r, dtype=np.int64))
-        assert not gf_matmul(dh, expand(generator_matrix(G, DESK)).T, DESK.q).any()
+        assert not gf_matmul(dh, dense.T, DESK.q).any()
+    assert rejected > 0
 
 
 def test_systematic_input_passthrough():
@@ -76,7 +82,8 @@ def test_systematic_input_passthrough():
     M = generator_matrix(G, DESK)
     assert np.array_equal(expand(M)[:, :k], np.eye(k, dtype=np.int64))
     M2 = QCMatrix(M.blocks[:, DESK.k0 :], q)
-    dense = expand(parity_check(G, DESK))
+    assert reducible(G, DESK)
+    dense = parity_check(G, DESK)
     assert np.array_equal(dense[:, :k], (-expand(M2).T) % q)
     assert np.array_equal(dense[:, k:], np.eye(DESK.r, dtype=np.int64))
     assert not gf_matmul(dense, expand(M).T, q).any()
@@ -84,8 +91,7 @@ def test_systematic_input_passthrough():
 
 def test_syndrome_of_padded_pattern_reads_off_tail():
     rng = np.random.default_rng(5)
-    _, Ht = make_code(DESK, rng)
-    dh = expand(Ht.transpose())
+    dh = parity_check(make_code(DESK, rng), DESK)
     for _ in range(20):
         s = rng.integers(0, DESK.q, DESK.r)
         e = np.concatenate([np.zeros(DESK.k, dtype=np.int64), s])
@@ -93,22 +99,28 @@ def test_syndrome_of_padded_pattern_reads_off_tail():
 
 
 def test_make_code_retries_and_caps(monkeypatch):
+    # make_code returns the first reducible draw, after the ones it rejects
     rng = np.random.default_rng(6)
-    G, Ht = make_code(DESK, rng)
-    assert G.shape == (DESK.k0, DESK.w_g) and (Ht.rows0, Ht.cols0) == (DESK.n0, DESK.r0)
-    assert not gf_matmul(expand(generator_matrix(G, DESK)), expand(Ht), DESK.q).any()
+    tested = []
 
-    import spanse.ldgm as ldgm_mod
+    def recording(G, params):
+        tested.append((G, reducible(G, params)))
+        return tested[-1][1]
 
-    monkeypatch.setattr(ldgm_mod, "parity_check_transpose", lambda G, params: None)
+    monkeypatch.setattr(ldgm, "reducible", recording)
+    G = make_code(DESK, rng)
+    assert G.shape == (DESK.k0, DESK.w_g) and G is tested[-1][0] and len(tested) > 1
+    assert [ok for _, ok in tested] == [False] * (len(tested) - 1) + [True]
+
+    monkeypatch.setattr(ldgm, "reducible", lambda G, params: False)
     with pytest.raises(GenerationError):
         make_code(DESK, rng)
 
 
 def test_random_codeword_is_codeword_and_weight_model():
     rng = np.random.default_rng(7)
-    G, Ht = make_code(DESK, rng)
-    dh = expand(Ht.transpose())
+    G = make_code(DESK, rng)
+    dh = parity_check(G, DESK)
     weights = []
     for _ in range(2000):
         c = codeword_from_generator(G, DESK, DESK.m_g, rng)
@@ -123,7 +135,7 @@ def test_random_codeword_is_codeword_and_weight_model():
 
 def test_codeword_edge_cases():
     rng = np.random.default_rng(8)
-    G, _ = make_code(DESK, rng)
+    G = make_code(DESK, rng)
     dense = expand(generator_matrix(G, DESK))
     c0 = codeword_from_generator(G, DESK, 0, rng)
     assert c0.size == 0

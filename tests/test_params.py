@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -79,11 +80,14 @@ def test_parameter_set_invariants():
         ParameterSet("x", 127, 13, 20, 10, 6, 5, 127, d)  # m_g >= q
 
 
-def test_large_codeword_weight_only_warns():
+def test_large_codeword_weight_builds_without_warning():
+    # spanse-128's shape has m_g w_g >= q, so codeword entries can wrap
+    # around the field; that is allowed and says nothing worth a warning
     d = DensityPolynomial.parse("1/2,1/2", Q)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ps = ParameterSet("x", 127, 101, 238, 119, 26, 11, 12, d)
-    assert ps.m_g * ps.w_g >= ps.q  # the warned-about condition
+    assert ps.m_g * ps.w_g >= ps.q
 
 
 def test_describe_mentions_all_numbers():

@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import dense_vector, expand, gf_matmul, parity_check, perm_dense
+from oracles import dense_vector, expand, gf_matmul, parity_check, perm_dense, perm_qc_matrix
 from spanse import ldgm, qcalg, scheme, serial
 from spanse.ldgm import codeword_from_generator
-from spanse.params import get_params
+from spanse.params import DensityPolynomial, ParameterError, ParameterSet, get_params
 from spanse.qcalg import perm_apply, qc_mat_gather
 from spanse.scheme import (
     SigningError,
@@ -32,13 +37,81 @@ def test_keygen_structural_identities(keypair):
     lhs = expand(pk.Hpub)
     H = parity_check(sk.G, DESK)
     assert np.array_equal(gf_matmul(lhs, expand(sk.S), q),
-                          gf_matmul(perm_dense(sk.P, q).T, expand(H), q))
+                          gf_matmul(perm_dense(sk.P, q).T, H, q))
     # public H' annihilates S-transformed codewords: H' (S c^T) = 0
     rng = np.random.default_rng(7)
     for _ in range(20):
         c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
         sc = gf_matmul(expand(sk.S), dense_vector(c, DESK.n, q)[:, None], q)
         assert not gf_matmul(lhs, sc, q).any()
+
+
+def test_keygen_solves_once_per_draw(monkeypatch):
+    # each G draw eliminates M1 against no right-hand side, and each S draw
+    # solves T S^T against [0; P], r0 block columns wide; at this sparse
+    # density some S draws are singular and resampled
+    params = dataclasses.replace(DESK, density=DensityPolynomial.parse("49/50,1/50", DESK.q))
+    events, rhs = [], []
+
+    def recording(name, real):
+        def wrapped(*args):
+            events.append(name)
+            if name == "solve":
+                events.append(args[1].cols0)
+                rhs.append(args[1])
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(ldgm, "sample_generator", recording("G", ldgm.sample_generator))
+    monkeypatch.setattr(scheme, "sample_dense_transform",
+                        recording("S", scheme.sample_dense_transform))
+    for module in (ldgm, scheme):
+        monkeypatch.setattr(module, "qc_solve", recording("solve", module.qc_solve))
+    s_draws = []
+    for seed in range(4):
+        events.clear()
+        rhs.clear()
+        sk, _ = keygen(params, np.random.default_rng(seed))
+        g, s = events.count("G"), events.count("S")
+        assert events == ["G", "solve", 0] * g + ["S", "solve", DESK.r0] * s
+        zero_p = np.zeros((DESK.n0, DESK.r0, DESK.p), dtype=np.int64)
+        zero_p[DESK.k0:] = perm_qc_matrix(sk.P, DESK.q).blocks
+        assert all(np.array_equal(b.blocks, zero_p) for b in rhs[g:])
+        s_draws.append(s)
+    assert max(s_draws) > 1
+
+
+def test_keys_after_singular_s_draws_keep_recorded_bytes():
+    # at this density most S draws are singular (24 and 11 draws for seeds
+    # 0 and 1), a path the CLI's golden digests never take; SHA-256 of the
+    # private then public key bytes, recorded before keygen solved for H'^T
+    params = dataclasses.replace(DESK, density=DensityPolynomial.parse("99/100,1/100", DESK.q))
+    recorded = {0: "b7ea3763fe429d6b2373873202654e41acd14b3c3b405c8d5a8f2300acd3e0ba",
+                1: "be0f41a862d06d7d58a1034ac77be0a3d8399835804b958f71f670b9720a0eb0"}
+    for seed, digest in recorded.items():
+        sk, pk = keygen(params, np.random.default_rng(seed))
+        data = serial.serialize_private(sk) + serial.serialize_public(pk)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_keygen_working_set_check_counts_the_measured_peak(monkeypatch):
+    # spanse-128's ring at n0 = 84: check_working_set must refuse a limit
+    # 1 MiB under keygen's measured peak and admit one 10% above it
+    ref = get_params("spanse-128")
+    ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
+    tracemalloc.start()
+    try:
+        keygen(ps, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for limit, fits in ((peak - 2**20, False), (int(1.1 * peak), True)):
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": limit}.get)
+        if fits:
+            scheme.check_working_set(ps, "keygen")
+        else:
+            with pytest.raises(ParameterError):
+                scheme.check_working_set(ps, "keygen")
 
 
 def test_dense_transform_sampling_uses_density():
@@ -114,7 +187,7 @@ def test_chain_identity_term_by_term(keypair):
     assert np.array_equal(sigma, qc_mat_gather(sk.S, np.concatenate([DESK.k + s_perm, c])))
     # H' sigma^T = P^{-1} H (e + c)^T = P^{-1} s' = s
     t1 = gf_matmul(expand(pk.Hpub), sigma[:, None], q)[:, 0]
-    H = expand(parity_check(sk.G, DESK))
+    H = parity_check(sk.G, DESK)
     t2 = gf_matmul(perm_dense(sk.P, q).T, gf_matmul(H, v[:, None], q), q)[:, 0]
     t3 = gf_matmul(perm_dense(sk.P, q).T, dense_vector(s_perm, DESK.r, q)[:, None], q)[:, 0]
     assert np.array_equal(t1, t2)
@@ -192,6 +265,12 @@ def test_spanse_128_round_trip_and_tamper(monkeypatch):
     params = get_params("spanse-128")
     sk, pk = keygen(params, np.random.default_rng(11))
     assert sk.S.rows0 == params.n0 and pk.Hpub.blocks.shape == (params.r0, params.n0, params.p)
+    # the keys' bytes as recorded before keygen solved for H'^T directly
+    data = serial.serialize_private(sk)
+    assert hashlib.sha256(data).hexdigest() == (
+        "e713e68fea263d093cd2a72dcfd98239dd5763027ed5437d251a2a54cff9131a")
+    assert hashlib.sha256(serial.serialize_public(pk)).hexdigest() == (
+        "0e6e72d2dcdfd5f031dc5119e51a9827d511e132f86dc7f3c819671256ebe46c")
     msg = b"full-scale message"
     sig, _ = sign(sk, msg, rng=np.random.default_rng(12))
     assert sig.sigma.size == params.n and verify(pk, msg, sig).accepted
@@ -199,7 +278,6 @@ def test_spanse_128_round_trip_and_tamper(monkeypatch):
     bumped[params.n // 3] = bumped[params.n // 3] % (params.q - 1) + 1  # another nonzero symbol
     assert verify(pk, msg, Signature(bumped, sig.theta)).reason == "syndrome-mismatch"
     # a key reloaded from its bytes signs, inverting nothing, under the original public key
-    data = serial.serialize_private(sk)
     forbid_inversion(monkeypatch)
     sk2 = serial.deserialize_private(data)
     sig2, _ = sign(sk2, b"after reload", rng=np.random.default_rng(13))

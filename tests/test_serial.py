@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -57,9 +56,7 @@ def test_key_load_makes_one_int64_copy():
     # a p101-sized key (n0 = 84): S is 5.4 MiB as int64 and H' 2.7 MiB; load
     # widens the file's symbol bytes once, so the peak is that copy plus the bytes
     ref = get_params("spanse-128")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
+    ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
     rng = np.random.default_rng(7)
     S = QCMatrix(rng.integers(1, ps.q, (ps.n0, ps.n0, ps.p)), ps.q)
     G = np.sort([rng.choice(ps.n, ps.w_g, replace=False) for _ in range(ps.k0)], axis=1)

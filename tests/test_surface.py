@@ -1,15 +1,17 @@
 """The library holds what the scheme, the analysis suite and the CLI reach.
 
-Every top-level function and class in src/spanse/, and every method and
-property of its classes other than dunders, must be named somewhere in
-src/spanse/ outside its own definition. Code that only tests call
-belongs in the tests (dense oracles go in tests/oracles.py). The library
-imports only the standard library, numpy and itself; scipy is a test
-dependency.
+Every top-level function and class in src/spanse/ must be named somewhere
+in src/spanse/ outside its own definition, and every method and property
+of its classes other than dunders must be reached by an attribute access
+(x.name) outside its own definition: a local variable that shares its
+name does not count. Code that only tests call belongs in the tests (dense
+oracles go in tests/oracles.py). The library imports only the standard
+library, numpy and itself; scipy is a test dependency.
 """
 
 import ast
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -35,11 +37,17 @@ def _names(node: ast.AST) -> Counter:
     return found
 
 
-def test_every_library_definition_is_reached():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    everywhere = Counter()
+def _attributes(node: ast.AST) -> Counter:
+    """Attribute names accessed under node, as in x.name."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _unreached(trees: dict[str, ast.Module]) -> tuple[list[str], set]:
+    """(definitions no other code reaches, every (module, name) defined)."""
+    everywhere, accessed = Counter(), Counter()
     for tree in trees.values():
         everywhere += _names(tree)
+        accessed += _attributes(tree)
     defined, unreached = set(), []
     for module, tree in trees.items():
         for node in tree.body:
@@ -54,10 +62,35 @@ def test_every_library_definition_is_reached():
                 for member in node.body:
                     if (isinstance(member, ast.FunctionDef)
                             and not (member.name.startswith("__") and member.name.endswith("__"))
-                            and everywhere[member.name] == _names(member)[member.name]):
+                            and accessed[member.name] == _attributes(member)[member.name]):
                         unreached.append(f"{module}.{node.name}.{member.name}")
+    return unreached, defined
+
+
+def test_every_library_definition_is_reached():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unreached, defined = _unreached(trees)
     assert not unreached, f"defined in src/spanse/ but named nowhere else there: {unreached}"
     assert set(ALLOWED) <= defined, "stale allowlist entry"
+
+
+def test_member_named_only_by_a_local_variable_is_unreached():
+    source = textwrap.dedent("""
+        class Box:
+            @property
+            def size(self):
+                return 1
+
+            @property
+            def width(self):
+                return 2
+
+        def make(size):
+            return Box().width + size
+
+        TOTAL = make(3)
+    """)
+    assert _unreached({"m": ast.parse(source)})[0] == ["m.Box.size"]
 
 
 def test_library_imports_only_stdlib_and_numpy():
