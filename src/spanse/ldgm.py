@@ -10,10 +10,12 @@ picks, a position repeated where rows overlap; `codeword_positions` builds
 any number of codewords at once. A generator G = [M1 | M2] is reducible
 when its left block part M1 is invertible: then H = [-W^T | I] with
 M1 W = M2 is a parity check of G, and syndromes of vectors of the form
-[0_k | s'] read off s' directly. `reducible` only tests M1, by
-eliminating it against no right-hand side, so neither W nor H is formed;
-keygen solves for the public H'^T directly (scheme.keygen). make_code
-returns G.
+[0_k | s'] read off s' directly. `reducible` only tests M1, so neither W
+nor H is formed; keygen solves for the public H'^T directly
+(scheme.keygen). It first tests M1(1), M1 at x = 1, a k0 x k0 matrix
+over F_q, by forward elimination mod q: M1 is singular when M1(1) is, and
+every singular desk draw measured was caught there. Only the draws that
+pass are eliminated over R_p. make_code returns G.
 """
 
 from __future__ import annotations
@@ -49,10 +51,31 @@ def generator_matrix(G: np.ndarray, params: ParameterSet) -> QCMatrix:
 
 def reducible(G: np.ndarray, params: ParameterSet) -> bool:
     """Whether G's left block part M1 is invertible, so that G has the
-    systematic parity check H = [-W^T | I], M1 W = M2. M1 is eliminated
-    against a right-hand side with no block columns: W is not formed."""
+    systematic parity check H = [-W^T | I], M1 W = M2.
+
+    M1 is singular when M1(1), its image in the x - 1 CRT component of
+    R_p, is singular over F_q: that k0 x k0 test comes first. Otherwise M1
+    is eliminated against a right-hand side with no block columns: W is
+    not formed."""
     M1 = generator_matrix(G, params).blocks[:, :params.k0]
+    if not _nonsingular_mod_q(M1.sum(axis=2), params.q):
+        return False
     return qc_solve(QCMatrix(M1, params.q), QCMatrix(M1[:, :0], params.q)) is not None
+
+
+def _nonsingular_mod_q(M: np.ndarray, q: int) -> bool:
+    """Whether the square matrix M is nonsingular over F_q, q prime, by
+    forward elimination with row swaps."""
+    M = M % q
+    for c in range(len(M)):
+        nonzero = np.flatnonzero(M[c:, c])
+        if not nonzero.size:
+            return False
+        r = c + nonzero[0]
+        M[[c, r]] = M[[r, c]]
+        factors = M[c + 1 :, c] * pow(int(M[c, c]), -1, q) % q
+        M[c + 1 :] = (M[c + 1 :] - np.outer(factors, M[c])) % q
+    return True
 
 
 def make_code(params: ParameterSet, rng: np.random.Generator) -> np.ndarray:

@@ -178,11 +178,12 @@ class ParameterSet:
         )
 
 
-# n0^2 p int64 words keygen holds at its peak, as its solve returns: S,
-# T S^T, [0; P] (r0 block columns), the solve's augmented [T S^T | [0; P]]
-# and two r0-wide copies of the result as it leaves the augmented matrix
-# (measured with tracemalloc: 5.00 at spanse-128, 5.07 at spanse-128's
-# ring with n0 = 84, where 0.4 MiB of small arrays add to it)
+# n0^2 p int64 words keygen holds at its peak: S, T S^T and [0; P] (r0
+# block columns), with the solve's augmented [T S^T | [0; P]] and the
+# r0-wide result gathered from it, or with the spectra of a panel's
+# products, which grow as n0, not n0^2 (measured with tracemalloc: 4.52 at
+# spanse-128, where the first pair sets the peak, and 5.06 to 5.21 at
+# spanse-128's ring with n0 = 84, where the spectra do)
 _KEYGEN_WORDS = 5
 # bytes a Monte Carlo run holds per batch before its first trial: the
 # batch's size, its spawned SeedSequence and later its count (424 measured
@@ -197,9 +198,10 @@ _POSITION_COPIES = 5
 def check_working_set(params: ParameterSet, command: str, batches: int = 0,
                       batch_size: int = 0):
     """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
-    in physical memory and under RLIMIT_AS: keygen's S, T S^T, [0; P] and
-    its solve's augmented matrix and result (_KEYGEN_WORDS n0^2 p int64
-    words), or the Monte Carlo's generator (k0 w_g int64 positions), the
+    in physical memory and under RLIMIT_AS: keygen's S, T S^T, [0; P],
+    its solve's augmented matrix and result, and the spectra of the
+    solve's panel products (_KEYGEN_WORDS n0^2 p int64 words), or the
+    Monte Carlo's generator (k0 w_g int64 positions), the
     bookkeeping of its `batches` batches and the arrays its largest batch,
     of `batch_size` trials, builds at once:
     copies of its batch_size x (w + m_g w_g) int64 positions and its

@@ -28,13 +28,19 @@ direct np.convolve calls folded mod x^p - 1, exact in int64.
 
 Linear systems A X = B are solved, never by forming A^{-1}: qc_solve runs
 panelled Gauss-Jordan without row swaps on [A | B]. A panel of up to 8
-pivot columns is eliminated exactly on the panel's own columns and a
-record D of the transform's columns at its pivot rows; products of inner
-dimension 8 then apply the panel to the rest of [A | B], 8 block columns
-at a time, all from one spectrum of D. A column with no unit in a free
-row flushes the pending panel first, so the repair step works on exact
-rows. The width shrinks where 8 * p * (q-1)^2 would exceed the exactness
-bound.
+pivot columns A_p seeks its pivots in a tile of the first 8 free rows: the
+tile's rows of A_p and a record D of the transform's columns at its pivot
+rows (8 x 16 blocks) are eliminated exactly, whatever the number s of
+block rows. When no tile row has a unit in a column, one product gives
+that column at the free rows outside the tile and one more reduces the
+first of them with a unit, which joins the tile. At the panel's k pivot
+rows R, D is M^{-1} for M = A_p[R, :k], so one product of inner dimension
+k gives D - I = (E_R - A_p[:, :k]) M^{-1} at all s rows; products of inner
+dimension k then apply the panel to the rest of [A | B], 8 block columns
+at a time, all from one spectrum of D. A column with no unit in any free
+row ends the panel early and flushes it, so the repair step works on
+exact rows. The width shrinks where 8 * p * (q-1)^2 would exceed the
+exactness bound.
 """
 
 from __future__ import annotations
@@ -259,23 +265,35 @@ def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
     row that pivoted column c. The row operations depend on A alone, so
     B = I would give A^{-1}.
 
-    The pivot columns are taken in panels of _panel_width(p, q) (8 for the
-    scheme's rings). Inside a panel, the row operations touch only the
-    panel's own columns and a record D of the transform's columns at the
-    panel's pivot rows; the panel's transform differs from I only there.
-    After the panel, products apply it to every other live block column,
-    aug[:, other] += (D - I) * aug[pivot rows, other], in slices of at most
-    _panel_width(p, q) block columns: a dense B makes all its columns live
-    from the first panel, and the slices keep the spectra small. The
-    spectrum of D - I is taken once per panel and serves every slice.
+    The pivot columns are taken in panels of b = _panel_width(p, q) (8 for
+    the scheme's rings). A panel's pivots are sought in a tile, the first b
+    free rows: Gauss-Jordan runs on the tile's rows of the panel's columns
+    A_p (as they stand before the panel) and a record D of the transform's
+    columns at the pivot rows, b x 2b blocks however large A is. When no
+    remaining tile row has a unit in column j, one product computes column
+    j at the free rows outside the tile from the tile's reduced column j
+    at its pivot rows, and one more reduces the first of those rows with a
+    unit, which joins the tile and pivots.
 
-    When no free row has a unit in a column, the pending panel is flushed,
-    and a repair step adds (1 - e) * (row r) to the first free row for each
-    other free row r, with e the pivot's idempotent (_unit_idempotent): 1 in
-    the CRT components of R_p where the pivot is nonzero, 0 elsewhere. Each
-    addition is a unimodular row operation; it fills in the components
-    where the pivot vanishes and leaves the others unchanged.
-    The next panel starts at that column.
+    At the panel's k pivot rows R the tile's D equals M^{-1}, M = A_p[R, :k],
+    so one product of inner dimension k gives, for all s rows,
+    D - I = (E_R - A_p[:, :k]) M^{-1}, with E_R the 1 at (R[i], i); the
+    panel's transform differs from I only in those columns. Products then
+    apply it to every other live block column, including the panel's own
+    columns after an early stop, aug[:, other] += (D - I) * aug[R, other],
+    in slices of at most b block columns: a dense B makes all its columns
+    live from the first panel, and the slices keep the spectra small. The
+    spectrum of D - I is taken once per panel and serves every slice. The
+    eliminated columns become E_R.
+
+    When no free row, in the tile or outside it, has a unit in a column,
+    the panel ends there and is flushed as above, and a repair step adds
+    (1 - e) * (row r) to the first free row for each other free row r, with
+    e the pivot's idempotent (_unit_idempotent): 1 in the CRT components of
+    R_p where the pivot is nonzero, 0 elsewhere. Each addition is a
+    unimodular row operation; it fills in the components where the pivot
+    vanishes and leaves the others unchanged. The next panel starts at that
+    column.
 
     A is singular iff no addition makes the pivot a unit: then some CRT
     component of the column is zero in every free row. This criterion is
@@ -300,7 +318,9 @@ def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
         piv += rows
         if len(rows) < panel and not _repair_pivot(aug, len(piv), free, p, q):
             return None
-    return QCMatrix(aug[piv, s:], q)
+    out = aug[piv, s:]
+    del aug  # freed before QCMatrix copies out, so keygen's peak holds one result
+    return QCMatrix(out, q)
 
 
 def _panel_width(p: int, q: int) -> int:
@@ -313,21 +333,29 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
     """Eliminate block columns col, col + 1, ... of aug in one panel.
 
     Stops after width columns or before the first column with no unit in a
-    free row. Pivot rows are taken from free, in order, and returned in
-    column order; aug is exact again on return.
+    free row. Pivots are sought in a tile of the first width free rows,
+    then outside it (_pull_row); pivot rows are removed from free and
+    returned in column order. aug is exact again on return.
     """
-    s = aug.shape[0]
-    # the panel's own columns, then D: column j starts as e_r when row r
-    # pivots column col + j, and every later row operation acts on it
-    work = np.zeros((s, 2 * width, p), dtype=np.int64)
-    work[:, :width] = aug[:, col : col + width]
-    rows: list[int] = []
+    panel = aug[:, col : col + width]  # A_p: read, not written, until the panel is applied
+    tile = free[:width]
+    # the tile's panel columns, then D: column j starts as e_r when tile row
+    # r pivots column col + j, and every later row operation acts on it
+    work = np.zeros((len(tile), 2 * width, p), dtype=np.int64)
+    work[:, :width] = panel[tile]
+    rows: list[int] = []  # tile rows of the pivots, in column order
     for j in range(width):
-        found = _find_unit(work[:, j], free, p, q)
+        found = _find_unit(work[:, j], [i for i in range(len(tile)) if i not in rows], p, q)
         if found is None:
-            break
+            pulled = _pull_row(panel, work[rows], j, [r for r in free if r not in tile], p, q)
+            if pulled is None:
+                break
+            row, reduced, pivot_inv = pulled
+            tile.append(row)
+            work = np.concatenate([work, reduced[None]])
+            found = len(tile) - 1, pivot_inv
         r, pivot_inv = found
-        free.remove(r)
+        free.remove(tile[r])
         rows.append(r)
         work[r, width + j, 0] = 1
         # block columns where the pivot row is zero leave every row unchanged
@@ -341,24 +369,55 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
             np.subtract(work[:, live], upd, out=upd)
             upd %= q
             work[:, live] = upd
-    if rows:
-        k = len(rows)
-        d_minus_i = work[:, width : width + k]
-        d_minus_i[rows, np.arange(k), 0] -= 1
-        d_minus_i %= q
-        # columns left of the panel are zero in every pivot row
-        other = np.flatnonzero(aug[rows].any(axis=(0, 2)))
-        other = other[other >= col + width]
+    pivots = [tile[i] for i in rows]
+    if pivots:
+        k = len(pivots)
+        # D at the pivot rows is M^{-1}, M = A_p[pivots, :k], so for all s
+        # rows D - I = (E_R - A_p[:, :k]) M^{-1}, E_R with 1 at (pivots[i], i)
+        e_minus_a = -panel[:, :k]
+        e_minus_a[pivots, np.arange(k), 0] += 1
+        e_minus_a %= q
+        d_minus_i = _block_matmul(e_minus_a, work[rows, width : width + k], p, q)
+        # columns left of the panel are zero in every pivot row; the
+        # panel's columns after an early stop are updated with the rest
+        other = np.flatnonzero(aug[pivots].any(axis=(0, 2)))
+        other = other[other >= col + k]
         step = _panel_width(p, q)
         d_spectrum = _spectrum(d_minus_i, p)
         for lo in range(0, other.size, step):
             cols = other[lo : lo + step]
-            upd = _spectral_matmul(d_spectrum, _spectrum(aug[np.ix_(rows, cols)], p), p, q)
+            upd = _spectral_matmul(d_spectrum, _spectrum(aug[np.ix_(pivots, cols)], p), p, q)
             np.add(aug[:, cols], upd, out=upd)
             upd %= q
             aug[:, cols] = upd
-    aug[:, col : col + width] = work[:, :width]
-    return rows
+        aug[:, col : col + k] = 0
+        aug[pivots, col + np.arange(k), 0] = 1
+    return pivots
+
+
+def _pull_row(panel: np.ndarray, pivot_rows: np.ndarray, j: int, outside: list[int],
+              p: int, q: int) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(row, its tile row, inverse of its pivot) for the first row of
+    `outside` whose entry in panel column j is a unit once the panel's j
+    pivots so far are applied, or None.
+
+    The pivot rows (pivot_rows, tile rows in column order) are I in the
+    panel's first j columns, so a row r reduces to panel[r] minus
+    panel[r, :j] times them: one product gives column j at every outside
+    row, and one more the whole tile row of the row that pivots.
+    """
+    width = panel.shape[1]
+    column = panel[outside, j] - _block_matmul(panel[outside, :j], pivot_rows[:, j : j + 1],
+                                               p, q)[:, 0]
+    found = _find_unit(column % q, range(len(outside)), p, q)
+    if found is None:
+        return None
+    i, pivot_inv = found
+    r = outside[i]
+    reduced = np.zeros((2 * width, p), dtype=np.int64)
+    reduced[:width] = panel[r]
+    reduced -= _block_matmul(panel[r : r + 1, :j], pivot_rows, p, q)[0]
+    return r, reduced % q, pivot_inv
 
 
 def _find_unit(column: np.ndarray, free: list[int], p: int,

@@ -72,6 +72,48 @@ def test_systematic_parity_check_identity_part_and_duality():
     assert rejected > 0
 
 
+def test_nonsingular_mod_q_matches_dense_inversion():
+    # hand-made matrices: a row swap, equal rows, a dependent row with no
+    # zero row, a zero row, and random ones over small fields
+    cases = [np.eye(3, dtype=np.int64), np.array([[0, 1], [1, 0]]), np.array([[1, 2], [2, 4]]),
+             np.array([[1, 2, 3], [4, 5, 6], [5, 7, 9]]), np.array([[0, 5, 1], [0, 3, 2], [0, 0, 7]]),
+             np.array([[3, 1], [0, 0]])]
+    rng = np.random.default_rng(7)
+    cases += [rng.integers(0, q, (n, n)) for q in (2, 3) for n in (1, 4, 6) for _ in range(5)]
+    outcomes = set()
+    for M in cases:
+        for q in (2, 3, 127):
+            ok = ldgm._nonsingular_mod_q(M, q)
+            assert ok == (gf_inv_dense(M % q, q) is not None)
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_generator_singular_at_one_is_rejected_before_elimination(monkeypatch):
+    # block row i of M1 has ones in block columns i and i + 1 (mod k0), so
+    # no block row or column of M1 is zero; block row 1 is moved onto block
+    # row 0's columns 0 and 1 at other offsets, so M1(1) has two equal rows
+    # and M1 is singular, which the x = 1 test sees without a solve
+    k0, p = DESK.k0, DESK.p
+    rng = np.random.default_rng(8)
+    right = k0 + np.array([rng.choice(DESK.r0, DESK.w_g - 2, replace=False) for _ in range(k0)])
+    cols = np.column_stack([np.arange(k0), (np.arange(k0) + 1) % k0, right])
+    offsets = rng.integers(0, p, cols.shape)
+    cols[1, :2] = [0, 1]
+    offsets[1, :2] = (offsets[0, :2] + [3, 5]) % p
+    G = np.sort(cols * p + offsets, axis=1)
+    M1 = generator_matrix(G, DESK).blocks[:, :k0]
+    assert M1.any(axis=(0, 2)).all() and M1.any(axis=(1, 2)).all()
+    assert gf_inv_dense(M1.sum(axis=2) % DESK.q, DESK.q) is None
+    assert gf_inv_dense(expand(generator_matrix(G, DESK))[:, :DESK.k], DESK.q) is None
+
+    def solved(*args):
+        raise AssertionError("M1 eliminated")
+
+    monkeypatch.setattr(ldgm, "qc_solve", solved)
+    assert not reducible(G, DESK)
+
+
 def test_systematic_input_passthrough():
     # block row i of G = [I | M2] has its identity one at position i p and
     # w_g - 1 ones in the right part, so W = M2 and H^T = [-M2; I]

@@ -357,37 +357,109 @@ def test_qc_mat_inv_live_columns_with_swaps_and_repairs(repairs, p):
     assert repairs and inverted
 
 
-def test_qc_mat_inv_updates_only_live_columns(monkeypatch):
-    # generic A: each pivot column costs products of inner dimension 1 on the
-    # panel's own columns and its record D; each panel then applies D to the
-    # other live columns in products of inner dimension equal to its width,
-    # each writing at most b block columns however wide B is, and all of
-    # them reusing the one spectrum of D that the panel takes
+def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
+    # generic A: each pivot's two products of inner dimension 1 (scaling the
+    # pivot row, then the rank-1 update) write at most the tile's b block
+    # rows, not all s; one product per panel of inner dimension k turns
+    # M^{-1} into D - I for all s rows, and the slices that apply the panel
+    # to the other live columns, each at most b block columns wide however
+    # wide B is, all reuse the one spectrum of D that the panel takes
     b = qcalg._PANEL_WIDTH
-    calls = []
-    real_product = qcalg._spectral_matmul
+    kernel, slices, inside = [], [], []
+    real_block, real_product = qcalg._block_matmul, qcalg._spectral_matmul
+
+    def recording_block(A, B, p, q):
+        kernel.append((A.shape[1], A.shape[0]))  # inner dimension, block rows written
+        inside.append(True)
+        try:
+            return real_block(A, B, p, q)
+        finally:
+            inside.pop()
 
     def recording_product(FA, FB, p, q):
-        # inner dimension, output block width, and the left spectrum itself,
-        # kept alive so that distinct spectra keep distinct ids
-        calls.append((FA.shape[1], FB.shape[1], FA))
+        # a slice's inner dimension, its block columns and the spectrum of
+        # D itself, kept alive so that distinct spectra keep distinct ids
+        if not inside:
+            slices.append((FA.shape[1], FB.shape[1], FA))
         return real_product(FA, FB, p, q)
 
+    monkeypatch.setattr(qcalg, "_block_matmul", recording_block)
     monkeypatch.setattr(qcalg, "_spectral_matmul", recording_product)
     rng = np.random.default_rng(41)
     for s, p in ((b, 13), (2 * b, 101), (2 * b + 3, 13)):
         assert qcalg._panel_width(p, Q) == b == 8
+        panels = [b] * (s // b) + [s % b] * (s % b > 0)
         A = rand_qc(rng, s, s, p)
         # the inverse, and a solve shaped like keygen's (T S^T) X = [0; P]
         for B in (identity(s, p, Q), rand_qc(rng, s, s // 2, p)):
-            calls.clear()
+            kernel.clear()
+            slices.clear()
             X = qc_solve(A, B)
-            assert {inner for inner, _, _ in calls} <= {1, b, s % b}
-            assert any(inner == b for inner, _, _ in calls)
-            assert all(width <= b for inner, width, _ in calls if inner > 1)
-            d_spectra = {id(FA) for inner, _, FA in calls if inner > 1}
-            assert len(d_spectra) == -(-s // b)  # one spectrum of D per panel
+            rank_one = [rows for inner, rows in kernel if inner == 1]
+            assert rank_one and max(rank_one) <= b
+            assert [(inner, rows) for inner, rows in kernel if inner > 1] == [(k, s) for k in panels]
+            assert {inner for inner, _, _ in slices} == set(panels)
+            assert all(width <= b for _, width, _ in slices)
+            assert len({id(FA) for _, _, FA in slices}) == len(panels)  # one spectrum of D per panel
             assert qc_mat_mul(A, X) == B
+
+
+@pytest.fixture()
+def pulls(monkeypatch):
+    """(column in its panel, whether a row was found) for each outside pull."""
+    calls = []
+    real_pull = qcalg._pull_row
+
+    def counting_pull(*args):
+        found = real_pull(*args)
+        calls.append((args[2], found is not None))
+        return found
+
+    monkeypatch.setattr(qcalg, "_pull_row", counting_pull)
+    return calls
+
+
+@pytest.mark.parametrize("j", [0, 3, qcalg._PANEL_WIDTH - 1])
+def test_qc_solve_pulls_a_pivot_from_outside_the_tile(pulls, repairs, j):
+    # the first panel's tile is rows 0..b-1. Its rows j..b-1 are zero in
+    # columns 0..j, so once rows 0..j-1 pivot the first j columns, no tile
+    # row has a unit in column j; the generic rows b.. below the tile do
+    p, b = 13, qcalg._PANEL_WIDTH
+    rng = np.random.default_rng(43 + j)
+    blocks = rng.integers(0, Q, (2 * b, 2 * b, p))
+    blocks[j:b, : j + 1] = 0
+    A = QCMatrix(blocks, Q)
+    dense = gf_inv_dense(expand(A), Q)
+    Ai = qc_mat_inv(A)
+    assert pulls == [(j, True)] and not repairs
+    assert dense is not None and Ai is not None and np.array_equal(expand(Ai), dense)
+    B = rand_qc(rng, 2 * b, 3, p)
+    assert np.array_equal(expand(qc_solve(A, B)), gf_matmul(dense, expand(B), Q))
+
+
+@pytest.mark.parametrize("invertible", [True, False])
+def test_qc_solve_flushes_and_repairs_when_no_free_row_has_a_unit(pulls, repairs, invertible):
+    # rows 3.. are zero in columns 0..2, so rows 0..2 pivot those columns
+    # and leave the other rows' column 3 as it is: x - 1 in row 3, inside
+    # the tile, and Phi_13 in row b, outside it; both are non-units, and
+    # every other free row is zero there. The pull finds no unit, the panel
+    # is flushed and row 3 is repaired. With x - 1 in both rows every free
+    # row vanishes at x = 1 and A is singular.
+    p, b, j = 13, qcalg._PANEL_WIDTH, 3
+    rng = np.random.default_rng(44)
+    blocks = rng.integers(0, Q, (2 * b, 2 * b, p))
+    blocks[j:, : j + 1] = 0
+    blocks[j, j, :2] = [Q - 1, 1]
+    blocks[b, j] = 1 if invertible else blocks[j, j]
+    A = QCMatrix(blocks, Q)
+    dense = gf_inv_dense(expand(A), Q)
+    Ai = qc_mat_inv(A)
+    assert pulls == [(j, False)] and repairs == [j]
+    assert (dense is not None) == invertible
+    if invertible:
+        assert Ai is not None and np.array_equal(expand(Ai), dense)
+    else:
+        assert Ai is None
 
 
 @pytest.mark.parametrize("p,q", [(1, 127), (3, 3), (13, 127)])

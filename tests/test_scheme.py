@@ -6,7 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_vector, expand, gf_matmul, parity_check, perm_dense, perm_qc_matrix
+from oracles import (
+    dense_vector,
+    expand,
+    gf_inv_dense,
+    gf_matmul,
+    parity_check,
+    perm_dense,
+    perm_qc_matrix,
+)
 from spanse import ldgm, qcalg, scheme, serial
 from spanse.ldgm import codeword_from_generator
 from spanse.params import DensityPolynomial, ParameterError, ParameterSet, get_params
@@ -47,11 +55,12 @@ def test_keygen_structural_identities(keypair):
 
 
 def test_keygen_solves_once_per_draw(monkeypatch):
-    # each G draw eliminates M1 against no right-hand side, and each S draw
-    # solves T S^T against [0; P], r0 block columns wide; at this sparse
-    # density some S draws are singular and resampled
+    # each G draw whose M1(1) is nonsingular eliminates M1 against no
+    # right-hand side, and the others are rejected without a solve; each S
+    # draw solves T S^T against [0; P], r0 block columns wide. At this
+    # sparse density some S draws are singular and resampled
     params = dataclasses.replace(DESK, density=DensityPolynomial.parse("49/50,1/50", DESK.q))
-    events, rhs = [], []
+    events, rhs, drawn = [], [], []
 
     def recording(name, real):
         def wrapped(*args):
@@ -59,7 +68,10 @@ def test_keygen_solves_once_per_draw(monkeypatch):
             if name == "solve":
                 events.append(args[1].cols0)
                 rhs.append(args[1])
-            return real(*args)
+            out = real(*args)
+            if name == "G":
+                drawn.append(out)
+            return out
         return wrapped
 
     monkeypatch.setattr(ldgm, "sample_generator", recording("G", ldgm.sample_generator))
@@ -67,18 +79,25 @@ def test_keygen_solves_once_per_draw(monkeypatch):
                         recording("S", scheme.sample_dense_transform))
     for module in (ldgm, scheme):
         monkeypatch.setattr(module, "qc_solve", recording("solve", module.qc_solve))
-    s_draws = []
+    s_draws, skipped = [], 0
     for seed in range(4):
         events.clear()
         rhs.clear()
+        drawn.clear()
         sk, _ = keygen(params, np.random.default_rng(seed))
-        g, s = events.count("G"), events.count("S")
-        assert events == ["G", "solve", 0] * g + ["S", "solve", DESK.r0] * s
+        expected = []
+        for G in drawn:
+            at_one = ldgm.generator_matrix(G, DESK).blocks[:, :DESK.k0].sum(axis=2) % DESK.q
+            solved = gf_inv_dense(at_one, DESK.q) is not None
+            expected += ["G"] + ["solve", 0] * solved
+            skipped += not solved
+        s = events.count("S")
+        assert events == expected + ["S", "solve", DESK.r0] * s
         zero_p = np.zeros((DESK.n0, DESK.r0, DESK.p), dtype=np.int64)
         zero_p[DESK.k0:] = perm_qc_matrix(sk.P, DESK.q).blocks
-        assert all(np.array_equal(b.blocks, zero_p) for b in rhs[g:])
+        assert all(np.array_equal(b.blocks, zero_p) for b in rhs[-s:])
         s_draws.append(s)
-    assert max(s_draws) > 1
+    assert max(s_draws) > 1 and skipped
 
 
 def test_keys_after_singular_s_draws_keep_recorded_bytes():
