@@ -339,34 +339,36 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
     return mean * trials, m2
 
 
+# trials per Monte Carlo batch; each batch draws its own generator and
+# holds its trials' positions at once (params.check_working_set)
+_BATCH_TRIALS = 1000
+
+
 def rejection_rate_montecarlo(
     params: ParameterSet,
     density: DensityPolynomial,
     trials: int,
     seed: int | None = None,
-    batch_size: int = 1000,
 ) -> tuple[float, float]:
     """Estimated acceptance probability and its standard error.
 
     The estimate is the mean over `trials` sampled masked vectors v of the
     exact P(accept | v) (`_simulate_batch`); the standard error is the
     sample standard deviation (ddof = 1) of those values over sqrt(trials),
-    or 1.0 for a single trial. Each batch draws its own generator, which
-    that batch's trials share (it enters only through the codeword weight
-    distribution). The batches run in order in this process, each from its
-    own seed spawned from the base seed, and each batch's moments are
-    combined into the running ones as it returns, by the pairwise update of
-    Chan et al.
+    or 1.0 for a single trial. Each batch of _BATCH_TRIALS trials (the last
+    may be smaller) draws its own generator, which its trials share (it
+    enters only through the codeword weight distribution). The batches run
+    in order in this process, each from its own seed spawned from the base
+    seed, and each batch's moments are combined into the running ones as
+    it returns, by the pairwise update of Chan et al.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if batch_size < 1:
-        raise ValueError(f"need a batch size of at least one, got {batch_size}")
-    check_working_set(params, "monte-carlo", batches=-(-trials // batch_size),
-                      batch_size=min(batch_size, trials))
-    sizes = [batch_size] * (trials // batch_size)
-    if trials % batch_size:
-        sizes.append(trials % batch_size)
+    check_working_set(params, "monte-carlo", batches=-(-trials // _BATCH_TRIALS),
+                      batch_size=min(_BATCH_TRIALS, trials))
+    sizes = [_BATCH_TRIALS] * (trials // _BATCH_TRIALS)
+    if trials % _BATCH_TRIALS:
+        sizes.append(trials % _BATCH_TRIALS)
     done, mean, m2 = 0, 0.0, 0.0
     for size, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
         total, batch_m2 = _simulate_batch(params, density, size, seed_seq)

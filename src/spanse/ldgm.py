@@ -10,12 +10,13 @@ picks, a position repeated where rows overlap; `codeword_positions` builds
 any number of codewords at once. A generator G = [M1 | M2] is reducible
 when its left block part M1 is invertible: then H = [-W^T | I] with
 M1 W = M2 is a parity check of G, and syndromes of vectors of the form
-[0_k | s'] read off s' directly. `reducible` only tests M1, so neither W
-nor H is formed; keygen solves for the public H'^T directly
-(scheme.keygen). It first tests M1(1), M1 at x = 1, a k0 x k0 matrix
-over F_q, by forward elimination mod q: M1 is singular when M1(1) is, and
-every singular desk draw measured was caught there. Only the draws that
-pass are eliminated over R_p. make_code returns G.
+[0_k | s'] read off s' directly. `reducible` builds M1 from G's positions
+below k and only tests it, so neither M2, W nor H is formed; keygen
+solves for the public H'^T directly (scheme.keygen). It first tests
+M1(1), M1 at x = 1, a k0 x k0 matrix over F_q, by forward elimination
+mod q: M1 is singular when M1(1) is, and every singular desk draw
+measured was caught there. Only the draws that pass are eliminated over
+R_p. make_code returns G.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParameterError, ParameterSet
-from .qcalg import QCMatrix, qc_solve
+from .qcalg import qc_solve
 
 # how many generator resamples to attempt before declaring keygen failure
 MAX_GENERATOR_RETRIES = 100
@@ -42,25 +43,20 @@ def sample_generator(params: ParameterSet, rng: np.random.Generator) -> np.ndarr
                     for _ in range(params.k0)], axis=1)
 
 
-def generator_matrix(G: np.ndarray, params: ParameterSet) -> QCMatrix:
-    """The block form of G, whose left part M1 `reducible` tests."""
-    blocks = np.zeros((params.k0, params.n0 * params.p), dtype=np.int64)
-    blocks[np.arange(params.k0)[:, None], G] = 1
-    return QCMatrix(blocks.reshape(params.k0, params.n0, params.p), params.q)
-
-
 def reducible(G: np.ndarray, params: ParameterSet) -> bool:
     """Whether G's left block part M1 is invertible, so that G has the
     systematic parity check H = [-W^T | I], M1 W = M2.
 
     M1 is singular when M1(1), its image in the x - 1 CRT component of
     R_p, is singular over F_q: that k0 x k0 test comes first. Otherwise M1
-    is eliminated against a right-hand side with no block columns: W is
-    not formed."""
-    M1 = generator_matrix(G, params).blocks[:, :params.k0]
+    alone is eliminated, in place, with no right-hand side: W is not
+    formed."""
+    row, col = np.nonzero(G < params.k)
+    M1 = np.zeros((params.k0, params.k0, params.p), dtype=np.int64)
+    M1.reshape(params.k0, params.k)[row, G[row, col]] = 1  # a view of M1
     if not _nonsingular_mod_q(M1.sum(axis=2), params.q):
         return False
-    return qc_solve(QCMatrix(M1, params.q), QCMatrix(M1[:, :0], params.q)) is not None
+    return qc_solve(M1, params.q) is not None
 
 
 def _nonsingular_mod_q(M: np.ndarray, q: int) -> bool:

@@ -178,13 +178,14 @@ class ParameterSet:
         )
 
 
-# n0^2 p int64 words keygen holds at its peak: S, T S^T and [0; P] (r0
-# block columns), with the solve's augmented [T S^T | [0; P]] and the
-# r0-wide result gathered from it, or with the spectra of a panel's
-# products, which grow as n0, not n0^2 (measured with tracemalloc: 4.52 at
-# spanse-128, where the first pair sets the peak, and 5.06 to 5.21 at
-# spanse-128's ring with n0 = 84, where the spectra do)
-_KEYGEN_WORDS = 5
+# n0^2 p int64 words keygen holds at its peak: S (1) and the solve's
+# buffer [T S^T | [0; P]] (1.5 at r0 = n0 / 2), with the r0-wide result
+# gathered from it or with the spectra of a panel's products, which grow
+# as n0, not n0^2 (measured with tracemalloc: 3.02 at spanse-128, where
+# the result sets the peak, and 3.56 to 3.71 at spanse-128's ring with
+# n0 = 84, where the spectra do; the first keygen in a process is the
+# highest)
+_KEYGEN_WORDS = 3.75
 # bytes a Monte Carlo run holds per batch before its first trial: the
 # batch's size, its spawned SeedSequence and later its count (424 measured
 # with tracemalloc)
@@ -198,9 +199,9 @@ _POSITION_COPIES = 5
 def check_working_set(params: ParameterSet, command: str, batches: int = 0,
                       batch_size: int = 0):
     """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
-    in physical memory and under RLIMIT_AS: keygen's S, T S^T, [0; P],
-    its solve's augmented matrix and result, and the spectra of the
-    solve's panel products (_KEYGEN_WORDS n0^2 p int64 words), or the
+    in physical memory and under RLIMIT_AS: keygen's S, its solve's
+    buffer [T S^T | [0; P]] and result, and the spectra of the solve's
+    panel products (_KEYGEN_WORDS n0^2 p int64 words), or the
     Monte Carlo's generator (k0 w_g int64 positions), the
     bookkeeping of its `batches` batches and the arrays its largest batch,
     of `batch_size` trials, builds at once:

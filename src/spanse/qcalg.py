@@ -7,7 +7,9 @@ Multiplication of circulants is cyclic convolution of first rows.
 
 Block matrices of circulants (QCMatrix) store one row per block, a
 factor-p saving over the dense expansion, which only the tests form; a
-ring element is a 1 x 1 QCMatrix. A sparse vector is the int64 array of
+ring element is a 1 x 1 QCMatrix. A QCMatrix keeps a C-ordered int64
+array that is canonical mod q as given, so its owner must not write to it
+afterwards, and copies any other. A sparse vector is the int64 array of
 its positions, each counted once per occurrence, so a sum of sparse
 vectors is a concatenation. expand(A) v^T is read from A as stored:
 qc_mat_gather sums the columns at a position array, and qc_mat_vec
@@ -27,20 +29,9 @@ the unit test and the repair multiplier 1 - e. Its 1 x 1 products are
 direct np.convolve calls folded mod x^p - 1, exact in int64.
 
 Linear systems A X = B are solved, never by forming A^{-1}: qc_solve runs
-panelled Gauss-Jordan without row swaps on [A | B]. A panel of up to 8
-pivot columns A_p seeks its pivots in a tile of the first 8 free rows: the
-tile's rows of A_p and a record D of the transform's columns at its pivot
-rows (8 x 16 blocks) are eliminated exactly, whatever the number s of
-block rows. When no tile row has a unit in a column, one product gives
-that column at the free rows outside the tile and one more reduces the
-first of them with a unit, which joins the tile. At the panel's k pivot
-rows R, D is M^{-1} for M = A_p[R, :k], so one product of inner dimension
-k gives D - I = (E_R - A_p[:, :k]) M^{-1} at all s rows; products of inner
-dimension k then apply the panel to the rest of [A | B], 8 block columns
-at a time, all from one spectrum of D. A column with no unit in any free
-row ends the panel early and flushes it, so the repair step works on
-exact rows. The width shrinks where 8 * p * (q-1)^2 would exceed the
-exactness bound.
+panelled Gauss-Jordan without row swaps, in place, on a caller's buffer
+[A | B], and tests A alone when B has no block columns. Its docstring
+gives the panels, their tiles of pivot rows and the repair step.
 """
 
 from __future__ import annotations
@@ -226,10 +217,13 @@ class QCMatrix:
     q: int
 
     def __post_init__(self):
-        b = np.array(self.blocks, dtype=np.int64, order="C")  # one copy, never the caller's
+        b = np.asarray(self.blocks)
         if b.ndim != 3:
             raise DimensionMismatchError("blocks must have shape (rows0, cols0, p)")
-        b %= self.q
+        if (b.dtype != np.int64 or not b.flags.c_contiguous
+                or b.size and (b.min() < 0 or b.max() >= self.q)):
+            b = np.array(b, dtype=np.int64, order="C")  # a copy: never the caller's array
+            b %= self.q
         object.__setattr__(self, "blocks", b)
 
     @property
@@ -255,15 +249,16 @@ class QCMatrix:
         )
 
 
-def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
-    """A^{-1} B for a square block matrix A, or None when A is singular.
+def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
+    """The blocks of A^{-1} B for the (s, s + t, p) int64 buffer [A | B],
+    canonical mod q, or None when A is singular. aug is eliminated in place.
 
     Gauss-Jordan over the ring R_p on [A | B], pivoting onto a unit entry
-    of each column of A. B may have any number of block columns, including
-    none, which only tests A. Rows are never swapped: the pivot row of each
-    column is recorded, and row c of the result is the right half of the
-    row that pivoted column c. The row operations depend on A alone, so
-    B = I would give A^{-1}.
+    of each column of A. B may have any number t of block columns,
+    including none, which only tests A. Rows are never swapped: the pivot
+    row of each column is recorded, and row c of the result is the right
+    half of the row that pivoted column c. The row operations depend on A
+    alone, so B = I would give A^{-1}.
 
     The pivot columns are taken in panels of b = _panel_width(p, q) (8 for
     the scheme's rings). A panel's pivots are sought in a tile, the first b
@@ -302,13 +297,11 @@ def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
     singular at once, before any pivot is inverted: keygen's sparse M1
     often has one. No dense expansion is formed.
     """
-    if A.rows0 != A.cols0 or B.rows0 != A.rows0 or (B.p, B.q) != (A.p, A.q):
-        raise DimensionMismatchError(f"cannot solve {A.rows0}x{A.cols0} against {B.rows0}x"
-                                     f"{B.cols0} (p {A.p}/{B.p}, q {A.q}/{B.q})")
-    if not (A.blocks.any(axis=(0, 2)).all() and A.blocks.any(axis=(1, 2)).all()):
+    if aug.ndim != 3 or aug.shape[1] < aug.shape[0]:
+        raise DimensionMismatchError(f"cannot solve [A | B] of block shape {aug.shape[:-1]}")
+    s, p = aug.shape[0], aug.shape[2]
+    if not (aug[:, :s].any(axis=(0, 2)).all() and aug[:, :s].any(axis=(1, 2)).all()):
         return None
-    s, p, q = A.rows0, A.p, A.q
-    aug = np.concatenate([A.blocks, B.blocks], axis=1)
     width = _panel_width(p, q)
     free = list(range(s))  # rows not yet chosen as a pivot, in order
     piv: list[int] = []  # pivot row of each eliminated column
@@ -318,9 +311,7 @@ def qc_solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
         piv += rows
         if len(rows) < panel and not _repair_pivot(aug, len(piv), free, p, q):
             return None
-    out = aug[piv, s:]
-    del aug  # freed before QCMatrix copies out, so keygen's peak holds one result
-    return QCMatrix(out, q)
+    return aug[piv, s:]
 
 
 def _panel_width(p: int, q: int) -> int:

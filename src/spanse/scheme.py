@@ -5,8 +5,9 @@ permutation P and a dense invertible transformation S: the public matrix
 is H' = P^{-1} H S^{-1}, where H = [-W^T | I] is the systematic parity
 check of G = [M1 | M2]. With T = [[M1, M2], [0, I]], H = [0 | I] T^{-T},
 and P^{-T} = P for a permutation, so H'^T = (T S^T)^{-1} [0; P]: keygen
-builds T S^T from gathers of S's columns and solves that one system per
-S draw. Neither H, W, S^T nor an inverse is formed.
+fills one buffer [T S^T | [0; P]] per S draw, T S^T from gathers of S's
+columns, and the solve eliminates it in place. Neither H, W, S^T nor an
+inverse is formed.
 Signing maps the message to a sparse weight-w syndrome s, lifts it to an
 error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
 codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
@@ -49,7 +50,8 @@ _TAG_THETA = b"spanse/theta/v1"
 _TAG_EXPAND = b"spanse/syndrome-expand/v1"
 
 MAX_S_RETRIES = 100
-DEFAULT_MAX_SIGN_ATTEMPTS = 10_000
+# signing attempts before SigningError, read at each call
+MAX_SIGN_ATTEMPTS = 10_000
 
 
 class KeygenError(ParameterError):
@@ -93,46 +95,55 @@ class VerifyResult:
 
 
 def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QCMatrix:
-    """n0 x n0 block matrix with block rows drawn i.i.d. from the density."""
+    """n0 x n0 block matrix with entries drawn i.i.d. from the density, a
+    block row per draw: the stream of one draw of the whole matrix, with a
+    block row's float and index temporaries, into the array QCMatrix keeps."""
     pairs = [(v, pr) for v, pr in params.density.value_probabilities() if pr > 0]
     values = np.array([v for v, _ in pairs], dtype=np.int64)
     probs = np.array([float(pr) for _, pr in pairs])
     probs /= probs.sum()
-    blocks = rng.choice(values, size=(params.n0, params.n0, params.p), p=probs)
+    blocks = np.empty((params.n0, params.n0, params.p), dtype=np.int64)
+    for row in blocks:
+        row[...] = rng.choice(values, size=row.shape, p=probs)
     return QCMatrix(blocks, params.q)
 
 
 def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, PublicKey]:
     """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}, as H'^T = (T S^T)^{-1} [0; P].
 
-    Block row i of T S^T has first row expand(S) t_i^T, where t_i is the
-    first row of T's block row i: G's row i for i < k0, the one-position
-    i p for i >= k0. T is invertible, so T S^T is singular exactly when S is.
+    T is invertible, so T S^T is singular exactly when S is. Each S draw
+    fills a buffer [T S^T | [0; P]] that the solve eliminates in place and
+    that is freed when the solve returns.
     """
     if params.density.d0 == 1:
         raise ParameterError("the density puts all its mass on 0, so every S is zero")
     check_working_set(params, "keygen")
-    n0, k0, r0, p = params.n0, params.k0, params.r0, params.p
     G = make_code(params, rng)
-    P = random_qc_permutation(r0, p, rng)
-    # both are written in place, with canonical entries, so that no second
-    # copy of an n0 x n0 block matrix is made; [0; P] has x^(-shift_i) at
-    # block (k0 + i, pi(i))
-    rhs = QCMatrix(np.zeros((n0, r0, p), dtype=np.int64), params.q)
-    rhs.blocks[k0 + np.arange(r0), P.block_perm, -P.shifts % p] = 1
-    TSt = QCMatrix(np.zeros((n0, n0, p), dtype=np.int64), params.q)
-    t = list(G) + [[i * p] for i in range(k0, n0)]
+    P = random_qc_permutation(params.r0, params.p, rng)
     for _ in range(MAX_S_RETRIES):
         S = sample_dense_transform(params, rng)
-        for i, t_i in enumerate(t):
-            TSt.blocks[i] = qc_mat_gather(S, t_i).reshape(n0, p)
-        X = qc_solve(TSt, rhs)
+        X = qc_solve(_public_system(S, G, P, params), params.q)
         if X is not None:
-            return PrivateKey(params, P, G, S), PublicKey(params, X.transpose())
+            Hpub = QCMatrix(X, params.q).transpose()
+            return PrivateKey(params, P, G, S), PublicKey(params, Hpub)
     raise KeygenError(
         f"no invertible dense transform in {MAX_S_RETRIES} draws; "
         "the density may be degenerate"
     )
+
+
+def _public_system(S: QCMatrix, G: np.ndarray, P: QCPermutation,
+                   params: ParameterSet) -> np.ndarray:
+    """[T S^T | [0; P]] as (n0, n0 + r0, p) blocks. Block row i of T S^T is
+    expand(S) t_i^T for the first row t_i of T's block row i: G's row i for
+    i < k0, the one-position i p for i >= k0. [0; P] has x^(-shift_i) at
+    block (k0 + i, pi(i))."""
+    n0, k0, p = params.n0, params.k0, params.p
+    aug = np.zeros((n0, n0 + params.r0, p), dtype=np.int64)
+    for i, t_i in enumerate(list(G) + [[i * p] for i in range(k0, n0)]):
+        aug[i, :n0] = qc_mat_gather(S, t_i).reshape(n0, p)
+    aug[k0 + np.arange(params.r0), n0 + P.block_perm, -P.shifts % p] = 1
+    return aug
 
 
 def _expand_stream(seed: bytes, nbytes: int) -> bytes:
@@ -187,25 +198,25 @@ def sign(
     message: bytes,
     mode: str = "deterministic",
     rng: np.random.Generator | None = None,
-    max_attempts: int = DEFAULT_MAX_SIGN_ATTEMPTS,
 ) -> tuple[Signature, int]:
     """Produce (signature, attempts used). One-time: sign a single message.
 
     Each attempt masks the permuted-syndrome pattern with a fresh random
-    codeword; an attempt is rejected when any entry of sigma is 0 mod q.
+    codeword; an attempt is rejected when any entry of sigma is 0 mod q,
+    and SigningError ends the search after MAX_SIGN_ATTEMPTS.
     """
     if rng is None:
         rng = np.random.default_rng()
     params = sk.params
     theta = choose_theta(message, mode, rng)
     e = params.k + perm_apply(sk.P, derive_syndrome(message, theta, params))
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_SIGN_ATTEMPTS + 1):
         c = codeword_from_generator(sk.G, params, params.m_g, rng)
         sigma = qc_mat_gather(sk.S, np.concatenate([e, c]))
         if np.all(sigma != 0):
             return Signature(sigma, theta), attempt
     raise SigningError(
-        f"no zero-free signature in {max_attempts} attempts; "
+        f"no zero-free signature in {MAX_SIGN_ATTEMPTS} attempts; "
         "the density is concentrating mass on zero-sum entries"
     )
 

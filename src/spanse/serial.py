@@ -26,10 +26,10 @@ S is zero (signing with such an S could never succeed). Keys are held as
 stored (G as sorted one-positions, S and H' as blocks); H, S^{-1} and the
 transposes are not derived. `check_private` runs the two O(n0^3 p) checks
 a load skips: that the generator is reducible (ldgm.reducible) and that S
-is invertible, each by an elimination against no right-hand side, so
-neither W nor an inverse is formed. File writes go to a temporary name in
-the target directory and are renamed into place, so failures never leave
-a partial file.
+is invertible, each by eliminating the matrix alone, so neither W nor an
+inverse is formed. File writes go to a temporary name in the target
+directory and are renamed into place, so failures never leave a partial
+file.
 """
 
 from __future__ import annotations
@@ -251,13 +251,13 @@ def check_private(sk: PrivateKey):
     writes.
 
     These are the two O(n0^3 p) checks that loading skips. Each matrix is
-    eliminated against a right-hand side with no block columns, so neither
-    M1's solution W nor an inverse is formed.
+    eliminated alone, S in a copy of its blocks, so neither M1's solution
+    W nor an inverse is formed.
     """
     if not reducible(sk.G, sk.params):
         raise SerializationError("generator is not reducible: "
                                  "left block part of the generator is singular")
-    if qc_solve(sk.S, QCMatrix(sk.S.blocks[:, :0], sk.S.q)) is None:
+    if qc_solve(sk.S.blocks.copy(), sk.S.q) is None:
         raise SerializationError("dense transform is singular")
 
 

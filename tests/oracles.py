@@ -4,14 +4,16 @@ The library never forms a dense matrix; these oracles expand block matrices
 and permutations and multiply or invert them entry by entry. The library
 also never multiplies two block matrices, so the block product the tests
 check against these oracles is here too, nor forms the identity block
-matrix or the parity-check matrix H: keygen solves for H' directly, so H
-is built here from G's dense expansion alone. The Monte Carlo oracle
-samples signing attempts entry by entry, where the library scores each
-masked vector by its exact acceptance probability; the per-trial oracle
-builds every masked vector alone and scores it afresh, where the library
-builds a batch's masked vectors at once and scores each distinct one once
-per batch; the fixed-weight rejection model is a closed form the Monte
-Carlo is checked against.
+matrix, G's block form or the parity-check matrix H: keygen solves for H'
+directly, so H is built here from G's dense expansion alone. The library's
+solve eliminates a caller's buffer [A | B]; `solve` builds that buffer
+from two block matrices. The Monte Carlo oracle samples signing attempts
+entry by entry, where the library scores each masked vector by its exact
+acceptance probability; the per-trial oracle builds every masked vector
+alone and scores it afresh, where the library builds a batch's masked
+vectors at once and scores each distinct one once per batch; the
+fixed-weight rejection model is a closed form the Monte Carlo is checked
+against.
 """
 
 import math
@@ -21,9 +23,9 @@ import numpy as np
 from scipy.stats import binom
 
 from spanse.analysis import _p_zero
-from spanse.ldgm import codeword_from_generator, generator_matrix, sample_generator
+from spanse.ldgm import codeword_from_generator, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
-from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul
+from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul, qc_solve
 
 
 def dense_vector(positions: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -35,6 +37,20 @@ def dense_vector(positions: np.ndarray, n: int, q: int) -> np.ndarray:
 def qc_mat_mul(A: QCMatrix, B: QCMatrix) -> QCMatrix:
     """A B through the library's one FFT kernel."""
     return QCMatrix(_block_matmul(A.blocks, B.blocks, A.p, A.q), A.q)
+
+
+def solve(A: QCMatrix, B: QCMatrix) -> QCMatrix | None:
+    """A^{-1} B by the library's in-place solve on a fresh [A | B], or None
+    when A is singular."""
+    X = qc_solve(np.concatenate([A.blocks, B.blocks], axis=1), A.q)
+    return None if X is None else QCMatrix(X, A.q)
+
+
+def generator_matrix(G: np.ndarray, params: ParameterSet) -> QCMatrix:
+    """The block form [M1 | M2] of the generator G held as positions."""
+    blocks = np.zeros((params.k0, params.n0 * params.p), dtype=np.int64)
+    blocks[np.arange(params.k0)[:, None], G] = 1
+    return QCMatrix(blocks.reshape(params.k0, params.n0, params.p), params.q)
 
 
 def identity(size0: int, p: int, q: int) -> QCMatrix:

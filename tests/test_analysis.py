@@ -287,13 +287,14 @@ def test_montecarlo_reproducible():
     assert p1 == p2 and e1 == e2
 
 
-def test_montecarlo_all_ones_density_rank_one():
+def test_montecarlo_all_ones_density_rank_one(monkeypatch):
     # d(x) = x makes every signature entry the same constant w + sum(c);
     # acceptance is then all-or-nothing per trial
     d = DensityPolynomial(
         {0: 0, 1: 1}, 127
     )
-    p_hat, _ = rejection_rate_montecarlo(DESK, d, 400, seed=17, batch_size=100)
+    monkeypatch.setattr(analysis, "_BATCH_TRIALS", 100)
+    p_hat, _ = rejection_rate_montecarlo(DESK, d, 400, seed=17)
     # the constant is ~uniform-ish over residues; rejection ~ 1/q, tiny
     assert p_hat > 0.9
 
@@ -343,11 +344,12 @@ def test_montecarlo_agrees_with_multinomial_sampler(text):
     assert abs(estimate - sampled) <= 4 * math.hypot(stderr, sampled_se)
 
 
-def test_montecarlo_stderr_is_the_sample_deviation_of_per_trial_values():
+def test_montecarlo_stderr_is_the_sample_deviation_of_per_trial_values(monkeypatch):
     density = DensityPolynomial.parse("0.8,0.2", DESK.q)
     seeds = np.random.SeedSequence(11).spawn(6)
     values = [analysis._simulate_batch(DESK, density, 1, seed)[0] for seed in seeds]
-    estimate, stderr = rejection_rate_montecarlo(DESK, density, 6, seed=11, batch_size=1)
+    monkeypatch.setattr(analysis, "_BATCH_TRIALS", 1)
+    estimate, stderr = rejection_rate_montecarlo(DESK, density, 6, seed=11)
     assert estimate == pytest.approx(np.mean(values), rel=1e-12)
     assert stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(6), rel=1e-9)
     assert 0 < stderr < 1
@@ -421,7 +423,7 @@ def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
 
     monkeypatch.setattr(analysis, "_p_zero", counted)
     seeds = np.random.SeedSequence(5).spawn(3)
-    rejection_rate_montecarlo(ps, density, 3000, seed=5, batch_size=1000)
+    rejection_rate_montecarlo(ps, density, 3000, seed=5)  # batches of 1000
     # each batch scores the keys it meets, in the order it first meets them,
     # and starts with an empty memo
     want = [key for seed in seeds for key in dict.fromkeys(masked_vector_pairs(ps, 1000, seed))]
@@ -429,10 +431,12 @@ def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
     assert len(calls) < 100
 
 
-def test_montecarlo_single_trial():
+def test_montecarlo_single_trial(monkeypatch):
     density = DensityPolynomial.parse("0.8,0.2", DESK.q)
-    results = {rejection_rate_montecarlo(DESK, density, 1, seed=3, batch_size=b)
-               for b in (1, 7, 1000)}
+    results = set()
+    for batch in (1, 7, 1000):
+        monkeypatch.setattr(analysis, "_BATCH_TRIALS", batch)
+        results.add(rejection_rate_montecarlo(DESK, density, 1, seed=3))
     assert len(results) == 1
     estimate, stderr = results.pop()
     assert 0 < estimate < 1 and stderr == 1.0
@@ -452,14 +456,15 @@ def test_montecarlo_combines_uneven_batches_into_pooled_moments(monkeypatch):
         return float(batch.sum()), float(((batch - batch.mean()) ** 2).sum())
 
     monkeypatch.setattr(analysis, "_simulate_batch", fake_batch)
-    estimate, stderr = rejection_rate_montecarlo(DESK, DESK.density, 10, seed=3, batch_size=4)
+    monkeypatch.setattr(analysis, "_BATCH_TRIALS", 4)
+    estimate, stderr = rejection_rate_montecarlo(DESK, DESK.density, 10, seed=3)
     want_keys = [s.spawn_key for s in np.random.SeedSequence(3).spawn(3)]
     assert seen == [(4, want_keys[0]), (4, want_keys[1]), (2, want_keys[2])]
     assert estimate == pytest.approx(values.mean(), rel=1e-12)
     assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(10), rel=1e-12)
 
 
-# (params, density, seed, batch_size, trials) -> (p_valid, stderr), as float hex
+# (params, density, seed, trials per batch, trials) -> (p_valid, stderr), as float hex
 RECORDED_ESTIMATES = [
     ("desk", "1/2,1/2", 5, 1000, 2000,
      "0x1.fffeba49ab01ap-1", "0x1.956de1e251609p-23"),
@@ -472,14 +477,14 @@ RECORDED_ESTIMATES = [
 ]
 
 
-def test_montecarlo_reproduces_recorded_estimates():
+def test_montecarlo_reproduces_recorded_estimates(monkeypatch):
     # regression pins: any change to the batches, their seeds, the trial
     # sampler or the combination order moves these values
-    for name, text, seed, batch_size, trials, p_hex, se_hex in RECORDED_ESTIMATES:
+    for name, text, seed, batch, trials, p_hex, se_hex in RECORDED_ESTIMATES:
         ps = get_params(name)
         density = DensityPolynomial.parse(text, ps.q)
-        estimate, stderr = rejection_rate_montecarlo(ps, density, trials, seed=seed,
-                                                     batch_size=batch_size)
+        monkeypatch.setattr(analysis, "_BATCH_TRIALS", batch)
+        estimate, stderr = rejection_rate_montecarlo(ps, density, trials, seed=seed)
         assert estimate == pytest.approx(float.fromhex(p_hex), rel=1e-12)
         assert stderr == pytest.approx(float.fromhex(se_hex), rel=1e-9)
 
@@ -487,12 +492,6 @@ def test_montecarlo_reproduces_recorded_estimates():
 def test_montecarlo_validates_trials():
     with pytest.raises(ValueError):
         rejection_rate_montecarlo(DESK, DESK.density, 0)
-
-
-def test_montecarlo_validates_batch_size():
-    for batch_size in (0, -5):
-        with pytest.raises(ValueError, match="batch size"):
-            rejection_rate_montecarlo(DESK, DESK.density, 10, batch_size=batch_size)
 
 
 # --- sizes ---------------------------------------------------------------------

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from oracles import dense_vector, expand, gf_inv_dense, gf_matmul, parity_check
+from oracles import dense_vector, expand, generator_matrix, gf_inv_dense, gf_matmul, parity_check
 from spanse import ldgm
 from spanse.ldgm import (
     GenerationError,
     codeword_from_generator,
     codeword_positions,
-    generator_matrix,
     make_code,
     reducible,
     sample_generator,
@@ -112,6 +111,25 @@ def test_generator_singular_at_one_is_rejected_before_elimination(monkeypatch):
 
     monkeypatch.setattr(ldgm, "qc_solve", solved)
     assert not reducible(G, DESK)
+
+
+def test_reducible_eliminates_m1_built_from_the_positions_below_k(monkeypatch):
+    # M1 alone, with no right-hand side, equal to the left k0 block columns
+    # of G's block form, on desk and spanse-128 draws
+    seen = []
+
+    def recording(aug, q):
+        seen.append(aug.copy())  # before the solve writes to it
+        return real(aug, q)
+
+    real = ldgm.qc_solve
+    monkeypatch.setattr(ldgm, "qc_solve", recording)
+    for ps in (DESK, get_params("spanse-128")):
+        G = make_code(ps, np.random.default_rng(9))
+        seen.clear()
+        assert reducible(G, ps)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], generator_matrix(G, ps).blocks[:, : ps.k0])
 
 
 def test_systematic_input_passthrough():

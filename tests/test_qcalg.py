@@ -10,6 +10,7 @@ from oracles import (
     perm_dense,
     perm_qc_matrix,
     qc_mat_mul,
+    solve,
 )
 from spanse import qcalg
 from spanse.qcalg import (
@@ -32,7 +33,7 @@ def rand_qc(rng, rows0, cols0, p, q=Q):
 
 def qc_mat_inv(A):
     """A^{-1} as the solve against the identity, or None when A is singular."""
-    return qc_solve(A, identity(A.rows0, A.p, A.q))
+    return solve(A, identity(A.rows0, A.p, A.q))
 
 
 def rand_positions(rng, length, density=0.25):
@@ -120,16 +121,51 @@ def test_circulant_layout_rows_are_right_shifts():
     assert np.array_equal(expand(a), expected)
 
 
-def test_ring_mismatch_raises():
-    # a right-hand side on another ring (p or q) or with other block rows
-    rng = np.random.default_rng(14)
-    A = rand_qc(rng, 3, 3, 5)
-    for B in (rand_qc(rng, 3, 2, 7), rand_qc(rng, 3, 2, 5, q=131), rand_qc(rng, 2, 3, 5),
-              rand_qc(rng, 4, 0, 5)):
-        with pytest.raises(DimensionMismatchError):
-            qc_solve(A, B)
+def test_qcmatrix_keeps_a_canonical_int64_array_and_copies_any_other():
+    rng = np.random.default_rng(13)
+    canonical = rng.integers(0, Q, (2, 3, 5))
+    assert QCMatrix(canonical, Q).blocks is canonical
+    for given in (canonical.astype(np.int32), canonical.swapaxes(0, 1), canonical + Q,
+                  canonical - Q, canonical.tolist()):
+        before = np.array(given)
+        blocks = QCMatrix(given, Q).blocks
+        assert np.array_equal(np.array(given), before)  # the caller's array is unchanged
+        assert blocks.dtype == np.int64 and blocks.flags.c_contiguous
+        assert np.array_equal(blocks, before % Q)
     with pytest.raises(DimensionMismatchError):
-        qc_solve(poly([1, 2]), poly([1, 2, 3]))
+        QCMatrix(canonical[0], Q)
+
+
+def test_qc_solve_eliminates_the_buffer_in_place():
+    # [A | B] ends as [E | E X] for a block permutation E, X = A^{-1} B:
+    # Gauss-Jordan without row swaps, written into the caller's buffer
+    rng = np.random.default_rng(14)
+    s, t, p = 3, 2, 5
+    A, B = rand_qc(rng, s, s, p), rand_qc(rng, s, t, p)
+    dense_inv = gf_inv_dense(expand(A), Q)
+    assert dense_inv is not None
+    aug = np.concatenate([A.blocks, B.blocks], axis=1)
+    X = qc_solve(aug, Q)
+    assert X.shape == (s, t, p) and X.dtype == np.int64
+    assert np.array_equal(expand(QCMatrix(X, Q)), gf_matmul(dense_inv, expand(B), Q))
+    assert np.count_nonzero(aug[:, :s].any(axis=2)) == s
+    rows, cols = np.nonzero((aug[:, :s] == np.eye(1, p, dtype=np.int64)).all(axis=2))
+    assert sorted(rows) == sorted(cols) == list(range(s))
+    assert np.array_equal(aug[rows, s:], X[cols])
+    # A alone (t = 0), and a zero block row of A, which is singular at once
+    assert qc_solve(A.blocks.copy(), Q).shape == (s, 0, p)
+    singular = np.concatenate([A.blocks, B.blocks], axis=1)
+    singular[1, :s] = 0
+    assert qc_solve(singular, Q) is None
+
+
+def test_qc_solve_requires_at_least_as_many_block_columns_as_rows():
+    # the buffer is [A | B] with A square, so a narrower one, or one that is
+    # not (rows0, cols0, p) blocks, has no A to solve for
+    aug = rand_qc(np.random.default_rng(17), 3, 5, 5).blocks
+    for bad in (aug[:, :2], aug[0], aug[..., None]):
+        with pytest.raises(DimensionMismatchError):
+            qc_solve(bad, Q)
 
 
 # --- block matrices --------------------------------------------------------
@@ -394,7 +430,7 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
         for B in (identity(s, p, Q), rand_qc(rng, s, s // 2, p)):
             kernel.clear()
             slices.clear()
-            X = qc_solve(A, B)
+            X = solve(A, B)
             rank_one = [rows for inner, rows in kernel if inner == 1]
             assert rank_one and max(rank_one) <= b
             assert [(inner, rows) for inner, rows in kernel if inner > 1] == [(k, s) for k in panels]
@@ -434,7 +470,7 @@ def test_qc_solve_pulls_a_pivot_from_outside_the_tile(pulls, repairs, j):
     assert pulls == [(j, True)] and not repairs
     assert dense is not None and Ai is not None and np.array_equal(expand(Ai), dense)
     B = rand_qc(rng, 2 * b, 3, p)
-    assert np.array_equal(expand(qc_solve(A, B)), gf_matmul(dense, expand(B), Q))
+    assert np.array_equal(expand(solve(A, B)), gf_matmul(dense, expand(B), Q))
 
 
 @pytest.mark.parametrize("invertible", [True, False])
@@ -483,7 +519,7 @@ def test_qc_solve_matches_dense_oracle_at_every_width(repairs, p, q):
             outcomes.add(dense_inv is not None)
             for m in (0, 1, b - 1, b + 1, 2 * s + 3):
                 B = QCMatrix(rng.integers(0, q, (s, m, p)), q)
-                X = qc_solve(A, B)
+                X = solve(A, B)
                 if dense_inv is None:
                     assert X is None
                 else:
@@ -577,12 +613,6 @@ def test_qc_mat_inv_at_p_one_matches_dense_oracle(q):
                     assert Ai is not None and np.array_equal(expand(Ai), dense)
                 outcomes.add(dense is not None)
     assert outcomes == {True, False}
-
-
-def test_qc_mat_inv_requires_square():
-    rng = np.random.default_rng(17)
-    with pytest.raises(DimensionMismatchError):
-        qc_mat_inv(rand_qc(rng, 2, 3, 5))
 
 
 # --- vectors ---------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     dense_vector,
     expand,
+    generator_matrix,
     gf_inv_dense,
     gf_matmul,
     parity_check,
@@ -55,9 +56,9 @@ def test_keygen_structural_identities(keypair):
 
 
 def test_keygen_solves_once_per_draw(monkeypatch):
-    # each G draw whose M1(1) is nonsingular eliminates M1 against no
-    # right-hand side, and the others are rejected without a solve; each S
-    # draw solves T S^T against [0; P], r0 block columns wide. At this
+    # each G draw whose M1(1) is nonsingular eliminates the k0 x k0 buffer
+    # M1 alone, and the others are rejected without a solve; each S draw
+    # eliminates one n0 x (n0 + r0) buffer [T S^T | [0; P]]. At this
     # sparse density some S draws are singular and resampled
     params = dataclasses.replace(DESK, density=DensityPolynomial.parse("49/50,1/50", DESK.q))
     events, rhs, drawn = [], [], []
@@ -66,8 +67,9 @@ def test_keygen_solves_once_per_draw(monkeypatch):
         def wrapped(*args):
             events.append(name)
             if name == "solve":
-                events.append(args[1].cols0)
-                rhs.append(args[1])
+                aug = args[0]
+                events.append(aug.shape[:2])
+                rhs.append(aug[:, aug.shape[0]:].copy())  # before the solve writes to it
             out = real(*args)
             if name == "G":
                 drawn.append(out)
@@ -87,15 +89,15 @@ def test_keygen_solves_once_per_draw(monkeypatch):
         sk, _ = keygen(params, np.random.default_rng(seed))
         expected = []
         for G in drawn:
-            at_one = ldgm.generator_matrix(G, DESK).blocks[:, :DESK.k0].sum(axis=2) % DESK.q
+            at_one = generator_matrix(G, DESK).blocks[:, :DESK.k0].sum(axis=2) % DESK.q
             solved = gf_inv_dense(at_one, DESK.q) is not None
-            expected += ["G"] + ["solve", 0] * solved
+            expected += ["G"] + ["solve", (DESK.k0, DESK.k0)] * solved
             skipped += not solved
         s = events.count("S")
-        assert events == expected + ["S", "solve", DESK.r0] * s
+        assert events == expected + ["S", "solve", (DESK.n0, DESK.n0 + DESK.r0)] * s
         zero_p = np.zeros((DESK.n0, DESK.r0, DESK.p), dtype=np.int64)
         zero_p[DESK.k0:] = perm_qc_matrix(sk.P, DESK.q).blocks
-        assert all(np.array_equal(b.blocks, zero_p) for b in rhs[-s:])
+        assert all(np.array_equal(b, zero_p) for b in rhs[-s:])
         s_draws.append(s)
     assert max(s_draws) > 1 and skipped
 
@@ -245,10 +247,11 @@ def test_verify_rejects_foreign_key(keypair):
     assert not verify(pk, b"foreign", sig).accepted
 
 
-def test_sign_attempt_cap():
+def test_sign_attempt_cap(monkeypatch):
     sk, _ = keygen(DESK, np.random.default_rng(15))
+    monkeypatch.setattr(scheme, "MAX_SIGN_ATTEMPTS", 0)  # read at each call
     with pytest.raises(SigningError):
-        sign(sk, b"m", rng=np.random.default_rng(16), max_attempts=0)
+        sign(sk, b"m", rng=np.random.default_rng(16))
 
 
 def test_deterministic_signing_reproducible(keypair):
