@@ -29,10 +29,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _rng(seed: int | None) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _load_params(ref: str) -> ParameterSet:
     if ref in REGISTRY:
         return get_params(ref)
@@ -44,7 +40,7 @@ def _load_params(ref: str) -> ParameterSet:
 
 def cmd_keygen(args) -> int:
     params = _load_params(args.params)
-    sk, pk = keygen(params, _rng(args.seed))
+    sk, pk = keygen(params, np.random.default_rng(args.seed))
     serial.atomic_write(args.private, serial.serialize_private(sk))
     serial.atomic_write(args.public, serial.serialize_public(pk))
     sizes = analysis.size_report(params)
@@ -68,7 +64,7 @@ def cmd_sign(args) -> int:
             "message voids the security argument.",
             file=sys.stderr,
         )
-    sig, attempts = sign(sk, message, mode=args.mode, rng=_rng(args.seed))
+    sig, attempts = sign(sk, message, mode=args.mode, rng=np.random.default_rng(args.seed))
     serial.atomic_write(args.out, serial.serialize_signature(sig, sk.params))
     marker.touch()
     print(f"wrote {args.out} ({attempts} attempt{'s' if attempts != 1 else ''})")

@@ -224,11 +224,11 @@ def sign(
 def verify(pk: PublicKey, message: bytes, sig: Signature) -> VerifyResult:
     """Check zero-freeness and H' sigma^T = s."""
     params = pk.params
-    sigma = np.asarray(sig.sigma, dtype=np.int64)
-    if sigma.size != params.n or np.any(sigma % params.q == 0):
+    sigma = np.asarray(sig.sigma, dtype=np.int64) % params.q
+    if sigma.size != params.n or not sigma.all():
         return VerifyResult(False, "zero-entry")
     s_star = derive_syndrome(message, sig.theta, params)
-    syndrome = qc_mat_vec(pk.Hpub, sigma % params.q)
+    syndrome = qc_mat_vec(pk.Hpub, sigma)
     if not np.array_equal(syndrome, np.bincount(s_star, minlength=params.r)):
         return VerifyResult(False, "syndrome-mismatch")
     return VerifyResult(True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,57 @@ def test_fft_product_just_under_bound_is_exact():
         assert np.array_equal(got, _cyclic_matmul_int64(A, B, q))
 
 
+def _dense_acc_product(A, B, acc, q):
+    """(acc + A B) mod q from the dense expansions, as a dense matrix."""
+    dense = gf_matmul(expand(QCMatrix(A, q)), expand(QCMatrix(B, q)), q)
+    return (expand(QCMatrix(acc, q)) + dense) % q
+
+
+@pytest.mark.parametrize("p,q", [(3, 65521), (13, 8191)])
+def test_kernel_accumulates_exactly_at_the_bound(p, q):
+    # every entry q - 1, with the largest inner dimension whose bound
+    # inner * p * (q-1)^2 is below _FFT_EXACT_BOUND, so acc + A B is just
+    # below 2^40 before the float reduction. One row contracts by einsum,
+    # two rows by np.matmul
+    inner = qcalg._FFT_EXACT_BOUND // (p * (q - 1) ** 2)
+    assert 0.99 * qcalg._FFT_EXACT_BOUND < inner * p * (q - 1) ** 2 <= qcalg._FFT_EXACT_BOUND
+    for rows in (1, 2):
+        A, B = np.full((rows, inner, p), q - 1), np.full((inner, 2, p), q - 1)
+        acc = np.full((rows, 2, p), q - 1)
+        got = qcalg._block_matmul(A, B, p, q, acc)
+        assert got.dtype == np.int64
+        assert np.array_equal(expand(QCMatrix(got, q)), _dense_acc_product(A, B, acc, q))
+
+
+@pytest.mark.parametrize("p,q", [(5, 3), (1, 127)])
+def test_kernel_accumulates_random_operands(p, q):
+    # at q = 3 a third of the sums are multiples of q, whose float quotient
+    # must floor to itself; p = 1 has an empty fold. The shapes reach a ring
+    # element, a vector, an outer product and a block product
+    rng = np.random.default_rng(32 + p)
+    for m, k, n in ((1, 1, 1), (1, 4, 3), (4, 1, 3), (3, 4, 2)):
+        for _ in range(5):
+            A, B = rng.integers(0, q, (m, k, p)), rng.integers(0, q, (k, n, p))
+            acc = rng.integers(0, q, (m, n, p))
+            got = qcalg._block_matmul(A, B, p, q, acc)
+            assert np.array_equal(expand(QCMatrix(got, q)), _dense_acc_product(A, B, acc, q))
+
+
+def test_transpose_allocates_its_result_once():
+    # the reversal writes the swapped view into one C-ordered array, which
+    # QCMatrix keeps without a copy
+    A = rand_qc(np.random.default_rng(18), 238, 119, 101)
+    tracemalloc.start()
+    try:
+        At = A.transpose()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * At.blocks.nbytes
+    assert At.blocks.flags.c_contiguous
+    assert np.array_equal(At.blocks, np.roll(A.blocks[..., ::-1], 1, axis=-1).swapaxes(0, 1))
+
+
 def test_transpose_matches_dense():
     rng = np.random.default_rng(15)
     for _ in range(50):
@@ -404,20 +457,20 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
     kernel, slices, inside = [], [], []
     real_block, real_product = qcalg._block_matmul, qcalg._spectral_matmul
 
-    def recording_block(A, B, p, q):
+    def recording_block(A, B, p, q, acc=None):
         kernel.append((A.shape[1], A.shape[0]))  # inner dimension, block rows written
         inside.append(True)
         try:
-            return real_block(A, B, p, q)
+            return real_block(A, B, p, q, acc)
         finally:
             inside.pop()
 
-    def recording_product(FA, FB, p, q):
+    def recording_product(FA, FB, p, q, acc=None):
         # a slice's inner dimension, its block columns and the spectrum of
         # D itself, kept alive so that distinct spectra keep distinct ids
         if not inside:
             slices.append((FA.shape[1], FB.shape[1], FA))
-        return real_product(FA, FB, p, q)
+        return real_product(FA, FB, p, q, acc)
 
     monkeypatch.setattr(qcalg, "_block_matmul", recording_block)
     monkeypatch.setattr(qcalg, "_spectral_matmul", recording_product)
@@ -441,25 +494,28 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
 
 
 @pytest.fixture()
-def pulls(monkeypatch):
-    """(column in its panel, whether a row was found) for each outside pull."""
+def panels(monkeypatch):
+    """(first column, pivot rows) of each panel qc_solve eliminated, in order."""
     calls = []
-    real_pull = qcalg._pull_row
+    real_panel = qcalg._eliminate_panel
 
-    def counting_pull(*args):
-        found = real_pull(*args)
-        calls.append((args[2], found is not None))
-        return found
+    def recording_panel(*args):
+        pivots = real_panel(*args)
+        calls.append((args[1], pivots))
+        return pivots
 
-    monkeypatch.setattr(qcalg, "_pull_row", counting_pull)
+    monkeypatch.setattr(qcalg, "_eliminate_panel", recording_panel)
     return calls
 
 
 @pytest.mark.parametrize("j", [0, 3, qcalg._PANEL_WIDTH - 1])
-def test_qc_solve_pulls_a_pivot_from_outside_the_tile(pulls, repairs, j):
-    # the first panel's tile is rows 0..b-1. Its rows j..b-1 are zero in
-    # columns 0..j, so once rows 0..j-1 pivot the first j columns, no tile
-    # row has a unit in column j; the generic rows b.. below the tile do
+def test_qc_solve_scans_the_free_rows_when_the_tile_has_no_unit(panels, repairs, j):
+    # rows j..b-1 are zero in columns 0..j. With j > 0 the first panel's
+    # tile is rows 0..b-1: rows 0..j-1 pivot the first j columns, and then
+    # no tile row has a unit in column j, so the panel ends after j pivots.
+    # The next panel's scan of column j passes over rows j..b-1 and finds
+    # its pivot in the generic rows b.. with no repair. With j = 0 the
+    # first panel's scan already finds it there.
     p, b = 13, qcalg._PANEL_WIDTH
     rng = np.random.default_rng(43 + j)
     blocks = rng.integers(0, Q, (2 * b, 2 * b, p))
@@ -467,20 +523,23 @@ def test_qc_solve_pulls_a_pivot_from_outside_the_tile(pulls, repairs, j):
     A = QCMatrix(blocks, Q)
     dense = gf_inv_dense(expand(A), Q)
     Ai = qc_mat_inv(A)
-    assert pulls == [(j, True)] and not repairs
+    assert [pivots for col, pivots in panels if col < j] == ([list(range(j))] if j else [])
+    at_j = [pivots for col, pivots in panels if col == j]
+    assert len(at_j) == 1 and at_j[0][0] >= b and not repairs
     assert dense is not None and Ai is not None and np.array_equal(expand(Ai), dense)
     B = rand_qc(rng, 2 * b, 3, p)
     assert np.array_equal(expand(solve(A, B)), gf_matmul(dense, expand(B), Q))
 
 
 @pytest.mark.parametrize("invertible", [True, False])
-def test_qc_solve_flushes_and_repairs_when_no_free_row_has_a_unit(pulls, repairs, invertible):
+def test_qc_solve_flushes_and_repairs_when_no_free_row_has_a_unit(panels, repairs, invertible):
     # rows 3.. are zero in columns 0..2, so rows 0..2 pivot those columns
     # and leave the other rows' column 3 as it is: x - 1 in row 3, inside
     # the tile, and Phi_13 in row b, outside it; both are non-units, and
-    # every other free row is zero there. The pull finds no unit, the panel
-    # is flushed and row 3 is repaired. With x - 1 in both rows every free
-    # row vanishes at x = 1 and A is singular.
+    # every other free row is zero there. The panel ends and is flushed,
+    # the next panel's scan finds no unit and row 3 is repaired, then
+    # pivots column 3. With x - 1 in both rows every free row vanishes at
+    # x = 1 and A is singular.
     p, b, j = 13, qcalg._PANEL_WIDTH, 3
     rng = np.random.default_rng(44)
     blocks = rng.integers(0, Q, (2 * b, 2 * b, p))
@@ -490,9 +549,10 @@ def test_qc_solve_flushes_and_repairs_when_no_free_row_has_a_unit(pulls, repairs
     A = QCMatrix(blocks, Q)
     dense = gf_inv_dense(expand(A), Q)
     Ai = qc_mat_inv(A)
-    assert pulls == [(j, False)] and repairs == [j]
+    assert panels[0] == (0, list(range(j))) and repairs == [j]
     assert (dense is not None) == invertible
     if invertible:
+        assert panels[1][0] == j and panels[1][1][0] == j
         assert Ai is not None and np.array_equal(expand(Ai), dense)
     else:
         assert Ai is None
