@@ -216,6 +216,7 @@ def rejection_rate_analytic(params: ParameterSet) -> RejectionReport:
     the m_g rows of weight w_g covers a position, and sums z picks; by
     binomial thinning it is Bin(n, rho_c d1). An entry is 0 mod q with
     probability p0, and an attempt is accepted with probability (1 - p0)^n.
+    Any other density raises ValueError; no caller checks it first.
     """
     if not params.density.is_binary():
         raise ValueError("analytic model requires a binary density; use Monte Carlo")
@@ -340,17 +341,21 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
 
 
 # trials per Monte Carlo batch; each batch draws its own generator and
-# holds its trials' positions at once (params.check_working_set)
+# holds its trials' positions at once
 _BATCH_TRIALS = 1000
+# bytes a Monte Carlo run holds per batch before its first trial: the
+# batch's size, its spawned SeedSequence and later its count (424 measured
+# with tracemalloc)
+_BATCH_BYTES = 512
+# int64 arrays of one batch's masked-vector positions that a batch holds at
+# once while it builds them and their multisets (4.5 measured with
+# tracemalloc at desk and spanse-128, 1000 and 5000 trials)
+_POSITION_COPIES = 5
 
 
-def rejection_rate_montecarlo(
-    params: ParameterSet,
-    density: DensityPolynomial,
-    trials: int,
-    seed: int | None = None,
-) -> tuple[float, float]:
-    """Estimated acceptance probability and its standard error.
+def rejection_rate_montecarlo(params: ParameterSet, trials: int,
+                              seed: int | None = None) -> tuple[float, float]:
+    """Estimated acceptance probability at params.density and its standard error.
 
     The estimate is the mean over `trials` sampled masked vectors v of the
     exact P(accept | v) (`_simulate_batch`); the standard error is the
@@ -361,17 +366,28 @@ def rejection_rate_montecarlo(
     in order in this process, each from its own seed spawned from the base
     seed, and each batch's moments are combined into the running ones as
     it returns, by the pairwise update of Chan et al.
+
+    Before any draw, the run's peak must fit (params.check_working_set):
+    the generator (k0 w_g int64 positions), _BATCH_BYTES per batch, and
+    what the largest batch builds at once, _POSITION_COPIES copies of its
+    trials x (w + m_g w_g) int64 positions and its trials x
+    min(q, w + m_g w_g + 1) int64 histogram of multisets. The score memo
+    is not counted: one entry per distinct multiset of the running batch,
+    at most its trials and 4 to 8 measured per 1000 trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    check_working_set(params, "monte-carlo", batches=-(-trials // _BATCH_TRIALS),
-                      batch_size=min(_BATCH_TRIALS, trials))
+    length = params.w + params.m_g * params.w_g
+    batch = min(_BATCH_TRIALS, trials)
+    check_working_set(params, "monte-carlo", 8 * params.k0 * params.w_g
+                      + _BATCH_BYTES * -(-trials // _BATCH_TRIALS)
+                      + 8 * batch * (_POSITION_COPIES * length + min(params.q, length + 1)))
     sizes = [_BATCH_TRIALS] * (trials // _BATCH_TRIALS)
     if trials % _BATCH_TRIALS:
         sizes.append(trials % _BATCH_TRIALS)
     done, mean, m2 = 0, 0.0, 0.0
     for size, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        total, batch_m2 = _simulate_batch(params, density, size, seed_seq)
+        total, batch_m2 = _simulate_batch(params, params.density, size, seed_seq)
         delta = total / size - mean
         mean += delta * size / (done + size)
         m2 += batch_m2 + delta * delta * done * size / (done + size)

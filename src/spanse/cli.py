@@ -114,24 +114,17 @@ def cmd_analyze(args) -> int:
             report = analysis.optimize_attack(n=params.n, k=params.k, q=params.q, p=params.p)
         _print_report(report.as_dict())
     elif args.kind == "rejection":
-        density = (
-            DensityPolynomial.parse(args.density, params.q)
-            if args.density
-            else params.density
-        )
+        if args.density:
+            params = dataclasses.replace(
+                params, density=DensityPolynomial.parse(args.density, params.q))
         if args.monte_carlo is not None:
             p_valid, stderr = analysis.rejection_rate_montecarlo(
-                params, density, args.monte_carlo, seed=args.seed)
+                params, args.monte_carlo, seed=args.seed)
             print(f"p_valid = {p_valid:.6g}")
             print(f"stderr = {stderr:.3g}")
             print(f"rejection_rate = {1.0 - p_valid:.6g}")
         else:
-            if not density.is_binary():
-                raise ParameterError(
-                    "analytic model needs a binary density; pass --monte-carlo N"
-                )
-            tuned = dataclasses.replace(params, density=density)
-            report = analysis.rejection_rate_analytic(tuned)
+            report = analysis.rejection_rate_analytic(params)
             _print_report(report.as_dict())
             print(f"rejection_rate = {1.0 - report.p_valid:.6g}")
     else:  # sizes

@@ -178,42 +178,11 @@ class ParameterSet:
         )
 
 
-# n0^2 p int64 words keygen holds at its peak: S (1) and the solve's
-# buffer [T S^T | [0; P]] (1.5 at r0 = n0 / 2), with the r0-wide result
-# gathered from it or with the spectra of a panel's products, which grow
-# as n0, not n0^2 (measured with tracemalloc: 3.02 at spanse-128, where
-# the result sets the peak, and 3.56 to 3.71 at spanse-128's ring with
-# n0 = 84, where the spectra do; the first keygen in a process is the
-# highest)
-_KEYGEN_WORDS = 3.75
-# bytes a Monte Carlo run holds per batch before its first trial: the
-# batch's size, its spawned SeedSequence and later its count (424 measured
-# with tracemalloc)
-_BATCH_BYTES = 512
-# int64 arrays of one batch's masked-vector positions that a batch holds at
-# once while it builds them and their multisets (4.5 measured with
-# tracemalloc at desk and spanse-128, 1000 and 5000 trials)
-_POSITION_COPIES = 5
-
-
-def check_working_set(params: ParameterSet, command: str, batches: int = 0,
-                      batch_size: int = 0):
-    """Raise ParameterError unless `command` ("keygen" or "monte-carlo") fits
-    in physical memory and under RLIMIT_AS: keygen's S, its solve's
-    buffer [T S^T | [0; P]] and result, and the spectra of the solve's
-    panel products (_KEYGEN_WORDS n0^2 p int64 words), or the
-    Monte Carlo's generator (k0 w_g int64 positions), the
-    bookkeeping of its `batches` batches and the arrays its largest batch,
-    of `batch_size` trials, builds at once:
-    copies of its batch_size x (w + m_g w_g) int64 positions and its
-    batch_size x min(q, w + m_g w_g + 1) int64 histogram of multisets.
-    The Monte Carlo's score memo is not counted: it holds one entry, keyed
-    by a histogram row, per distinct masked-vector multiset of the running
-    batch, at most `batch_size` and 4 to 8 measured per 1000 trials."""
-    length = params.w + params.m_g * params.w_g
-    need = (8 * _KEYGEN_WORDS * params.n0**2 * params.p if command == "keygen"
-            else 8 * params.k0 * params.w_g + _BATCH_BYTES * batches
-            + 8 * batch_size * (_POSITION_COPIES * length + min(params.q, length + 1)))
+def check_working_set(params: ParameterSet, command: str, need: float):
+    """Raise ParameterError unless `need` bytes, what `command` holds at its
+    peak by its caller's count, fit in physical memory and under RLIMIT_AS.
+    scheme.keygen and analysis.rejection_rate_montecarlo each count their
+    own allocations; this is only the limit."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:

@@ -300,15 +300,14 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
     A is singular iff no addition makes the pivot a unit: then some CRT
     component of the column is zero in every free row. This criterion is
     exact for every prime p (x^p - 1 is squarefree over F_q when p != q,
-    and R_p is a local ring when p = q). A zero block row or column is
-    singular at once, before any pivot is inverted: keygen's sparse M1
-    often has one. No dense expansion is formed.
+    and R_p is a local ring when p = q), and it is the only singularity
+    test: a zero block row or column of A is found as any other, when the
+    elimination reaches a column with no unit and the repair has none to
+    add. No dense expansion is formed.
     """
     if aug.ndim != 3 or aug.shape[1] < aug.shape[0]:
         raise DimensionMismatchError(f"cannot solve [A | B] of block shape {aug.shape[:-1]}")
     s, p = aug.shape[0], aug.shape[2]
-    if not (aug[:, :s].any(axis=(0, 2)).all() and aug[:, :s].any(axis=(1, 2)).all()):
-        return None
     width = _panel_width(p, q)
     free = list(range(s))  # rows not yet chosen as a pivot, in order
     piv: list[int] = []  # pivot row of each eliminated column

@@ -50,6 +50,14 @@ _TAG_THETA = b"spanse/theta/v1"
 _TAG_EXPAND = b"spanse/syndrome-expand/v1"
 
 MAX_S_RETRIES = 100
+# n0^2 p int64 words keygen holds at its peak: S (1) and the solve's
+# buffer [T S^T | [0; P]] (1.5 at r0 = n0 / 2), with the r0-wide result
+# gathered from it or with the spectra of a panel's products, which grow
+# as n0, not n0^2 (measured with tracemalloc: 3.02 at spanse-128, where
+# the result sets the peak, and 3.56 to 3.71 at spanse-128's ring with
+# n0 = 84, where the spectra do; the first keygen in a process is the
+# highest)
+_KEYGEN_WORDS = 3.75
 # signing attempts before SigningError, read at each call
 MAX_SIGN_ATTEMPTS = 10_000
 
@@ -113,11 +121,12 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
 
     T is invertible, so T S^T is singular exactly when S is. Each S draw
     fills a buffer [T S^T | [0; P]] that the solve eliminates in place and
-    that is freed when the solve returns.
+    that is freed when the solve returns. Before any draw, its peak of
+    _KEYGEN_WORDS n0^2 p int64 words must fit (params.check_working_set).
     """
     if params.density.d0 == 1:
         raise ParameterError("the density puts all its mass on 0, so every S is zero")
-    check_working_set(params, "keygen")
+    check_working_set(params, "keygen", 8 * _KEYGEN_WORDS * params.n0**2 * params.p)
     G = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, rng)
     for _ in range(MAX_S_RETRIES):
@@ -146,40 +155,28 @@ def _public_system(S: QCMatrix, G: np.ndarray, P: QCPermutation,
     return aug
 
 
-def _expand_stream(seed: bytes, nbytes: int) -> bytes:
-    return hashlib.shake_256(seed).digest(nbytes)
-
-
 def derive_syndrome(message: bytes, theta: bytes, params: ParameterSet) -> np.ndarray:
     """s = F_theta(hash(message)): the w sorted positions of a binary
     syndrome of length r, so of Hamming weight exactly w.
 
     The hash digest and theta seed an extendable-output stream read as
-    little-endian 32-bit words; words are rejection-sampled into [0, r)
-    without modulo bias and the first w distinct indices form the support.
+    little-endian 32-bit words; words below the largest multiple of r
+    under 2^32 are kept and taken mod r, without modulo bias, and the
+    first w distinct indices form the support. When the first
+    max(4 w, 64) words hold fewer, the stream is read again at twice the
+    length, which extends the shorter one, until they do.
     """
     r, w = params.r, params.w
-    digest = hashlib.sha256(_TAG_MSG + message).digest()
-    seed = _TAG_EXPAND + digest + theta
+    seed = _TAG_EXPAND + hashlib.sha256(_TAG_MSG + message).digest() + theta
     limit = (2**32 // r) * r
-    chosen: list[int] = []
-    seen: set[int] = set()
     nwords = max(4 * w, 64)
-    consumed = 0
-    stream = _expand_stream(seed, 4 * nwords)
-    while len(chosen) < w:
-        if consumed + 4 > len(stream):
-            nwords *= 2
-            stream = _expand_stream(seed, 4 * nwords)
-        word = int.from_bytes(stream[consumed : consumed + 4], "little")
-        consumed += 4
-        if word >= limit:
-            continue
-        idx = word % r
-        if idx not in seen:
-            seen.add(idx)
-            chosen.append(idx)
-    return np.sort(np.array(chosen, dtype=np.int64))
+    while True:
+        words = np.frombuffer(hashlib.shake_256(seed).digest(4 * nwords), dtype="<u4")
+        idx = words[words < limit].astype(np.int64) % r
+        first = np.unique(idx, return_index=True)[1]
+        if first.size >= w:
+            return np.sort(idx[np.sort(first)[:w]])
+        nwords *= 2
 
 
 def choose_theta(message: bytes, mode: str, rng: np.random.Generator | None = None) -> bytes:

@@ -184,7 +184,7 @@ def serialize_signature(sig: Signature, params: ParameterSet) -> bytes:
     )
 
 
-def _read_header(data: bytes, expected: int | None = None) -> tuple[_Reader, int, ParameterSet]:
+def _read_header(data: bytes, expected: int) -> tuple[_Reader, ParameterSet]:
     rd = _Reader(data)
     if rd.take(4) != MAGIC:
         raise SerializationError("bad magic")
@@ -192,21 +192,19 @@ def _read_header(data: bytes, expected: int | None = None) -> tuple[_Reader, int
     if version != VERSION:
         raise SerializationError(f"unsupported version {version}")
     objtype = rd.u8()
-    if objtype not in (OBJ_PARAMS, OBJ_PUBLIC, OBJ_PRIVATE, OBJ_SIGNATURE):
-        raise SerializationError(f"unknown object type {objtype}")
-    if expected is not None and objtype != expected:
+    if objtype != expected:
         raise SerializationError(f"expected object type {expected}, found {objtype}")
-    return rd, objtype, _read_params(rd)
+    return rd, _read_params(rd)
 
 
 def deserialize_params(data: bytes) -> ParameterSet:
-    rd, _, params = _read_header(data, OBJ_PARAMS)
+    rd, params = _read_header(data, OBJ_PARAMS)
     rd.done()
     return params
 
 
 def deserialize_public(data: bytes) -> PublicKey:
-    rd, _, params = _read_header(data, OBJ_PUBLIC)
+    rd, params = _read_header(data, OBJ_PUBLIC)
     syms = _symbols(rd, params.r0 * params.n0 * params.p, params.q)
     rd.done()
     blocks = syms.reshape(params.r0, params.n0, params.p)
@@ -214,7 +212,7 @@ def deserialize_public(data: bytes) -> PublicKey:
 
 
 def deserialize_private(data: bytes) -> PrivateKey:
-    rd, _, params = _read_header(data, OBJ_PRIVATE)
+    rd, params = _read_header(data, OBJ_PRIVATE)
     r0, p, q = params.r0, params.p, params.q
     # permutation and shifts, one count word per generator row, then S
     rd.require(4 * r0 + 4 * params.k0 + params.n0 * params.n0 * p)
@@ -262,7 +260,7 @@ def check_private(sk: PrivateKey):
 
 
 def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:
-    rd, _, params = _read_header(data, OBJ_SIGNATURE)
+    rd, params = _read_header(data, OBJ_SIGNATURE)
     tlen = rd.u16()
     theta = rd.take(tlen)
     sigma = _symbols(rd, params.n, params.q).astype(np.int64)
@@ -270,20 +268,6 @@ def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:
     if np.any(sigma == 0):
         raise SerializationError("signature contains zero entries")
     return Signature(sigma, theta), params
-
-
-_DESERIALIZERS = {
-    OBJ_PARAMS: deserialize_params,
-    OBJ_PUBLIC: deserialize_public,
-    OBJ_PRIVATE: deserialize_private,
-    OBJ_SIGNATURE: deserialize_signature,
-}
-
-
-def deserialize(data: bytes):
-    """Dispatch on the object-type byte."""
-    _, objtype, _ = _read_header(data)
-    return _DESERIALIZERS[objtype](data)
 
 
 def atomic_write(path: str, data: bytes):

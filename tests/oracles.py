@@ -13,19 +13,25 @@ acceptance probability; the per-trial oracle builds every masked vector
 alone and scores it afresh, where the library builds a batch's masked
 vectors at once and scores each distinct one once per batch; the
 fixed-weight rejection model is a closed form the Monte Carlo is checked
-against.
+against. The library derives a syndrome's support from its hash stream with
+whole-array filters; `reference_syndrome` reads the stream word by word.
+The library reads each byte format with its own deserializer;
+`deserialize` dispatches on the object-type byte.
 """
 
+import hashlib
 import math
 
 import numpy as np
 
 from scipy.stats import binom
 
+from spanse import serial
 from spanse.analysis import _p_zero
 from spanse.ldgm import codeword_from_generator, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
 from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul, qc_solve
+from spanse.scheme import _TAG_EXPAND, _TAG_MSG
 
 
 def dense_vector(positions: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -206,3 +212,47 @@ def fixed_weight_p_zero(params: ParameterSet) -> float:
     trials = params.m_g * params.w_g + params.w
     zeros = np.arange(0, trials + 1, params.q)
     return float(binom.pmf(zeros, trials, float(params.density.d1)).sum())
+
+
+def reference_syndrome(message: bytes, theta: bytes,
+                       params: ParameterSet) -> tuple[np.ndarray, int]:
+    """(support, words in the stream read last) of derive_syndrome's
+    syndrome, read one little-endian 32-bit word at a time: a word below the
+    largest multiple of r under 2^32 gives the index word mod r, and the
+    first w distinct indices form the support. The stream starts at
+    max(4 w, 64) words and is read again at twice the length each time it
+    runs out."""
+    r, w = params.r, params.w
+    seed = _TAG_EXPAND + hashlib.sha256(_TAG_MSG + message).digest() + theta
+    limit = (2**32 // r) * r
+    chosen: list[int] = []
+    nwords = max(4 * w, 64)
+    stream = hashlib.shake_256(seed).digest(4 * nwords)
+    consumed = 0
+    while len(chosen) < w:
+        if consumed == len(stream):
+            nwords *= 2
+            stream = hashlib.shake_256(seed).digest(4 * nwords)
+        word = int.from_bytes(stream[consumed : consumed + 4], "little")
+        consumed += 4
+        if word < limit and word % r not in chosen:
+            chosen.append(word % r)
+    return np.sort(np.array(chosen, dtype=np.int64)), nwords
+
+
+_DESERIALIZERS = {
+    serial.OBJ_PARAMS: serial.deserialize_params,
+    serial.OBJ_PUBLIC: serial.deserialize_public,
+    serial.OBJ_PRIVATE: serial.deserialize_private,
+    serial.OBJ_SIGNATURE: serial.deserialize_signature,
+}
+
+
+def deserialize(data: bytes):
+    """The object that `data` encodes, read by the library's deserializer
+    for its object-type byte (after the 4-byte magic and the u16 version);
+    SerializationError when the input is too short to hold one or names no
+    object type."""
+    if len(data) < 7 or data[6] not in _DESERIALIZERS:
+        raise serial.SerializationError("no known object type")
+    return _DESERIALIZERS[data[6]](data)

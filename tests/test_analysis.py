@@ -277,24 +277,22 @@ def test_rejection_degenerate_zero_weights(capsys):
 
 def test_rejection_analytic_against_monte_carlo_desk():
     analytic = (1 - fixed_weight_p_zero(DESK)) ** DESK.n
-    estimate, stderr = rejection_rate_montecarlo(DESK, DESK.density, 20000, seed=99)
+    estimate, stderr = rejection_rate_montecarlo(DESK, 20000, seed=99)
     assert abs(estimate - analytic) <= 3 * max(stderr, 1e-4)
 
 
 def test_montecarlo_reproducible():
-    p1, e1 = rejection_rate_montecarlo(DESK, DESK.density, 3000, seed=5)
-    p2, e2 = rejection_rate_montecarlo(DESK, DESK.density, 3000, seed=5)
+    p1, e1 = rejection_rate_montecarlo(DESK, 3000, seed=5)
+    p2, e2 = rejection_rate_montecarlo(DESK, 3000, seed=5)
     assert p1 == p2 and e1 == e2
 
 
 def test_montecarlo_all_ones_density_rank_one(monkeypatch):
     # d(x) = x makes every signature entry the same constant w + sum(c);
     # acceptance is then all-or-nothing per trial
-    d = DensityPolynomial(
-        {0: 0, 1: 1}, 127
-    )
+    ps = dataclasses.replace(DESK, density=DensityPolynomial({0: 0, 1: 1}, 127))
     monkeypatch.setattr(analysis, "_BATCH_TRIALS", 100)
-    p_hat, _ = rejection_rate_montecarlo(DESK, d, 400, seed=17)
+    p_hat, _ = rejection_rate_montecarlo(ps, 400, seed=17)
     # the constant is ~uniform-ish over residues; rejection ~ 1/q, tiny
     assert p_hat > 0.9
 
@@ -337,19 +335,19 @@ def test_p_zero_keeps_relative_accuracy_near_1e_15():
 
 @pytest.mark.parametrize("text", ["0.8,0.2", "0.7,0.25,2:0.03,5:0.02"])
 def test_montecarlo_agrees_with_multinomial_sampler(text):
-    density = DensityPolynomial.parse(text, DESK.q)
-    sampled, sampled_se = multinomial_acceptance(DESK, density, 10_000, seed=7)
-    estimate, stderr = rejection_rate_montecarlo(DESK, density, 4_000, seed=7)
+    ps = _with_density(DESK, text)
+    sampled, sampled_se = multinomial_acceptance(DESK, ps.density, 10_000, seed=7)
+    estimate, stderr = rejection_rate_montecarlo(ps, 4_000, seed=7)
     assert stderr < sampled_se
     assert abs(estimate - sampled) <= 4 * math.hypot(stderr, sampled_se)
 
 
 def test_montecarlo_stderr_is_the_sample_deviation_of_per_trial_values(monkeypatch):
-    density = DensityPolynomial.parse("0.8,0.2", DESK.q)
+    ps = _with_density(DESK, "0.8,0.2")
     seeds = np.random.SeedSequence(11).spawn(6)
-    values = [analysis._simulate_batch(DESK, density, 1, seed)[0] for seed in seeds]
+    values = [analysis._simulate_batch(ps, ps.density, 1, seed)[0] for seed in seeds]
     monkeypatch.setattr(analysis, "_BATCH_TRIALS", 1)
-    estimate, stderr = rejection_rate_montecarlo(DESK, density, 6, seed=11)
+    estimate, stderr = rejection_rate_montecarlo(ps, 6, seed=11)
     assert estimate == pytest.approx(np.mean(values), rel=1e-12)
     assert stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(6), rel=1e-9)
     assert 0 < stderr < 1
@@ -413,8 +411,7 @@ def test_batch_with_more_codeword_rows_than_k_raises_value_error():
 
 
 def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
-    ps = get_params("spanse-128")
-    density = _with_density(ps, CRITERION_6_DENSITIES[0]).density
+    ps = _with_density(get_params("spanse-128"), CRITERION_6_DENSITIES[0])
     calls, p_zero = [], analysis._p_zero
 
     def counted(pairs, pmf, squares):
@@ -423,7 +420,7 @@ def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
 
     monkeypatch.setattr(analysis, "_p_zero", counted)
     seeds = np.random.SeedSequence(5).spawn(3)
-    rejection_rate_montecarlo(ps, density, 3000, seed=5)  # batches of 1000
+    rejection_rate_montecarlo(ps, 3000, seed=5)  # batches of 1000
     # each batch scores the keys it meets, in the order it first meets them,
     # and starts with an empty memo
     want = [key for seed in seeds for key in dict.fromkeys(masked_vector_pairs(ps, 1000, seed))]
@@ -432,11 +429,11 @@ def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
 
 
 def test_montecarlo_single_trial(monkeypatch):
-    density = DensityPolynomial.parse("0.8,0.2", DESK.q)
+    ps = _with_density(DESK, "0.8,0.2")
     results = set()
     for batch in (1, 7, 1000):
         monkeypatch.setattr(analysis, "_BATCH_TRIALS", batch)
-        results.add(rejection_rate_montecarlo(DESK, density, 1, seed=3))
+        results.add(rejection_rate_montecarlo(ps, 1, seed=3))
     assert len(results) == 1
     estimate, stderr = results.pop()
     assert 0 < estimate < 1 and stderr == 1.0
@@ -457,7 +454,7 @@ def test_montecarlo_combines_uneven_batches_into_pooled_moments(monkeypatch):
 
     monkeypatch.setattr(analysis, "_simulate_batch", fake_batch)
     monkeypatch.setattr(analysis, "_BATCH_TRIALS", 4)
-    estimate, stderr = rejection_rate_montecarlo(DESK, DESK.density, 10, seed=3)
+    estimate, stderr = rejection_rate_montecarlo(DESK, 10, seed=3)
     want_keys = [s.spawn_key for s in np.random.SeedSequence(3).spawn(3)]
     assert seen == [(4, want_keys[0]), (4, want_keys[1]), (2, want_keys[2])]
     assert estimate == pytest.approx(values.mean(), rel=1e-12)
@@ -484,14 +481,15 @@ def test_montecarlo_reproduces_recorded_estimates(monkeypatch):
         ps = get_params(name)
         density = DensityPolynomial.parse(text, ps.q)
         monkeypatch.setattr(analysis, "_BATCH_TRIALS", batch)
-        estimate, stderr = rejection_rate_montecarlo(ps, density, trials, seed=seed)
+        estimate, stderr = rejection_rate_montecarlo(dataclasses.replace(ps, density=density),
+                                                     trials, seed=seed)
         assert estimate == pytest.approx(float.fromhex(p_hex), rel=1e-12)
         assert stderr == pytest.approx(float.fromhex(se_hex), rel=1e-9)
 
 
 def test_montecarlo_validates_trials():
     with pytest.raises(ValueError):
-        rejection_rate_montecarlo(DESK, DESK.density, 0)
+        rejection_rate_montecarlo(DESK, 0)
 
 
 # --- sizes ---------------------------------------------------------------------

@@ -92,14 +92,19 @@ def test_keycheck_accepts_a_keygen_key(workdir, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
-@pytest.mark.parametrize("part", ["S", "G"])
+@pytest.mark.parametrize("part", ["S", "G", "S-zero-column"])
 def test_keycheck_rejects_singular_key(workdir, capsys, part):
     sk_path, _ = keygen_files(workdir)
     sk = serial.deserialize_private(sk_path.read_bytes())
     # G's one-positions, or S's blocks, as arrays indexed by block row
     parts = {"G": sk.G.copy(), "S": sk.S.blocks.copy()}
-    # two equal block rows: S, or the generator's M1, is singular, yet the key loads
-    parts[part][1] = parts[part][0]
+    if part == "S-zero-column":
+        # every block row stays nonzero, so only the elimination finds it
+        parts["S"][:, 1] = 0
+        part = "S"
+    else:
+        # two equal block rows: S, or the generator's M1, is singular, yet the key loads
+        parts[part][1] = parts[part][0]
     S = QCMatrix(parts["S"], sk.params.q)
     data = serial.serialize_private(PrivateKey(sk.params, sk.P, parts["G"], S))
     bad = workdir / "bad.bin"
@@ -221,6 +226,14 @@ def test_analyze_rejection_analytic_vs_monte_carlo(capsys):
 def test_analyze_rejection_invalid_density(capsys):
     assert run("analyze", "rejection", "--params", "desk",
                "--density", "0.7,0.7") == EXIT_INPUT
+    # a valid density that puts mass on 2 has no analytic model; only the
+    # library refuses it, and the refusal exits 2 with no output
+    capsys.readouterr()
+    assert run("analyze", "rejection", "--params", "desk",
+               "--density", "0.5,0.4,2:0.1") == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "binary" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_analyze_rejection_monte_carlo_needs_trials_and_workers(capsys):

@@ -616,19 +616,20 @@ def test_qc_mat_inv_repair_inside_a_panel(repairs, invertible):
         assert Ai is None
 
 
-def test_zero_block_row_or_column_is_singular_before_any_inversion(monkeypatch):
-    def inverted(*args):
-        raise AssertionError("pivot inverted")
-
+def test_zero_block_row_or_column_is_singular_by_the_elimination(repairs):
+    # no pre-pass looks for zero blocks: the elimination stalls at the
+    # column with no unit in any free row, block column 2 when that column
+    # is zero, or the last one when only the zero row 2 is left free, and
+    # the repair there has no row to add, so it is what returns None
     rng = np.random.default_rng(15)
-    for zero in (np.s_[2], np.s_[:, 2]):
+    for zero, stall in ((np.s_[2], 3), (np.s_[:, 2], 2)):
         blocks = rng.integers(1, Q, (4, 4, 5))
         blocks[zero] = 0
         A = QCMatrix(blocks, Q)
         assert gf_inv_dense(expand(A), Q) is None
-        with monkeypatch.context() as patched:
-            patched.setattr(qcalg, "_unit_idempotent", inverted)
-            assert qc_mat_inv(A) is None
+        repairs.clear()
+        assert qc_mat_inv(A) is None
+        assert repairs == [stall]
 
 
 @pytest.mark.parametrize("p,s,width", [(101, 3, 2), (199, 2, 1)])

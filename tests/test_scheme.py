@@ -15,6 +15,7 @@ from oracles import (
     parity_check,
     perm_dense,
     perm_qc_matrix,
+    reference_syndrome,
 )
 from spanse import ldgm, qcalg, scheme, serial
 from spanse.ldgm import codeword_from_generator
@@ -116,23 +117,27 @@ def test_keys_after_singular_s_draws_keep_recorded_bytes():
 
 
 def test_keygen_working_set_check_counts_the_measured_peak(monkeypatch):
-    # spanse-128's ring at n0 = 84: check_working_set must refuse a limit
-    # 1 MiB under keygen's measured peak and admit one 10% above it
+    # spanse-128's ring at n0 = 84: keygen must refuse a limit 1 MiB under
+    # its measured peak before any draw, and make a key under one 10% above it
     ref = get_params("spanse-128")
     ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
     tracemalloc.start()
     try:
-        keygen(ps, np.random.default_rng(0))
+        want = keygen(ps, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     for limit, fits in ((peak - 2**20, False), (int(1.1 * peak), True)):
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": limit}.get)
+        rng = np.random.default_rng(0)
         if fits:
-            scheme.check_working_set(ps, "keygen")
+            sk, pk = keygen(ps, rng)
+            assert sk.S == want[0].S and pk.Hpub == want[1].Hpub
         else:
+            state = rng.bit_generator.state
             with pytest.raises(ParameterError):
-                scheme.check_working_set(ps, "keygen")
+                keygen(ps, rng)
+            assert rng.bit_generator.state == state
 
 
 def test_dense_transform_sampling_uses_density():
@@ -156,6 +161,26 @@ def test_derive_syndrome_contract():
     for i in range(50):
         s = derive_syndrome(b"message %d" % i, b"theta", ps)
         assert s.size == ps.w and np.all(np.diff(s) > 0) and 0 <= s[0] and s[-1] < ps.r
+
+
+@pytest.mark.parametrize("name, w", [("desk", None), ("spanse-128", None),
+                                     ("r110", 109), ("r110", 110)])
+def test_derive_syndrome_matches_the_word_by_word_reference(name, w):
+    # at r = 110 (p = 11, n0 = 20, k0 = 10) a weight of 109 or 110 needs
+    # more distinct positions than the first max(4 w, 64) words often hold,
+    # so the stream is read again at twice the length
+    if name == "r110":
+        ps = ParameterSet(name, DESK.q, 11, 20, 10, w, DESK.w_g, DESK.m_g, DESK.density)
+    else:
+        ps = get_params(name)
+    longer = 0
+    for i in range(50):
+        message = b"message %d" % i
+        theta = choose_theta(message, "deterministic")
+        want, nwords = reference_syndrome(message, theta, ps)
+        assert np.array_equal(derive_syndrome(message, theta, ps), want)
+        longer += nwords > max(4 * ps.w, 64)
+    assert longer > 0 if name == "r110" else longer == 0
 
 
 def test_derive_syndrome_position_uniformity():

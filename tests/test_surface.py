@@ -7,7 +7,10 @@ assignment, and every method and property of its classes other than
 dunders must be reached by an attribute access (x.name) outside its own
 definition: a local variable that shares its name does not count. Code that only tests call belongs in the tests (dense
 oracles go in tests/oracles.py). The library imports only the standard
-library, numpy and itself; scipy is a test dependency.
+library, numpy and itself; scipy is a test dependency. Its modules are
+layered, params, qcalg, ldgm, scheme, serial, analysis, cli, and each
+imports only the ones before it, so a lower layer never reaches up for a
+constant or a check that a higher one owns.
 """
 
 import ast
@@ -20,8 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spanse"
 
 # (module, name): why a definition with no library caller stays
 ALLOWED = {
-    ("serial", "deserialize"): "dispatch on the object-type byte; criterion 9 fuzzes "
-                               "mutated bytes of every object type through it",
     ("analysis", "brute_force_log2"): "the published brute-force forgery bound that "
                                       "criterion 4 reproduces",
 }
@@ -153,3 +154,55 @@ def test_library_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}: {root}" for root in roots
                         if root not in sys.stdlib_module_names and root not in ("numpy", "spanse")]
     assert not foreign, f"src/spanse/ imports outside the stdlib and numpy: {foreign}"
+
+
+# the library's modules from the bottom layer up: each may import only the
+# ones to its left
+LAYERS = ("params", "qcalg", "ldgm", "scheme", "serial", "analysis", "cli")
+
+
+def _sibling_imports(tree: ast.Module) -> set[str]:
+    """Sibling modules imported anywhere in a file, at any depth: relative
+    (`from .x import y`, `from . import x`) or absolute (spanse.x)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("spanse.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "spanse":
+                    continue
+                module = module.removeprefix("spanse").lstrip(".")
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return found
+
+
+def _layer_violations(trees: dict[str, ast.Module]) -> list[str]:
+    """`module -> sibling` for every import of a module at or right of it in LAYERS."""
+    return [f"{module} -> {sibling}" for module, tree in trees.items() if module in LAYERS
+            for sibling in sorted(_sibling_imports(tree))
+            if sibling in LAYERS and LAYERS.index(sibling) >= LAYERS.index(module)]
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert set(trees) == set(LAYERS) | {"__init__", "__main__"}, "a module missing from LAYERS"
+    assert not _layer_violations(trees)
+
+
+def test_a_lazy_or_package_relative_import_of_a_higher_layer_is_a_violation():
+    source = textwrap.dedent("""
+        from .qcalg import QCMatrix
+        from . import ldgm
+
+        def late():
+            from . import analysis, params
+            import spanse.cli
+            from spanse.scheme import keygen
+            return analysis
+    """)
+    trees = {"ldgm": ast.parse(source)}
+    assert _layer_violations(trees) == ["ldgm -> analysis", "ldgm -> cli", "ldgm -> ldgm",
+                                        "ldgm -> scheme"]
