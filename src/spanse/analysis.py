@@ -353,8 +353,11 @@ _BATCH_BYTES = 512
 _POSITION_COPIES = 5
 
 
-def rejection_rate_montecarlo(params: ParameterSet, trials: int,
-                              seed: int | None = None) -> tuple[float, float]:
+def rejection_rate_montecarlo(
+    params: ParameterSet,
+    trials: int,
+    seed: int | None = None,
+) -> tuple[float, float]:
     """Estimated acceptance probability at params.density and its standard error.
 
     The estimate is the mean over `trials` sampled masked vectors v of the

@@ -167,7 +167,8 @@ def derive_syndrome(message: bytes, theta: bytes, params: ParameterSet) -> np.nd
     length, which extends the shorter one, until they do.
     """
     r, w = params.r, params.w
-    seed = _TAG_EXPAND + hashlib.sha256(_TAG_MSG + message).digest() + theta
+    digest = hashlib.sha256(_TAG_MSG + message).digest()
+    seed = _TAG_EXPAND + digest + theta
     limit = (2**32 // r) * r
     nwords = max(4 * w, 64)
     while True:

@@ -250,9 +250,8 @@ _DESERIALIZERS = {
 
 def deserialize(data: bytes):
     """The object that `data` encodes, read by the library's deserializer
-    for its object-type byte (after the 4-byte magic and the u16 version);
-    SerializationError when the input is too short to hold one or names no
-    object type."""
-    if len(data) < 7 or data[6] not in _DESERIALIZERS:
-        raise serial.SerializationError("no known object type")
-    return _DESERIALIZERS[data[6]](data)
+    for its object-type byte; an input too short to hold that byte, or
+    naming no object type, goes to `deserialize_params`, so the library
+    rejects every malformed input."""
+    kind = data[6] if len(data) > 6 else serial.OBJ_PARAMS
+    return _DESERIALIZERS.get(kind, serial.deserialize_params)(data)

@@ -154,7 +154,8 @@ def test_qc_solve_eliminates_the_buffer_in_place():
     rows, cols = np.nonzero((aug[:, :s] == np.eye(1, p, dtype=np.int64)).all(axis=2))
     assert sorted(rows) == sorted(cols) == list(range(s))
     assert np.array_equal(aug[rows, s:], X[cols])
-    # A alone (t = 0), and a zero block row of A, which is singular at once
+    # A alone (t = 0), and a zero block row of A, which is singular: the
+    # elimination finds it when the repair at the last column has no row to add
     assert qc_solve(A.blocks.copy(), Q).shape == (s, 0, p)
     singular = np.concatenate([A.blocks, B.blocks], axis=1)
     singular[1, :s] = 0

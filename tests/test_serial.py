@@ -124,11 +124,17 @@ def test_dispatch_by_object_type(material):
 
 def test_rejects_bad_magic_version_type():
     good = serial.serialize_params(DESK)
-    for mutant in (b"XXXX" + good[4:],  # magic
-                   good[:4] + b"\x09\x00" + good[6:],  # version
-                   good[:6] + b"\x07" + good[7:]):  # object type
-        with pytest.raises(serial.SerializationError):
+    for mutant, reason in ((b"XXXX" + good[4:], "bad magic"),
+                           (good[:4] + b"\x09\x00" + good[6:], "unsupported version"),
+                           (good[:6] + b"\x07" + good[7:], "expected object type")):
+        with pytest.raises(serial.SerializationError, match=reason):
             deserialize(mutant)
+
+
+def test_each_deserializer_rejects_another_object_type(material):
+    sk, _, _ = material
+    with pytest.raises(serial.SerializationError, match="expected object type 2, found 3"):
+        serial.deserialize_public(serial.serialize_private(sk))
 
 
 def test_rejects_truncations(material):
