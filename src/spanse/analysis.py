@@ -27,6 +27,8 @@ import numpy as np
 from .ldgm import codeword_positions, sample_generator
 from .params import DensityPolynomial, ParameterSet, check_working_set
 from .qcalg import cyclic_convolve
+from .scheme import THETA_BYTES
+from .serial import serialize_params
 
 
 class ConstraintError(ValueError):
@@ -343,10 +345,6 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
 # trials per Monte Carlo batch; each batch draws its own generator and
 # holds its trials' positions at once
 _BATCH_TRIALS = 1000
-# bytes a Monte Carlo run holds per batch before its first trial: the
-# batch's size, its spawned SeedSequence and later its count (424 measured
-# with tracemalloc)
-_BATCH_BYTES = 512
 # int64 arrays of one batch's masked-vector positions that a batch holds at
 # once while it builds them and their multisets (4.5 measured with
 # tracemalloc at desk and spanse-128, 1000 and 5000 trials)
@@ -366,31 +364,29 @@ def rejection_rate_montecarlo(
     or 1.0 for a single trial. Each batch of _BATCH_TRIALS trials (the last
     may be smaller) draws its own generator, which its trials share (it
     enters only through the codeword weight distribution). The batches run
-    in order in this process, each from its own seed spawned from the base
-    seed, and each batch's moments are combined into the running ones as
-    it returns, by the pairwise update of Chan et al.
+    in order in this process. Each takes the next seed spawned from the
+    base seed as it starts, and its moments are combined into the running
+    ones as it returns, by the pairwise update of Chan et al.
 
     Before any draw, the run's peak must fit (params.check_working_set):
-    the generator (k0 w_g int64 positions), _BATCH_BYTES per batch, and
-    what the largest batch builds at once, _POSITION_COPIES copies of its
-    trials x (w + m_g w_g) int64 positions and its trials x
-    min(q, w + m_g w_g + 1) int64 histogram of multisets. The score memo
-    is not counted: one entry per distinct multiset of the running batch,
-    at most its trials and 4 to 8 measured per 1000 trials.
+    the generator (k0 w_g int64 positions) and what the largest batch
+    builds at once, _POSITION_COPIES copies of its trials x (w + m_g w_g)
+    int64 positions and its trials x min(q, w + m_g w_g + 1) int64
+    histogram of multisets. The score memo is not counted: one entry per
+    distinct multiset of the running batch, at most its trials and 4 to 8
+    measured per 1000 trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     length = params.w + params.m_g * params.w_g
     batch = min(_BATCH_TRIALS, trials)
     check_working_set(params, "monte-carlo", 8 * params.k0 * params.w_g
-                      + _BATCH_BYTES * -(-trials // _BATCH_TRIALS)
                       + 8 * batch * (_POSITION_COPIES * length + min(params.q, length + 1)))
-    sizes = [_BATCH_TRIALS] * (trials // _BATCH_TRIALS)
-    if trials % _BATCH_TRIALS:
-        sizes.append(trials % _BATCH_TRIALS)
+    base = np.random.SeedSequence(seed)
     done, mean, m2 = 0, 0.0, 0.0
-    for size, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        total, batch_m2 = _simulate_batch(params, params.density, size, seed_seq)
+    while done < trials:
+        size = min(_BATCH_TRIALS, trials - done)
+        total, batch_m2 = _simulate_batch(params, params.density, size, base.spawn(1)[0])
         delta = total / size - mean
         mean += delta * size / (done + size)
         m2 += batch_m2 + delta * delta * done * size / (done + size)
@@ -402,11 +398,6 @@ def rejection_rate_montecarlo(
 # ---------------------------------------------------------------------------
 # sizes
 # ---------------------------------------------------------------------------
-
-# theta's length in a signature (serial writes it after a u16 length):
-# scheme.choose_theta returns a SHA-256 digest or 32 random bytes
-_THETA_BYTES = 32
-
 
 @dataclass(frozen=True)
 class SizeReport:
@@ -436,15 +427,13 @@ def size_counts(*, n: float, r: float, p: float, q: int, w: int, m_g: int,
         pk_symbols=symbols,
         pk_packed_bytes=symbols * bits / 8.0,
         pk_disk_bytes=symbols + header_bytes,
-        sig_bytes=n + 2 + _THETA_BYTES + header_bytes,  # u16 theta length, theta, sigma
+        sig_bytes=n + 2 + THETA_BYTES + header_bytes,  # u16 theta length, theta, sigma
         log2_Ns=log2_binomial(int(r), w),
         log2_Nc=log2_binomial(int(n - r), m_g),
     )
 
 
 def size_report(params: ParameterSet) -> SizeReport:
-    from .serial import serialize_params
-
     header = len(serialize_params(params))
     return size_counts(n=params.n, r=params.r, p=params.p, q=params.q,
                        w=params.w, m_g=params.m_g, header_bytes=header)

@@ -96,10 +96,8 @@ def codeword_positions(G: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return positions.reshape(rows.shape[:-1] + (rows.shape[-1] * G.shape[1],))
 
 
-def codeword_from_generator(G: np.ndarray, params: ParameterSet, m_g: int,
+def codeword_from_generator(G: np.ndarray, params: ParameterSet,
                             rng: np.random.Generator) -> np.ndarray:
     """c = u G for uniform binary u of weight m_g, as the m_g * w_g positions
     of the generator rows u picks (`codeword_positions`)."""
-    if not (0 <= m_g <= params.k):
-        raise ValueError(f"m_g={m_g} outside [0, k={params.k}]")
-    return codeword_positions(G, rng.choice(params.k, size=m_g, replace=False), params.p)
+    return codeword_positions(G, rng.choice(params.k, size=params.m_g, replace=False), params.p)

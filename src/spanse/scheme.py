@@ -48,6 +48,8 @@ from .qcalg import (
 _TAG_MSG = b"spanse/msg-hash/v1"
 _TAG_THETA = b"spanse/theta/v1"
 _TAG_EXPAND = b"spanse/syndrome-expand/v1"
+# theta's length: a SHA-256 digest, or as many random bytes
+THETA_BYTES = 32
 
 MAX_S_RETRIES = 100
 # n0^2 p int64 words keygen holds at its peak: S (1) and the solve's
@@ -89,7 +91,7 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class Signature:
-    sigma: np.ndarray  # n entries, canonical in F_q, all nonzero
+    sigma: np.ndarray  # n entries, canonical in F_q; sign makes them all nonzero
     theta: bytes
 
 
@@ -181,13 +183,13 @@ def derive_syndrome(message: bytes, theta: bytes, params: ParameterSet) -> np.nd
 
 
 def choose_theta(message: bytes, mode: str, rng: np.random.Generator | None = None) -> bytes:
-    """Theta is a message digest (deterministic) or 32 fresh random bytes."""
+    """Theta is a message digest (deterministic) or THETA_BYTES fresh random bytes."""
     if mode == "deterministic":
         return hashlib.sha256(_TAG_THETA + message).digest()
     if mode == "randomized":
         if rng is None:
             raise ValueError("randomized mode needs an rng")
-        return rng.bytes(32)
+        return rng.bytes(THETA_BYTES)
     raise ValueError(f"unknown theta mode {mode!r}")
 
 
@@ -209,7 +211,7 @@ def sign(
     theta = choose_theta(message, mode, rng)
     e = params.k + perm_apply(sk.P, derive_syndrome(message, theta, params))
     for attempt in range(1, MAX_SIGN_ATTEMPTS + 1):
-        c = codeword_from_generator(sk.G, params, params.m_g, rng)
+        c = codeword_from_generator(sk.G, params, rng)
         sigma = qc_mat_gather(sk.S, np.concatenate([e, c]))
         if np.all(sigma != 0):
             return Signature(sigma, theta), attempt

@@ -265,8 +265,6 @@ def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:
     theta = rd.take(tlen)
     sigma = _symbols(rd, params.n, params.q).astype(np.int64)
     rd.done()
-    if np.any(sigma == 0):
-        raise SerializationError("signature contains zero entries")
     return Signature(sigma, theta), params
 
 

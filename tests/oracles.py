@@ -148,7 +148,7 @@ def masked_vector_pairs(params: ParameterSet, trials: int, seed):
     rng = np.random.default_rng(seed)
     G = sample_generator(params, rng)
     for _ in range(trials):
-        c = codeword_from_generator(G, params, params.m_g, rng)
+        c = codeword_from_generator(G, params, rng)
         v = np.concatenate([k + rng.choice(r, size=w, replace=False), c])
         yield value_pairs(np.unique(v, return_counts=True)[1] % q)
 
@@ -195,7 +195,7 @@ def multinomial_acceptance(params: ParameterSet, density: DensityPolynomial,
         rng = np.random.default_rng(batch_seed)
         G = sample_generator(params, rng)
         for _ in range(min(batch_size, trials - i * batch_size)):
-            c = codeword_from_generator(G, params, params.m_g, rng)
+            c = codeword_from_generator(G, params, rng)
             v = dense_vector(np.concatenate([k + rng.choice(r, size=w, replace=False), c]), n, q)
             sigma = np.zeros(n, dtype=np.int64)
             for g, t_g in zip(*np.unique(v[v != 0], return_counts=True)):

@@ -135,7 +135,7 @@ def test_criterion_07_scheme_property_suite():
         assert not gf_matmul(dh, expand(generator_matrix(sk.G, DESK)).T, q).any()
         hp = expand(pk.Hpub)
         for _ in range(25):
-            c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
+            c = codeword_from_generator(sk.G, DESK, rng)
             sc = gf_matmul(expand(sk.S), dense_vector(c, DESK.n, q)[:, None], q)
             assert not gf_matmul(hp, sc, q).any()
 

@@ -461,6 +461,29 @@ def test_montecarlo_combines_uneven_batches_into_pooled_moments(monkeypatch):
     assert stderr == pytest.approx(values.std(ddof=1) / math.sqrt(10), rel=1e-12)
 
 
+def test_montecarlo_working_set_does_not_grow_with_the_trials(monkeypatch):
+    # each batch takes its seed as it starts, so 10^12 trials need what 1000
+    # do, the generator and one batch's arrays, and that need passes the limit
+    needs, check = [], analysis.check_working_set
+
+    class Stop(Exception):
+        pass
+
+    def recording(params, command, need):
+        needs.append(need)
+        check(params, command, need)
+
+    def stop(*args):
+        raise Stop
+
+    monkeypatch.setattr(analysis, "check_working_set", recording)
+    monkeypatch.setattr(analysis, "_simulate_batch", stop)
+    for trials in (1000, 10**12):
+        with pytest.raises(Stop):
+            rejection_rate_montecarlo(DESK, trials, seed=1)
+    assert len(needs) == 2 and needs[0] == needs[1]
+
+
 # (params, density, seed, trials per batch, trials) -> (p_valid, stderr), as float hex
 RECORDED_ESTIMATES = [
     ("desk", "1/2,1/2", 5, 1000, 2000,

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -61,6 +63,34 @@ def test_verify_rejects_tampered_message(workdir, capsys):
     other.write_bytes(b"message under test?\n")
     assert run("verify", "--key", pk, "--message", other, "--signature", sig) == EXIT_REJECT
     assert "syndrome-mismatch" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_zero_sigma_entry_with_exit_1(workdir, capsys):
+    # the format requires only symbols below q: a zero entry parses, and
+    # verify rejects it as a signature
+    sk, pk = keygen_files(workdir)
+    sig = workdir / "sig.bin"
+    run("sign", "--key", sk, "--message", workdir / "msg.txt", "--out", sig, "--seed", 3)
+    data = bytearray(sig.read_bytes())
+    data[-1] = 0  # sigma is the last n bytes
+    sig.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run("verify", "--key", pk, "--message", workdir / "msg.txt",
+               "--signature", sig) == EXIT_REJECT
+    out = capsys.readouterr()
+    assert out.out == "reject: zero-entry\n" and out.err == ""
+
+
+def test_every_readme_command_parses():
+    # each `spanse ...` line of README's sh blocks, continuations joined
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in (shlex.split(line, comments=True) for line in lines)
+                if argv[:1] == ["spanse"]]
+    assert len(commands) >= 10
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
 
 
 def test_verify_parse_error_exit_code(workdir):
@@ -385,11 +415,9 @@ def _params_file(path, p, n0, k0, w_g=None, density=None):
      60000, 30000, 251, 11),
     # G's 32767 x 65535 positions are 16 GiB
     (["analyze", "rejection", "--monte-carlo", "10", "--seed", "1"], 65535, 32767, 65521, 65535),
-    # desk's size, but 10^9 batches of 1000 trials: their seeds and sizes alone are 477 GiB
-    (["analyze", "rejection", "--monte-carlo", "1000000000000", "--seed", "1"], 20, 10, 13, 11),
     # G is 5 MiB, but a batch of 1000 trials holds 1000 x 786 446 positions at once
     (["analyze", "rejection", "--monte-carlo", "1000", "--seed", "1"], 20, 10, 65521, 65535),
-], ids=["keygen", "monte-carlo", "monte-carlo-batches", "monte-carlo-batch-arrays"])
+], ids=["keygen", "monte-carlo", "monte-carlo-batch-arrays"])
 def test_oversized_parameters_are_refused_before_allocating(workdir, argv, n0, k0, p, w_g):
     pfile = _params_file(workdir / "big.params", p, n0, k0, w_g)
     assert len(pfile.read_bytes()) == 59

@@ -51,7 +51,7 @@ def test_keygen_structural_identities(keypair):
     # public H' annihilates S-transformed codewords: H' (S c^T) = 0
     rng = np.random.default_rng(7)
     for _ in range(20):
-        c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
+        c = codeword_from_generator(sk.G, DESK, rng)
         sc = gf_matmul(expand(sk.S), dense_vector(c, DESK.n, q)[:, None], q)
         assert not gf_matmul(lhs, sc, q).any()
 
@@ -226,7 +226,7 @@ def test_chain_identity_term_by_term(keypair):
     theta = choose_theta(msg, "deterministic")
     s = derive_syndrome(msg, theta, DESK)
     s_perm = perm_apply(sk.P, s)
-    c = codeword_from_generator(sk.G, DESK, DESK.m_g, rng)
+    c = codeword_from_generator(sk.G, DESK, rng)
     q = DESK.q
     v = dense_vector(np.concatenate([DESK.k + s_perm, c]), DESK.n, q)
     sigma = gf_matmul(v[None, :], expand(sk.S).T, q)[0]
