@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import codeword_positions, sample_generator
+from .ldgm import codeword_positions
 from .params import DensityPolynomial, ParameterSet, check_working_set
 from .qcalg import cyclic_convolve
 from .scheme import THETA_BYTES
@@ -277,8 +277,13 @@ def _value_counts(positions: np.ndarray, q: int) -> np.ndarray:
     np.not_equal(positions[:, 1:], positions[:, :-1], out=starts[:, 1:])
     first = np.flatnonzero(starts)
     runs = np.diff(first, append=trials * size)
-    return np.bincount(first // size * width + runs % q,
-                       minlength=trials * width).reshape(trials, width)
+    # each run's bin, row * width + entry, formed in place: numpy reuses
+    # an expression's temporaries only for arrays of 256 KiB and more
+    runs %= q
+    first //= size
+    first *= width
+    first += runs
+    return np.bincount(first, minlength=trials * width).reshape(trials, width)
 
 
 def _pairs(counts: np.ndarray) -> tuple:
@@ -287,16 +292,37 @@ def _pairs(counts: np.ndarray) -> tuple:
     return tuple(zip(g.tolist(), counts[g].tolist()))
 
 
+def _subsets(rng: np.random.Generator, population: int, rows: int, size: int) -> np.ndarray:
+    """(rows, size) int64: each row an independent uniform `size`-subset of
+    range(population), in no particular order, by Floyd's algorithm run on
+    all rows at once. One `rng.integers` call draws column i of every row
+    from range(population - size + i + 1); then, column by column, each
+    row whose draw already appears in its earlier columns takes
+    population - size + i instead, which none of them can hold. The work
+    is fixed by the shape: nothing is redrawn.
+
+    The Monte Carlo alone draws this way. Keygen (`ldgm.sample_generator`)
+    and signing (`ldgm.codeword_from_generator`) keep one `rng.choice` per
+    row, because their streams fix the recorded keys and signatures."""
+    if not 0 <= size <= population:
+        raise ValueError(f"need 0 <= size <= population, got size={size}, population={population}")
+    out = rng.integers(0, np.arange(population - size + 1, population + 1), size=(rows, size))
+    for i in range(1, size):
+        seen = (out[:, :i] == out[:, i, None]).any(axis=1)
+        out[seen, i] = population - size + i
+    return out
+
+
 def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
                     trials: int, seed) -> tuple[float, float]:
     """(sum, sum of squared deviations about the batch mean) of the
     acceptance probabilities of `trials` sampled masked vectors, with one
     shared code sample.
 
-    Per trial the masked vector v = e + c is built exactly as in signing,
-    as the positions of a fresh weight-w pattern in the last r positions
-    followed by a real codeword's, and each entry of v is the number of
-    times its position occurs, mod q. Each signature entry is then an
+    Per trial the masked vector v = e + c is built as in signing, as the
+    positions of a fresh weight-w pattern in the last r positions followed
+    by a real codeword's, and each entry of v is the number of times its
+    position occurs, mod q. Each signature entry is then an
     independent sum sum_j v_j X_j with X_j i.i.d. from the density, so
     given v an attempt is accepted with probability exactly (1 - p0(v))^n,
     p0 = `_p_zero`.
@@ -305,9 +331,11 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
     the multiset of its entries at the positions that occur, as (g, t)
     pairs: each value g mod q and the number t of positions carrying it.
 
-    The batch first makes all its draws, in the order signing would: the
-    generator, then per trial the codeword's m_g generator rows and the
-    pattern's w positions. It then builds every trial's positions
+    The batch first makes all its draws, three `_subsets` calls whatever
+    `trials` is: the generator's k0 rows of w_g positions, then every
+    trial's m_g generator rows, then every trial's w pattern positions.
+    They have the distribution of signing's draws but not its order or its
+    stream. It then builds every trial's positions
     (`codeword_positions`) and multiset (`_value_counts`) with whole-batch
     array operations. A batch meets few distinct multisets (4 to 8 per
     1000 trials), so `scores`, keyed by the multiset's histogram row,
@@ -319,12 +347,9 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
     q, n, k, r, w, m_g = params.q, params.n, params.k, params.r, params.w, params.m_g
     pmf = np.array([float(pr) for _, pr in density.value_probabilities()])
     pmf /= pmf.sum()
-    G = sample_generator(params, rng)
-    rows = np.empty((trials, m_g), dtype=np.int64)
-    pattern = np.empty((trials, w), dtype=np.int64)
-    for i in range(trials):
-        rows[i] = rng.choice(k, size=m_g, replace=False)
-        pattern[i] = rng.choice(r, size=w, replace=False)
+    G = np.sort(_subsets(rng, n, params.k0, params.w_g), axis=1)
+    rows = _subsets(rng, k, trials, m_g)
+    pattern = _subsets(rng, r, trials, w)
     counts = _value_counts(
         np.concatenate([k + pattern, codeword_positions(G, rows, params.p)], axis=1), q)
     squares: dict = {}
@@ -346,8 +371,10 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
 # holds its trials' positions at once
 _BATCH_TRIALS = 1000
 # int64 arrays of one batch's masked-vector positions that a batch holds at
-# once while it builds them and their multisets (4.5 measured with
-# tracemalloc at desk and spanse-128, 1000 and 5000 trials)
+# once while it draws and builds them and their multisets, beyond the
+# generator and the histogram (3.73 to 3.94 measured with tracemalloc at
+# desk and spanse-128, 1000 and 5000 trials; the peak is in building the
+# codeword positions)
 _POSITION_COPIES = 5
 
 

@@ -15,8 +15,9 @@ below k and only tests it, so neither M2, W nor H is formed; keygen
 solves for the public H'^T directly (scheme.keygen). It first tests
 M1(1), M1 at x = 1, a k0 x k0 matrix over F_q, by forward elimination
 mod q: M1 is singular when M1(1) is, and every singular desk draw
-measured was caught there. Only the draws that pass are eliminated over
-R_p. make_code returns G.
+measured was caught there. make_code returns the first G that passes
+that test alone; M1 is eliminated over R_p only when keygen's solve
+fails, since that solve is singular whenever M1 is.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def sample_generator(params: ParameterSet, rng: np.random.Generator) -> np.ndarr
                     for _ in range(params.k0)], axis=1)
 
 
+def _left_part(G: np.ndarray, params: ParameterSet) -> np.ndarray:
+    """M1, G's left k0 x k0 block part, built from G's positions below k."""
+    row, col = np.nonzero(G < params.k)
+    M1 = np.zeros((params.k0, params.k0, params.p), dtype=np.int64)
+    M1.reshape(params.k0, params.k)[row, G[row, col]] = 1  # a view of M1
+    return M1
+
+
 def reducible(G: np.ndarray, params: ParameterSet) -> bool:
     """Whether G's left block part M1 is invertible, so that G has the
     systematic parity check H = [-W^T | I], M1 W = M2.
@@ -51,9 +60,7 @@ def reducible(G: np.ndarray, params: ParameterSet) -> bool:
     R_p, is singular over F_q: that k0 x k0 test comes first. Otherwise M1
     alone is eliminated, in place, with no right-hand side: W is not
     formed."""
-    row, col = np.nonzero(G < params.k)
-    M1 = np.zeros((params.k0, params.k0, params.p), dtype=np.int64)
-    M1.reshape(params.k0, params.k)[row, G[row, col]] = 1  # a view of M1
+    M1 = _left_part(G, params)
     if not _nonsingular_mod_q(M1.sum(axis=2), params.q):
         return False
     return qc_solve(M1, params.q) is not None
@@ -75,10 +82,14 @@ def _nonsingular_mod_q(M: np.ndarray, q: int) -> bool:
 
 
 def make_code(params: ParameterSet, rng: np.random.Generator) -> np.ndarray:
-    """G: sample generators until one is reducible."""
+    """G: sample generators until one's M1(1) is nonsingular over F_q.
+
+    M1 itself is not eliminated here: keygen's solve for the public key
+    fails when M1 is singular, and only then does keygen test M1 over R_p
+    (`reducible`)."""
     for _ in range(MAX_GENERATOR_RETRIES):
         G = sample_generator(params, rng)
-        if reducible(G, params):
+        if _nonsingular_mod_q(_left_part(G, params).sum(axis=2), params.q):
             return G
     raise GenerationError(
         f"no reducible generator found in {MAX_GENERATOR_RETRIES} attempts"

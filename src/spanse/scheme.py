@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldgm import codeword_from_generator, make_code
+from .ldgm import codeword_from_generator, make_code, reducible
 from .params import ParameterError, ParameterSet, check_working_set
 from .qcalg import (
     QCMatrix,
@@ -98,7 +98,8 @@ class Signature:
 @dataclass(frozen=True)
 class VerifyResult:
     accepted: bool
-    reason: str | None = None  # "zero-entry" | "syndrome-mismatch"
+    # "length" (sigma does not hold n entries) | "zero-entry" | "syndrome-mismatch"
+    reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -121,9 +122,12 @@ def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QC
 def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, PublicKey]:
     """Sample {P, G, S} and publish H' = P^{-1} H S^{-1}, as H'^T = (T S^T)^{-1} [0; P].
 
-    T is invertible, so T S^T is singular exactly when S is. Each S draw
-    fills a buffer [T S^T | [0; P]] that the solve eliminates in place and
-    that is freed when the solve returns. Before any draw, its peak of
+    T is invertible exactly when M1 is, so T S^T is singular when S or M1
+    is. make_code tests only M1(1); so the first time the solve fails for
+    a G, M1 is tested over R_p (`reducible`), and a singular M1 is
+    replaced by a fresh G before the next S draw. Each S draw fills a
+    buffer [T S^T | [0; P]] that the solve eliminates in place and that
+    is freed when the solve returns. Before any draw, its peak of
     _KEYGEN_WORDS n0^2 p int64 words must fit (params.check_working_set).
     """
     if params.density.d0 == 1:
@@ -131,12 +135,17 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
     check_working_set(params, "keygen", 8 * _KEYGEN_WORDS * params.n0**2 * params.p)
     G = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, rng)
+    m1_invertible = False
     for _ in range(MAX_S_RETRIES):
         S = sample_dense_transform(params, rng)
         X = qc_solve(_public_system(S, G, P, params), params.q)
         if X is not None:
             Hpub = QCMatrix(X, params.q).transpose()
             return PrivateKey(params, P, G, S), PublicKey(params, Hpub)
+        if not m1_invertible:
+            m1_invertible = reducible(G, params)
+            if not m1_invertible:
+                G = make_code(params, rng)
     raise KeygenError(
         f"no invertible dense transform in {MAX_S_RETRIES} draws; "
         "the density may be degenerate"
@@ -222,10 +231,12 @@ def sign(
 
 
 def verify(pk: PublicKey, message: bytes, sig: Signature) -> VerifyResult:
-    """Check zero-freeness and H' sigma^T = s."""
+    """Check sigma's length, zero-freeness and H' sigma^T = s."""
     params = pk.params
     sigma = np.asarray(sig.sigma, dtype=np.int64) % params.q
-    if sigma.size != params.n or not sigma.all():
+    if sigma.size != params.n:
+        return VerifyResult(False, "length")
+    if not sigma.all():
         return VerifyResult(False, "zero-entry")
     s_star = derive_syndrome(message, sig.theta, params)
     syndrome = qc_mat_vec(pk.Hpub, sigma)

@@ -9,9 +9,12 @@ directly, so H is built here from G's dense expansion alone. The library's
 solve eliminates a caller's buffer [A | B]; `solve` builds that buffer
 from two block matrices. The Monte Carlo oracle samples signing attempts
 entry by entry, where the library scores each masked vector by its exact
-acceptance probability; the per-trial oracle builds every masked vector
-alone and scores it afresh, where the library builds a batch's masked
-vectors at once and scores each distinct one once per batch; the
+acceptance probability, and draws as signing does where the library
+draws a batch's subsets at once; the per-trial oracle takes the library
+batch's draws by Floyd's algorithm one entry at a time, builds every
+masked vector alone and scores it afresh, where the library builds a
+batch's masked vectors at once and scores each distinct one once per
+batch; the
 fixed-weight rejection model is a closed form the Monte Carlo is checked
 against. The library derives a syndrome's support from its hash stream with
 whole-array filters; `reference_syndrome` reads the stream word by word.
@@ -28,7 +31,7 @@ from scipy.stats import binom
 
 from spanse import serial
 from spanse.analysis import _p_zero
-from spanse.ldgm import codeword_from_generator, sample_generator
+from spanse.ldgm import codeword_from_generator, codeword_positions, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
 from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul, qc_solve
 from spanse.scheme import _TAG_EXPAND, _TAG_MSG
@@ -140,16 +143,35 @@ def value_pairs(values: np.ndarray) -> tuple:
     return tuple(zip(g.tolist(), t.tolist()))
 
 
+def floyd_subsets(rng: np.random.Generator, population: int, rows: int,
+                  size: int) -> np.ndarray:
+    """`rows` uniform `size`-subsets of range(population) from the same
+    single `rng.integers` draw as the library's `_subsets`, by Floyd's
+    algorithm run one row and one entry at a time: the j-th draw t, from
+    range(population - size + j + 1), is kept unless the row already holds
+    it, and then population - size + j is taken."""
+    draws = rng.integers(0, np.arange(population - size + 1, population + 1), size=(rows, size))
+    out = np.empty((rows, size), dtype=np.int64)
+    for row, drawn in zip(out, draws.tolist()):
+        chosen: list[int] = []
+        for j, t in enumerate(drawn):
+            chosen.append(population - size + j if t in chosen else t)
+        row[:] = chosen
+    return out
+
+
 def masked_vector_pairs(params: ParameterSet, trials: int, seed):
     """The (g, t) pairs of each masked vector of one Monte Carlo batch, in
-    trial order, from the same random stream as the library's batch: one
-    generator, then per trial a codeword and a weight-w pattern."""
+    trial order, from the same random stream as the library's batch: the
+    generator's k0 rows, then every trial's m_g codeword rows, then every
+    trial's weight-w pattern, each as one `floyd_subsets` draw."""
     q, k, r, w = params.q, params.k, params.r, params.w
     rng = np.random.default_rng(seed)
-    G = sample_generator(params, rng)
-    for _ in range(trials):
-        c = codeword_from_generator(G, params, rng)
-        v = np.concatenate([k + rng.choice(r, size=w, replace=False), c])
+    G = np.sort(floyd_subsets(rng, params.n, params.k0, params.w_g), axis=1)
+    rows = floyd_subsets(rng, k, trials, params.m_g)
+    patterns = floyd_subsets(rng, r, trials, w)
+    for picked, pattern in zip(rows, patterns):
+        v = np.concatenate([k + pattern, codeword_positions(G, picked, params.p)])
         yield value_pairs(np.unique(v, return_counts=True)[1] % q)
 
 
@@ -176,9 +198,13 @@ def multinomial_acceptance(params: ParameterSet, density: DensityPolynomial,
                            batch_size: int = 1000) -> tuple[float, float]:
     """Accepted share of `trials` sampled signing attempts, and its binomial
     standard error, in batches that each share one code sample and take
-    one seed spawned from `seed`, as the library's batches do.
+    one seed spawned from `seed`.
 
-    The masked vector v = e + c is built as in signing. Each signature
+    The draws are signing's own (`sample_generator`, then per attempt
+    `codeword_from_generator` and an `rng.choice` pattern), not the
+    library Monte Carlo's subset sampler, so this is an independent sample
+    of the same distribution. The masked vector v = e + c is built as in
+    signing. Each signature
     entry is a sum sum_j v_j X_j with X_j i.i.d. from the density, so for
     each distinct value g of v, taken t_g times, the contributions to all n
     entries are read off n multinomial draws of t_g over the density's

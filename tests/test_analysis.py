@@ -410,6 +410,65 @@ def test_batch_with_more_codeword_rows_than_k_raises_value_error():
         analysis._simulate_batch(bad, DESK.density, 3, 1)
 
 
+def test_subsets_are_uniform_over_all_subsets():
+    # 300 000 draws of 3 from 6: each of the C(6, 3) = 20 subsets lies
+    # within 5 sigma of its expected count
+    draws, subsets = 300_000, list(itertools.combinations(range(6), 3))
+    rows = np.sort(analysis._subsets(np.random.default_rng(25), 6, draws, 3), axis=1)
+    seen, counts = np.unique(rows, axis=0, return_counts=True)
+    assert [tuple(row) for row in seen.tolist()] == subsets
+    share = 1 / len(subsets)
+    assert np.all(np.abs(counts - draws * share) <= 5 * math.sqrt(draws * share * (1 - share)))
+
+
+@pytest.mark.parametrize("population, size", [(6, 3), (2, 1), (101, 26), (1111, 12), (40, 39)])
+def test_subsets_rows_hold_distinct_entries_in_range(population, size):
+    out = analysis._subsets(np.random.default_rng(population), population, 500, size)
+    assert out.shape == (500, size) and out.dtype == np.int64
+    assert out.min() >= 0 and out.max() < population
+    ordered = np.sort(out, axis=1)
+    assert np.all(ordered[:, 1:] != ordered[:, :-1])
+
+
+def test_subsets_of_the_whole_range_and_of_nothing():
+    rng = np.random.default_rng(26)
+    whole = analysis._subsets(rng, 7, 50, 7)
+    assert np.array_equal(np.sort(whole, axis=1), np.tile(np.arange(7), (50, 1)))
+    for population in (0, 7):
+        empty = analysis._subsets(rng, population, 50, 0)
+        assert empty.shape == (50, 0) and empty.dtype == np.int64
+
+
+def test_subsets_larger_than_the_population_raise():
+    with pytest.raises(ValueError):
+        analysis._subsets(np.random.default_rng(27), 5, 3, 6)
+
+
+def test_batch_makes_the_same_generator_calls_at_any_trial_count(monkeypatch):
+    # a proxy around each generator the batch makes counts its calls: the
+    # draws are whole-batch arrays, so they do not grow with the trials
+    calls, make = [], np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = make(seed)
+
+        def __getattr__(self, name):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return getattr(self._rng, name)(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(analysis.np.random, "default_rng", Counting)
+    for ps in (DESK, get_params("spanse-128")):
+        made = []
+        for trials in (10, 1000):
+            calls.clear()
+            analysis._simulate_batch(ps, ps.density, trials, 1)
+            made.append(list(calls))
+        assert made[0] == made[1] == ["integers"] * 3
+
+
 def test_p_zero_runs_once_per_distinct_multiset_of_each_batch(monkeypatch):
     ps = _with_density(get_params("spanse-128"), CRITERION_6_DENSITIES[0])
     calls, p_zero = [], analysis._p_zero
@@ -487,13 +546,13 @@ def test_montecarlo_working_set_does_not_grow_with_the_trials(monkeypatch):
 # (params, density, seed, trials per batch, trials) -> (p_valid, stderr), as float hex
 RECORDED_ESTIMATES = [
     ("desk", "1/2,1/2", 5, 1000, 2000,
-     "0x1.fffeba49ab01ap-1", "0x1.956de1e251609p-23"),
+     "0x1.fffeb7f2b0b24p-1", "0x1.b95965bda14e4p-23"),
     ("desk", CRITERION_6_DENSITIES[0], 1001, 1, 300,
-     "0x1.ffd3615786549p-1", "0x1.f7593a64c9e26p-17"),
+     "0x1.ffd075822a946p-1", "0x1.f54032a78b16bp-17"),
     ("desk", CRITERION_6_DENSITIES[1], 1, 1000, 2000,
-     "0x1.ffd3c02407f10p-1", "0x1.75911bc599e15p-18"),
+     "0x1.ffd569b5781b0p-1", "0x1.42349793b9649p-18"),
     ("spanse-128", CRITERION_6_DENSITIES[0], 5, 1, 300,
-     "0x1.fbeb30e0f25fdp-1", "0x1.1aed66ce95131p-13"),
+     "0x1.fbc820ed8cad1p-1", "0x1.ca33fac189197p-13"),
 ]
 
 

@@ -159,20 +159,27 @@ def test_syndrome_of_padded_pattern_reads_off_tail():
 
 
 def test_make_code_retries_and_caps(monkeypatch):
-    # make_code returns the first reducible draw, after the ones it rejects
+    # make_code returns the first draw whose M1(1) is nonsingular over F_q,
+    # after the ones it rejects, and eliminates nothing over R_p
     rng = np.random.default_rng(6)
-    tested = []
+    drawn, sample = [], ldgm.sample_generator
 
-    def recording(G, params):
-        tested.append((G, reducible(G, params)))
-        return tested[-1][1]
+    def recording(params, rng):
+        drawn.append(sample(params, rng))
+        return drawn[-1]
 
-    monkeypatch.setattr(ldgm, "reducible", recording)
+    def solved(*args):
+        raise AssertionError("M1 eliminated")
+
+    monkeypatch.setattr(ldgm, "sample_generator", recording)
+    monkeypatch.setattr(ldgm, "qc_solve", solved)
     G = make_code(DESK, rng)
-    assert G.shape == (DESK.k0, DESK.w_g) and G is tested[-1][0] and len(tested) > 1
-    assert [ok for _, ok in tested] == [False] * (len(tested) - 1) + [True]
+    at_one = [gf_inv_dense(generator_matrix(D, DESK).blocks[:, :DESK.k0].sum(axis=2) % DESK.q,
+                           DESK.q) is not None for D in drawn]
+    assert G.shape == (DESK.k0, DESK.w_g) and G is drawn[-1] and len(drawn) > 1
+    assert at_one == [False] * (len(drawn) - 1) + [True]
 
-    monkeypatch.setattr(ldgm, "reducible", lambda G, params: False)
+    monkeypatch.setattr(ldgm, "_nonsingular_mod_q", lambda M, q: False)
     with pytest.raises(GenerationError):
         make_code(DESK, rng)
 

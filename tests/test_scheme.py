@@ -24,6 +24,7 @@ from spanse.qcalg import perm_apply, qc_mat_gather
 from spanse.scheme import (
     SigningError,
     Signature,
+    VerifyResult,
     choose_theta,
     derive_syndrome,
     keygen,
@@ -57,10 +58,10 @@ def test_keygen_structural_identities(keypair):
 
 
 def test_keygen_solves_once_per_draw(monkeypatch):
-    # each G draw whose M1(1) is nonsingular eliminates the k0 x k0 buffer
-    # M1 alone, and the others are rejected without a solve; each S draw
-    # eliminates one n0 x (n0 + r0) buffer [T S^T | [0; P]]. At this
-    # sparse density some S draws are singular and resampled
+    # G draws are tested at x = 1 only and never eliminated; each S draw
+    # eliminates one n0 x (n0 + r0) buffer [T S^T | [0; P]], and the first
+    # failed solve eliminates the k0 x k0 buffer M1 alone. At this sparse
+    # density some S draws are singular and resampled
     params = dataclasses.replace(DESK, density=DensityPolynomial.parse("49/50,1/50", DESK.q))
     events, rhs, drawn = [], [], []
 
@@ -82,25 +83,62 @@ def test_keygen_solves_once_per_draw(monkeypatch):
                         recording("S", scheme.sample_dense_transform))
     for module in (ldgm, scheme):
         monkeypatch.setattr(module, "qc_solve", recording("solve", module.qc_solve))
+    big, small = ["solve", (DESK.n0, DESK.n0 + DESK.r0)], ["solve", (DESK.k0, DESK.k0)]
     s_draws, skipped = [], 0
     for seed in range(4):
         events.clear()
         rhs.clear()
         drawn.clear()
         sk, _ = keygen(params, np.random.default_rng(seed))
-        expected = []
-        for G in drawn:
-            at_one = generator_matrix(G, DESK).blocks[:, :DESK.k0].sum(axis=2) % DESK.q
-            solved = gf_inv_dense(at_one, DESK.q) is not None
-            expected += ["G"] + ["solve", (DESK.k0, DESK.k0)] * solved
-            skipped += not solved
+        at_one = [gf_inv_dense(generator_matrix(G, DESK).blocks[:, :DESK.k0].sum(axis=2) % DESK.q,
+                               DESK.q) is not None for G in drawn]
+        assert at_one == [False] * (len(drawn) - 1) + [True] and sk.G is drawn[-1]
+        skipped += len(drawn) - 1
         s = events.count("S")
-        assert events == expected + ["S", "solve", (DESK.n0, DESK.n0 + DESK.r0)] * s
+        assert events == (["G"] * len(drawn) + ["S"] + big + small * (s > 1)
+                          + (["S"] + big) * (s - 1))
         zero_p = np.zeros((DESK.n0, DESK.r0, DESK.p), dtype=np.int64)
         zero_p[DESK.k0:] = perm_qc_matrix(sk.P, DESK.q).blocks
-        assert all(np.array_equal(b, zero_p) for b in rhs[-s:])
+        assert all(np.array_equal(b, zero_p) for b in rhs if b.shape[1])
+        assert sum(b.shape[1] == DESK.r0 for b in rhs) == s
         s_draws.append(s)
     assert max(s_draws) > 1 and skipped
+
+
+def test_keygen_redraws_g_when_m1_is_singular(monkeypatch):
+    # a reducible that fails once, after the first failed solve, stands for
+    # a G whose M1(1) is nonsingular and M1 singular: keygen draws a new G,
+    # keeps drawing S against it, tests the new G at its first failed
+    # solve, and publishes H' = P^{-1} H S^{-1} for it
+    params = dataclasses.replace(DESK, density=DensityPolynomial.parse("49/50,1/50", DESK.q))
+    events, drawn = [], []
+    sample, real_reducible, solve = ldgm.sample_generator, scheme.reducible, scheme.qc_solve
+
+    def recording_g(params, rng):
+        events.append("G")
+        drawn.append(sample(params, rng))
+        return drawn[-1]
+
+    def recording_solve(aug, q):
+        out = solve(aug, q)
+        events.append("ok" if out is not None else "failed")
+        return out
+
+    def failing_once(G, params):
+        events.append("reducible")
+        return "reducible" in events[:-1] and real_reducible(G, params)
+
+    monkeypatch.setattr(ldgm, "sample_generator", recording_g)
+    monkeypatch.setattr(scheme, "qc_solve", recording_solve)
+    monkeypatch.setattr(scheme, "reducible", failing_once)
+    sk, pk = keygen(params, np.random.default_rng(3))
+    assert [e for e in events if e != "G"] == ["failed", "reducible", "failed", "reducible", "ok"]
+    first, second = (i for i, e in enumerate(events) if e == "reducible")
+    assert events[first + 1] == "G" and "G" not in events[second:]
+    assert sk.G is drawn[-1] and events[:first].count("G") < len(drawn)
+    q = DESK.q
+    assert np.array_equal(gf_matmul(expand(pk.Hpub), expand(sk.S), q),
+                          gf_matmul(perm_dense(sk.P, q).T, parity_check(sk.G, DESK), q))
 
 
 def test_keys_after_singular_s_draws_keep_recorded_bytes():
@@ -262,6 +300,15 @@ def test_verify_rejects_tampering(keypair):
         assert verify(pk, msg, Signature(bumped, sig.theta)).reason == "syndrome-mismatch"
 
     assert verify(pk, msg, Signature(sig.sigma, b"wrong-theta")).reason == "syndrome-mismatch"
+
+
+def test_verify_rejects_a_sigma_of_the_wrong_length(keypair):
+    sk, pk = keypair
+    msg = b"the one message"
+    sig, _ = sign(sk, msg, rng=np.random.default_rng(12))
+    for sigma in (sig.sigma[:-1], np.concatenate([sig.sigma, sig.sigma[:1]])):
+        assert verify(pk, msg, Signature(sigma, sig.theta)) == VerifyResult(False, "length")
+    assert verify(pk, msg, sig).accepted
 
 
 def test_verify_rejects_foreign_key(keypair):
