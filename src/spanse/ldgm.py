@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParameterError, ParameterSet
-from .qcalg import qc_solve
+from .qcalg import qc_solve, symbol_dtype
 
 # how many generator resamples to attempt before declaring keygen failure
 MAX_GENERATOR_RETRIES = 100
@@ -47,7 +47,7 @@ def sample_generator(params: ParameterSet, rng: np.random.Generator) -> np.ndarr
 def _left_part(G: np.ndarray, params: ParameterSet) -> np.ndarray:
     """M1, G's left k0 x k0 block part, built from G's positions below k."""
     row, col = np.nonzero(G < params.k)
-    M1 = np.zeros((params.k0, params.k0, params.p), dtype=np.int64)
+    M1 = np.zeros((params.k0, params.k0, params.p), dtype=symbol_dtype(params.q))
     M1.reshape(params.k0, params.k)[row, G[row, col]] = 1  # a view of M1
     return M1
 
@@ -68,8 +68,8 @@ def reducible(G: np.ndarray, params: ParameterSet) -> bool:
 
 def _nonsingular_mod_q(M: np.ndarray, q: int) -> bool:
     """Whether the square matrix M is nonsingular over F_q, q prime, by
-    forward elimination with row swaps."""
-    M = M % q
+    forward elimination with row swaps, in int64 whatever M's type."""
+    M = np.asarray(M, dtype=np.int64) % q
     for c in range(len(M)):
         nonzero = np.flatnonzero(M[c:, c])
         if not nonzero.size:

@@ -7,21 +7,28 @@ Multiplication of circulants is cyclic convolution of first rows.
 
 Block matrices of circulants (QCMatrix) store one row per block, a
 factor-p saving over the dense expansion, which only the tests form; a
-ring element is a 1 x 1 QCMatrix. A QCMatrix keeps a C-ordered int64
-array that is canonical mod q as given, so its owner must not write to it
+ring element is a 1 x 1 QCMatrix. A QCMatrix keeps a C-ordered array of
+the narrowest unsigned type that holds q - 1 (symbol_dtype: uint8 for
+every q <= 256, so one byte a symbol, as the key files store them) that
+is canonical mod q as given, so its owner must not write to it
 afterwards, and copies any other. A sparse vector is the int64 array of
 its positions, each counted once per occurrence, so a sum of sparse
 vectors is a concatenation. expand(A) v^T is read from A as stored:
-qc_mat_gather sums the columns at a position array, and qc_mat_vec
-correlates a dense v. Every block product (block matrix, dense vector,
-pivot step) runs through one batched cyclic convolution kernel in two halves: a real FFT
-zero-padded to the power of two that holds the linear convolution, then a
-contraction of the spectra (np.matmul on BLAS for block products, einsum
-for vectors and outer products), the inverse transform and a fold mod
-x^p - 1, plus an optional int64 acc, so a row update is one kernel call.
-A spectrum may serve several products. Coefficients are small enough
-(bounded by inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse
-transform is exact, which is asserted on every product.
+qc_mat_gather sums the columns at a position array into an accumulator
+wide enough for their count, and qc_mat_vec correlates a dense v in
+chunks of A's block rows. Every block product (block matrix, dense
+vector, pivot step) runs through one batched cyclic convolution kernel in
+two halves: a real FFT zero-padded to the power of two that holds the
+linear convolution, then a contraction of the spectra (np.matmul on BLAS
+for block products, einsum for vectors and outer products), the inverse
+transform and a fold mod x^p - 1, plus an optional acc, so a row update
+is one kernel call. The kernel widens its operands to float64 inside and
+writes its result into any integer array, the caller's slice included; a
+loop of products hands it one set of work buffers (_Buffers), so the loop
+allocates them once. A spectrum may serve several products. Coefficients
+are small enough (bounded by inner_dim * p * (q-1)^2 <= 2^40) that
+rounding the inverse transform is exact, which is asserted on every
+product.
 
 A pivot is a unit of R_p exactly when its idempotent e = a b is 1, where b
 comes from one closed form by Frobenius exponentiation (a^(q^d - 2) with
@@ -31,12 +38,14 @@ direct np.convolve calls folded mod x^p - 1, exact in int64.
 
 Linear systems A X = B are solved, never by forming A^{-1}: qc_solve runs
 panelled Gauss-Jordan without row swaps, in place, on a caller's buffer
-[A | B], and tests A alone when B has no block columns. Its docstring
-gives the panels, the scan and tile that find their pivots, and the repair.
+[A | B] of any integer type, and tests A alone when B has no block
+columns. Its docstring gives the panels, the scan and tile that find
+their pivots, and the repair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -56,10 +65,17 @@ _FFT_EXACT_BOUND = 2**40
 _PANEL_WIDTH = 8
 
 # Positions per gather of qc_mat_gather. All of a signing attempt's ~160
-# at once would gather 30 MB at spanse-128 (238 block rows); 32 keep it at
-# 6 MB at about the same speed (3.84 against 3.63 ms per attempt,
-# measured in one process).
+# at once would gather 3.8 MB of uint8 at spanse-128 (238 block rows); 32
+# keep it at 0.77 MB at the same speed (3.0 to 4.1 ms an attempt for 16 to
+# 160 positions a gather, against 6.8 ms on int64 blocks, measured in one
+# process).
 _GATHER_CHUNK = 32
+
+# Block rows of A per product of qc_mat_vec. A spanse-128 verify peaks at
+# 6.4 MB of tracemalloc with chunks of 8 and at 83 MB with all 119 block
+# rows of H' at once, whose spectrum alone is 58 MB of complex128; its CPU
+# time was the same, 30 to 35 ms, for chunks of 1 to 16.
+_VEC_CHUNK = 8
 
 
 class DimensionMismatchError(ValueError):
@@ -154,8 +170,37 @@ def _assert_fft_exact(inner: int, p: int, q: int):
         )
 
 
+def _fft_length(p: int) -> int:
+    """n = 2^ceil(log2(2p - 1)), the smallest power of two that holds the
+    linear convolution: on 84 * 85 rows, numpy's rfft takes about 30 ms at
+    the prime length 101 and 11 ms at 256."""
+    return 1 << (2 * p - 2).bit_length()
+
+
+class _Buffers:
+    """Work arrays that a loop of kernel products reuses, so the loop
+    allocates each once per call and not once per product: each name holds
+    one flat array, grown when a product needs more and viewed at the
+    product's shape. Allocated afresh for every panel slice instead, they
+    made a p101-shape keygen (n0 = 84) take 52 k minor page faults and
+    0.27 s of CPU, against 1.6 k and 0.19 s: whether glibc maps an array of
+    a megabyte or so afresh, and faults its pages in again, depends on what
+    the process freed before."""
+
+    def __init__(self):
+        self._flat: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 def _block_matmul(A: np.ndarray, B: np.ndarray, p: int, q: int,
-                  acc: np.ndarray | None = None) -> np.ndarray:
+                  acc: np.ndarray | None = None, out: np.ndarray | None = None,
+                  buffers: _Buffers | None = None) -> np.ndarray:
     """(acc + A B) mod q, (m, k, p) x (k, n, p) -> (m, n, p), by block convolutions.
 
     The one FFT convolution kernel: every product in the ring goes through
@@ -163,22 +208,22 @@ def _block_matmul(A: np.ndarray, B: np.ndarray, p: int, q: int,
     or through its two halves, _spectrum and _spectral_matmul, when one
     operand's spectrum serves several products.
     """
-    return _spectral_matmul(_spectrum(A, p), _spectrum(B, p), p, q, acc)
+    return _spectral_matmul(_spectrum(A, p), _spectrum(B, p), p, q, acc, out, buffers)
 
 
-def _spectrum(A: np.ndarray, p: int) -> np.ndarray:
-    """The kernel's spectrum half: (rows, cols, p) blocks -> (rows, cols, n // 2 + 1).
-
-    Each block is zero-padded to n = 2^ceil(log2(2p - 1)), the smallest power
-    of two that holds the linear convolution: on 84 * 85 rows, numpy's rfft
-    takes about 30 ms at the prime length 101 and 11 ms at 256.
-    """
-    return np.fft.rfft(A, n=1 << (2 * p - 2).bit_length(), axis=-1)
+def _spectrum(A: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel's spectrum half: (rows, cols, p) blocks of any real type ->
+    (rows, cols, n // 2 + 1), each block zero-padded to n = _fft_length(p).
+    out may be a transposed view of a frequency-major buffer, which
+    np.matmul then reads as contiguous matrices."""
+    return np.fft.rfft(A, n=_fft_length(p), axis=-1, out=out)
 
 
 def _spectral_matmul(FA: np.ndarray, FB: np.ndarray, p: int, q: int,
-                     acc: np.ndarray | None = None) -> np.ndarray:
-    """The kernel's product half: (acc + A B) mod q from spectra of (m, k, p) A, (k, n, p) B.
+                     acc: np.ndarray | None = None, out: np.ndarray | None = None,
+                     buffers: _Buffers | None = None) -> np.ndarray:
+    """The kernel's product half: (acc + A B) mod q from spectra of (m, k, p) A, (k, n, p) B,
+    written into out (which may be acc) or a new int64 array.
 
     The contraction is chosen by shape. When m = 1 (a vector, or a ring
     element times a block row) or k = 1 (an outer product), einsum streams
@@ -186,54 +231,78 @@ def _spectral_matmul(FA: np.ndarray, FB: np.ndarray, p: int, q: int,
     vector product's big operand costs more than the contraction, and an
     outer product has no sum for BLAS to speed up. Otherwise np.matmul
     multiplies frequency-major views, one (m, k) x (k, n) complex product per
-    frequency on BLAS. In qc_solve these are at most 238 x 8 x 8 (spanse-128),
-    too small for OpenBLAS to start its threads: with two BLAS threads, CPU
-    time equals wall time, so no idle BLAS thread spins.
+    frequency on BLAS, into a frequency-major buffer, and the inverse
+    transform runs along that buffer's first axis: on one (84 x 8) x (8 x 8)
+    slice at p = 101 this took 1.5 ms against 3.0 ms for a product
+    transposed back to the layout rfft returns. In qc_solve these are at
+    most 238 x 8 x 8 (spanse-128), too small for OpenBLAS to start its
+    threads: with two BLAS threads, CPU time equals wall time, so no idle
+    BLAS thread spins.
 
     The linear result is folded mod x^p - 1 in float64, adding coefficient
-    p + t into coefficient t, acc is added, and the sum is rounded, reduced
-    as x - q floor(x / q), exact for integers x < 2^41, and cast to int64
-    once (np.fmod in its place made p101 keygen about twice as slow).
+    p + t into coefficient t, acc is added, and the sum is rounded and
+    reduced as x - q floor(x / q), exact for integers |x| < 2^41, so
+    operands may be negative (np.fmod in its place made p101 keygen about
+    twice as slow). Every step writes into buffers, and the result is cast
+    once into out.
     """
     _assert_fft_exact(FA.shape[1], p, q)
-    if FA.shape[0] == 1 or FA.shape[1] == 1:
-        fc = np.einsum("ikf,kjf->ijf", FA, FB)
+    if buffers is None:
+        buffers = _Buffers()
+    (m, k, f), n, length = FA.shape, FB.shape[1], _fft_length(p)
+    if m == 1 or k == 1:
+        fc = buffers.take("product", (m, n, f), np.complex128)
+        np.einsum("ikf,kjf->ijf", FA, FB, out=fc)
+        lin = np.fft.irfft(fc, n=length, axis=-1,
+                           out=buffers.take("linear", (m, n, length), np.float64))
+        quotient = buffers.take("quotient", (m, n, p), np.float64)
     else:
-        fc = np.matmul(FA.transpose(2, 0, 1), FB.transpose(2, 0, 1)).transpose(1, 2, 0)
-    lin = np.fft.irfft(fc, n=1 << (2 * p - 2).bit_length(), axis=-1)
-    del fc  # free the spectrum before the result is allocated
-    out = lin[..., :p]
-    out[..., : p - 1] += lin[..., p : 2 * p - 1]
+        fc = buffers.take("product", (f, m, n), np.complex128)
+        np.matmul(FA.transpose(2, 0, 1), FB.transpose(2, 0, 1), out=fc)
+        lin = np.fft.irfft(fc, n=length, axis=0,
+                           out=buffers.take("linear", (length, m, n), np.float64))
+        lin = lin.transpose(1, 2, 0)
+        quotient = buffers.take("quotient", (p, m, n), np.float64).transpose(1, 2, 0)
+    res = lin[..., :p]
+    res[..., : p - 1] += lin[..., p : 2 * p - 1]
     if acc is not None:
-        out += acc
-    np.rint(out, out=out)
-    quotient = out / q
+        res += acc
+    np.rint(res, out=res)
+    np.divide(res, q, out=quotient)
     np.floor(quotient, out=quotient)
     quotient *= q
-    out -= quotient
-    del quotient  # free it before the int64 result is allocated
-    return out.astype(np.int64)
+    res -= quotient
+    if out is None:
+        out = np.empty((m, n, p), dtype=np.int64)
+    np.copyto(out, res, casting="unsafe")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------
 
+def symbol_dtype(q: int) -> np.dtype:
+    """The narrowest unsigned type that holds q - 1: uint8 for every q <= 256."""
+    return np.min_scalar_type(q - 1)
+
+
 @dataclass(frozen=True)
 class QCMatrix:
     """rows0 x cols0 grid of circulant blocks; blocks[i, j] is a first row."""
 
-    blocks: np.ndarray  # (rows0, cols0, p) int64, canonical mod q
+    blocks: np.ndarray  # (rows0, cols0, p) of symbol_dtype(q), canonical mod q
     q: int
 
     def __post_init__(self):
         b = np.asarray(self.blocks)
         if b.ndim != 3:
             raise DimensionMismatchError("blocks must have shape (rows0, cols0, p)")
-        if (b.dtype != np.int64 or not b.flags.c_contiguous
-                or b.size and (b.min() < 0 or b.max() >= self.q)):
-            b = np.array(b, dtype=np.int64, order="C")  # a copy: never the caller's array
-            b %= self.q
+        dtype = symbol_dtype(self.q)
+        if b.dtype != dtype or not b.flags.c_contiguous or b.size and b.max() >= self.q:
+            # reduced in int64, so a negative entry or one past the type's
+            # range reduces as an integer; a copy, never the caller's array
+            b = np.ascontiguousarray(np.asarray(b, dtype=np.int64) % self.q, dtype=dtype)
         object.__setattr__(self, "blocks", b)
 
     @property
@@ -260,8 +329,9 @@ class QCMatrix:
 
 
 def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
-    """The blocks of A^{-1} B for the (s, s + t, p) int64 buffer [A | B],
-    canonical mod q, or None when A is singular. aug is eliminated in place.
+    """The blocks of A^{-1} B, in aug's type, for the (s, s + t, p) buffer
+    [A | B] of any integer type, canonical mod q, or None when A is
+    singular. aug is eliminated in place.
 
     Gauss-Jordan over the ring R_p on [A | B], pivoting onto a unit entry
     of each column of A. B may have any number t of block columns,
@@ -287,8 +357,12 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
     columns after an early stop, aug[:, other] += (D - I) * aug[R, other],
     in slices of at most b block columns: a dense B makes all its columns
     live from the first panel, and the slices keep the spectra small. The
-    spectrum of D - I is taken once per panel and serves every slice. The
-    eliminated columns become E_R.
+    spectrum of D - I is taken once per panel and serves every slice. A
+    slice whose columns are one contiguous run is updated through a view of
+    aug; any other is gathered into a buffer and scattered back. The
+    eliminated columns become E_R. The kernel's work buffers serve every
+    product of the call, and every sum that may be negative, such as
+    E_R - A_p, is formed in float64, never in aug's unsigned type.
 
     When the scan finds no free row with a unit, a repair step adds
     (1 - e) * (row r) to the first free row for each other free row r, with
@@ -309,14 +383,16 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
         raise DimensionMismatchError(f"cannot solve [A | B] of block shape {aug.shape[:-1]}")
     s, p = aug.shape[0], aug.shape[2]
     width = _panel_width(p, q)
+    buffers = _Buffers()
     free = list(range(s))  # rows not yet chosen as a pivot, in order
     piv: list[int] = []  # pivot row of each eliminated column
     while len(piv) < s:
         col = len(piv)
-        first = _find_unit(aug[:, col], free, p, q) or _repair_pivot(aug, col, free, p, q)
+        first = (_find_unit(aug[:, col], free, p, q)
+                 or _repair_pivot(aug, col, free, p, q, buffers))
         if first is None:
             return None
-        piv += _eliminate_panel(aug, col, min(width, s - col), free, first, p, q)
+        piv += _eliminate_panel(aug, col, min(width, s - col), free, first, p, q, buffers)
     return aug[piv, s:]
 
 
@@ -326,7 +402,8 @@ def _panel_width(p: int, q: int) -> int:
 
 
 def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
-                     first: tuple[int, np.ndarray], p: int, q: int) -> list[int]:
+                     first: tuple[int, np.ndarray], p: int, q: int,
+                     buffers: _Buffers) -> list[int]:
     """Eliminate block columns col, col + 1, ... of aug in one panel.
 
     first is (row, inverse of its entry in column col), the pivot found
@@ -355,30 +432,46 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
         work[r, width + j, 0] = 1
         # block columns where the pivot row is zero leave every row unchanged
         live = np.flatnonzero(work[r].any(axis=-1))
-        pivot_row = _block_matmul(pivot_inv[None, None], work[r, live][None], p, q)
+        pivot_row = _block_matmul(pivot_inv[None, None], work[r, live][None], p, q,
+                                  buffers=buffers)
         work[r, live] = pivot_row[0]
         factors = -work[:, j] % q  # each row subtracts its factor times the pivot row
         factors[r] = 0
         if factors.any():
-            work[:, live] = _block_matmul(factors[:, None], pivot_row, p, q, work[:, live])
+            work[:, live] = _block_matmul(factors[:, None], pivot_row, p, q, work[:, live],
+                                          buffers=buffers)
     pivots = [tile[i] for i in rows]
     k = len(pivots)
+    s, f = aug.shape[0], _fft_length(p) // 2 + 1
     # D at the pivot rows is M^{-1}, M = A_p[pivots, :k], so for all s
     # rows D - I = (E_R - A_p[:, :k]) M^{-1}, E_R with 1 at (pivots[i], i)
-    e_minus_a = -panel[:, :k]
+    e_minus_a = buffers.take("panel", (s, k, p), np.float64)
+    np.negative(panel[:, :k], out=e_minus_a, dtype=np.float64)
     e_minus_a[pivots, np.arange(k), 0] += 1
-    e_minus_a %= q
-    d_minus_i = _block_matmul(e_minus_a, work[rows, width : width + k], p, q)
+    # one frequency-major buffer holds the spectrum of E_R - A_p, then of D - I
+    spectrum = buffers.take("panel spectrum", (f, s, k), np.complex128).transpose(1, 2, 0)
+    d_minus_i = _spectral_matmul(_spectrum(e_minus_a, p, spectrum),
+                                 _spectrum(work[rows, width : width + k], p), p, q,
+                                 out=e_minus_a, buffers=buffers)
+    d_spectrum = _spectrum(d_minus_i, p, spectrum)
     # columns left of the panel are zero in every pivot row; the
     # panel's columns after an early stop are updated with the rest
     other = np.flatnonzero(aug[pivots].any(axis=(0, 2)))
     other = other[other >= col + k]
     step = _panel_width(p, q)
-    d_spectrum = _spectrum(d_minus_i, p)
     for lo in range(0, other.size, step):
         cols = other[lo : lo + step]
-        aug[:, cols] = _spectral_matmul(d_spectrum, _spectrum(aug[np.ix_(pivots, cols)], p),
-                                        p, q, aug[:, cols])
+        run = cols[-1] - cols[0] == cols.size - 1
+        if run:
+            block = aug[:, cols[0] : cols[-1] + 1]
+        else:  # mode="clip" writes straight into out; "raise" would buffer a copy
+            block = np.take(aug, cols, axis=1, mode="clip",
+                            out=buffers.take("slice", (s, cols.size, p), aug.dtype))
+        rows_spectrum = buffers.take("slice spectrum", (f, k, cols.size), np.complex128)
+        _spectral_matmul(d_spectrum, _spectrum(block[pivots], p, rows_spectrum.transpose(1, 2, 0)),
+                         p, q, block, block, buffers)
+        if not run:
+            aug[:, cols] = block
     aug[:, col : col + k] = 0
     aug[pivots, col + np.arange(k), 0] = 1
     return pivots
@@ -394,8 +487,8 @@ def _find_unit(column: np.ndarray, free: list[int], p: int,
     return None
 
 
-def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int,
-                  q: int) -> tuple[int, np.ndarray] | None:
+def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int, q: int,
+                  buffers: _Buffers) -> tuple[int, np.ndarray] | None:
     """Make aug[free[0], col] a unit by adding multiples of the other free rows.
 
     Updates aug[free[0]] in place and returns (free[0], inverse of the new
@@ -408,7 +501,8 @@ def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int,
         if not aug[r, col].any():
             continue  # adding this row cannot change the pivot
         h = (one - e) % q
-        aug[target] = _block_matmul(h[None, None], aug[r][None], p, q, aug[target][None])[0]
+        row = aug[target][None]
+        _block_matmul(h[None, None], aug[r][None], p, q, row, row, buffers)
         pivot_inv, e = _unit_idempotent(aug[target, col], p, q)
         if np.array_equal(e, one):
             return target, pivot_inv
@@ -420,20 +514,33 @@ def _repair_pivot(aug: np.ndarray, col: int, free: list[int], p: int,
 # ---------------------------------------------------------------------------
 
 def qc_mat_vec(A: QCMatrix, v: np.ndarray) -> np.ndarray:
-    """expand(A) v^T over F_q for a dense v canonical mod q, read from A's blocks
-    as stored: entry (u, c) of circ(a) is a_{(c-u) mod p}, so block i is the
-    correlation rev(sum_j a_ij * rev v_j), one vector product on the FFT kernel."""
+    """expand(A) v^T over F_q, as int64, for a dense v canonical mod q, read
+    from A's blocks as stored: entry (u, c) of circ(a) is a_{(c-u) mod p},
+    so block i is the correlation rev(sum_j a_ij * rev v_j), one vector
+    product on the FFT kernel for each chunk of _VEC_CHUNK block rows, with
+    v's spectrum taken once and the chunks' work buffers reused."""
     p, q = A.p, A.q
     if np.size(v) != A.cols0 * p:
         raise DimensionMismatchError(f"vector length {np.size(v)} != {A.cols0 * p}")
-    vb = _reverse(np.asarray(v, dtype=np.int64).reshape(1, A.cols0, p))
-    return _reverse(_block_matmul(vb, A.blocks.swapaxes(0, 1), p, q)).reshape(-1)
+    fv = _spectrum(_reverse(np.asarray(v, dtype=np.int64).reshape(1, A.cols0, p)), p)
+    out = np.empty((1, A.rows0, p), dtype=np.int64)
+    buffers = _Buffers()
+    for lo in range(0, A.rows0, _VEC_CHUNK):
+        rows = A.blocks[lo : lo + _VEC_CHUNK].swapaxes(0, 1)
+        real = buffers.take("rows", rows.shape, np.float64)
+        real[...] = rows  # widened into a buffer, not a fresh array per chunk
+        spectrum = buffers.take("rows spectrum", rows.shape[:2] + fv.shape[2:], np.complex128)
+        _spectral_matmul(fv, _spectrum(real, p, spectrum), p, q,
+                         out=out[:, lo : lo + _VEC_CHUNK], buffers=buffers)
+    return _reverse(out).reshape(-1)
 
 
 def qc_mat_gather(A: QCMatrix, positions: np.ndarray) -> np.ndarray:
-    """expand(A) v^T over F_q for the v whose entry at each position is the
-    number of times it occurs in `positions`: the sum of those columns of
-    expand(A), gathered from A's blocks as stored, O(|positions| rows0 p)."""
+    """expand(A) v^T over F_q, as int64, for the v whose entry at each
+    position is the number of times it occurs in `positions`: the sum of
+    those columns of expand(A), gathered from A's blocks as stored,
+    O(|positions| rows0 p). The sum is taken in the narrowest unsigned type
+    that holds |positions| (q - 1), so it cannot wrap."""
     p, q = A.p, A.q
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size and (positions.min() < 0 or positions.max() >= A.cols0 * p):
@@ -442,10 +549,11 @@ def qc_mat_gather(A: QCMatrix, positions: np.ndarray) -> np.ndarray:
     # entry u of column blk*p + off sits at offset (off - u) mod p of block column blk
     cols = blk[:, None] * p + (off[:, None] - np.arange(p)) % p
     flat = A.blocks.reshape(A.rows0, -1)
-    out = np.zeros((A.rows0, p), dtype=np.int64)
+    total = np.min_scalar_type(positions.size * (q - 1))
+    out = np.zeros((A.rows0, p), dtype=total)
     for lo in range(0, len(cols), _GATHER_CHUNK):
-        out += flat[:, cols[lo : lo + _GATHER_CHUNK]].sum(axis=1)
-    return (out % q).reshape(-1)
+        out += flat[:, cols[lo : lo + _GATHER_CHUNK]].sum(axis=1, dtype=total)
+    return (out % q).astype(np.int64).reshape(-1)
 
 
 def _reverse(x: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .qcalg import (
     qc_mat_vec,
     qc_solve,
     random_qc_permutation,
+    symbol_dtype,
 )
 
 # domain-separation tags for the hash, the theta derivation and the
@@ -52,14 +53,23 @@ _TAG_EXPAND = b"spanse/syndrome-expand/v1"
 THETA_BYTES = 32
 
 MAX_S_RETRIES = 100
-# n0^2 p int64 words keygen holds at its peak: S (1) and the solve's
-# buffer [T S^T | [0; P]] (1.5 at r0 = n0 / 2), with the r0-wide result
-# gathered from it or with the spectra of a panel's products, which grow
-# as n0, not n0^2 (measured with tracemalloc: 3.02 at spanse-128, where
-# the result sets the peak, and 3.56 to 3.71 at spanse-128's ring with
-# n0 = 84, where the spectra do; the first keygen in a process is the
-# highest)
-_KEYGEN_WORDS = 3.75
+# Entries of S per rng.choice call in sample_dense_transform: 7 block rows
+# at spanse-128's ring with n0 = 84, 2 at spanse-128. The draws equal one
+# call per block row, since a call takes its uniforms from the stream in
+# order. A p101-shape draw took 15.5 to 16.9 ms against 17.0 to 17.4 ms a
+# row at a time; 2^17 entries and more only grew the float and index
+# temporaries.
+_DRAW_ENTRIES = 2**16
+# Bytes keygen holds at its peak, in two terms. Per symbol of n0^2 p: S
+# (1), the solve's buffer [T S^T | [0; P]] (1.5 at r0 = n0 / 2) and the
+# r0-wide result (0.5), each symbol_dtype(q).itemsize bytes wide. Per
+# n0 p: the solve kernel's work buffers, which hold a panel's spectra and
+# products over all n0 block rows for 8 pivot columns, so they grow as n0,
+# not n0^2. Fitted to tracemalloc peaks of 7.62 MB at spanse-128's ring
+# with n0 = 84 and 32.35 MB at spanse-128, where the model gives 7.74 and
+# 33.03 MB; the first keygen in a process peaks about 0.8 MB higher.
+_KEYGEN_SYMBOL_BYTES = 3
+_KEYGEN_ROW_BYTES = 660
 # signing attempts before SigningError, read at each call
 MAX_SIGN_ATTEMPTS = 10_000
 
@@ -106,16 +116,19 @@ class VerifyResult:
 
 
 def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QCMatrix:
-    """n0 x n0 block matrix with entries drawn i.i.d. from the density, a
-    block row per draw: the stream of one draw of the whole matrix, with a
-    block row's float and index temporaries, into the array QCMatrix keeps."""
+    """n0 x n0 block matrix with entries drawn i.i.d. from the density, as
+    many block rows per draw as _DRAW_ENTRIES allow (at least one): the
+    stream of one draw of the whole matrix, with a draw's float and index
+    temporaries, into the symbol array QCMatrix keeps."""
     pairs = [(v, pr) for v, pr in params.density.value_probabilities() if pr > 0]
-    values = np.array([v for v, _ in pairs], dtype=np.int64)
+    values = np.array([v for v, _ in pairs], dtype=symbol_dtype(params.q))
     probs = np.array([float(pr) for _, pr in pairs])
     probs /= probs.sum()
-    blocks = np.empty((params.n0, params.n0, params.p), dtype=np.int64)
-    for row in blocks:
-        row[...] = rng.choice(values, size=row.shape, p=probs)
+    blocks = np.empty((params.n0, params.n0, params.p), dtype=values.dtype)
+    rows = max(1, _DRAW_ENTRIES // blocks[0].size)
+    for lo in range(0, params.n0, rows):
+        part = blocks[lo : lo + rows]
+        part[...] = rng.choice(values, size=part.shape, p=probs)
     return QCMatrix(blocks, params.q)
 
 
@@ -128,11 +141,14 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
     replaced by a fresh G before the next S draw. Each S draw fills a
     buffer [T S^T | [0; P]] that the solve eliminates in place and that
     is freed when the solve returns. Before any draw, its peak of
-    _KEYGEN_WORDS n0^2 p int64 words must fit (params.check_working_set).
+    _KEYGEN_SYMBOL_BYTES n0^2 p symbols and _KEYGEN_ROW_BYTES n0 p bytes
+    must fit (params.check_working_set).
     """
     if params.density.d0 == 1:
         raise ParameterError("the density puts all its mass on 0, so every S is zero")
-    check_working_set(params, "keygen", 8 * _KEYGEN_WORDS * params.n0**2 * params.p)
+    symbol = symbol_dtype(params.q).itemsize
+    check_working_set(params, "keygen", params.n0 * params.p * (
+        _KEYGEN_SYMBOL_BYTES * symbol * params.n0 + _KEYGEN_ROW_BYTES))
     G = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, rng)
     m1_invertible = False
@@ -159,7 +175,7 @@ def _public_system(S: QCMatrix, G: np.ndarray, P: QCPermutation,
     i < k0, the one-position i p for i >= k0. [0; P] has x^(-shift_i) at
     block (k0 + i, pi(i))."""
     n0, k0, p = params.n0, params.k0, params.p
-    aug = np.zeros((n0, n0 + params.r0, p), dtype=np.int64)
+    aug = np.zeros((n0, n0 + params.r0, p), dtype=symbol_dtype(params.q))
     for i, t_i in enumerate(list(G) + [[i * p] for i in range(k0, n0)]):
         aug[i, :n0] = qc_mat_gather(S, t_i).reshape(n0, p)
     aug[k0 + np.arange(params.r0), n0 + P.block_perm, -P.shifts % p] = 1

@@ -23,7 +23,8 @@ checks everything that costs O(size): lengths, symbol ranges, the
 permutation, the shifts, that each generator row holds w_g distinct
 positions all of value 1 (as keygen writes it), and that no block row of
 S is zero (signing with such an S could never succeed). Keys are held as
-stored (G as sorted one-positions, S and H' as blocks); H, S^{-1} and the
+stored (G as sorted one-positions, S and H' as blocks that are uint8 views
+of the input's bytes, neither copied nor widened); H, S^{-1} and the
 transposes are not derived. `check_private` runs the two O(n0^3 p) checks
 a load skips: that the generator is reducible (ldgm.reducible) and that S
 is invertible, each by eliminating the matrix alone, so neither W nor an
@@ -61,7 +62,8 @@ class SerializationError(ValueError):
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        # symbols are read as views of data, so a caller's mutable buffer is copied
+        self.data = data if isinstance(data, bytes) else bytes(data)
         self.pos = 0
 
     def require(self, n: int):
@@ -147,8 +149,11 @@ def _header(objtype: int, params: ParameterSet) -> bytes:
 
 
 def _symbols(rd: _Reader, count: int, q: int) -> np.ndarray:
-    """count symbol bytes as uint8, checked below q; QCMatrix widens them once."""
-    raw = np.frombuffer(rd.take(count), dtype=np.uint8)
+    """count symbol bytes, checked below q, as a read-only uint8 view of the
+    input: QCMatrix keeps it as it is, with no copy and no widening."""
+    rd.require(count)
+    raw = np.frombuffer(rd.data, dtype=np.uint8, count=count, offset=rd.pos)
+    rd.pos += count
     if raw.size and raw.max() >= q:
         raise SerializationError("symbol byte out of field range")
     return raw
@@ -159,8 +164,8 @@ def serialize_params(params: ParameterSet) -> bytes:
 
 
 def serialize_public(pk: PublicKey) -> bytes:
-    rows = pk.Hpub.blocks.reshape(-1, pk.params.p)
-    return _header(OBJ_PUBLIC, pk.params) + rows.astype(np.uint8).tobytes()
+    # the header holds q <= 256, so the blocks are uint8, one byte a symbol
+    return _header(OBJ_PUBLIC, pk.params) + pk.Hpub.blocks.tobytes()
 
 
 def serialize_private(sk: PrivateKey) -> bytes:
@@ -169,7 +174,7 @@ def serialize_private(sk: PrivateKey) -> bytes:
     out.append(np.concatenate([sk.P.block_perm, sk.P.shifts]).astype("<u2").tobytes())
     for row in sk.G:
         out += [_u32(row.size), row.astype("<u4").tobytes(), bytes([1]) * row.size]
-    out.append(sk.S.blocks.reshape(-1, params.p).astype(np.uint8).tobytes())
+    out.append(sk.S.blocks.tobytes())
     return b"".join(out)
 
 

@@ -82,10 +82,11 @@ def parity_check(G: np.ndarray, params: ParameterSet) -> np.ndarray:
 
 
 def expand(A: QCMatrix) -> np.ndarray:
-    """Dense (rows0*p) x (cols0*p) matrix over F_q."""
+    """Dense (rows0*p) x (cols0*p) matrix over F_q, as int64, so that test
+    arithmetic on it does not wrap in the blocks' unsigned type."""
     p = A.p
     idx = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    dense = A.blocks[:, :, idx]  # (rows0, cols0, p, p)
+    dense = A.blocks.astype(np.int64)[:, :, idx]  # (rows0, cols0, p, p)
     return dense.transpose(0, 2, 1, 3).reshape(A.rows0 * p, A.cols0 * p)
 
 

@@ -123,19 +123,27 @@ def test_circulant_layout_rows_are_right_shifts():
     assert np.array_equal(expand(a), expected)
 
 
-def test_qcmatrix_keeps_a_canonical_int64_array_and_copies_any_other():
+@pytest.mark.parametrize("q,dtype", [(2, np.uint8), (127, np.uint8), (256, np.uint8),
+                                     (257, np.uint16), (65521, np.uint16)])
+def test_qcmatrix_keeps_a_canonical_symbol_array_and_copies_any_other(q, dtype):
+    # the blocks are the narrowest unsigned type that holds q - 1; a
+    # canonical C-ordered array of that type is kept as it is, and anything
+    # else (wider, signed, strided, out of range, a list) is reduced as an
+    # integer into a copy
+    assert qcalg.symbol_dtype(q) == dtype
     rng = np.random.default_rng(13)
-    canonical = rng.integers(0, Q, (2, 3, 5))
-    assert QCMatrix(canonical, Q).blocks is canonical
-    for given in (canonical.astype(np.int32), canonical.swapaxes(0, 1), canonical + Q,
-                  canonical - Q, canonical.tolist()):
+    wide = rng.integers(0, q, (2, 3, 5))
+    canonical = wide.astype(dtype)
+    assert QCMatrix(canonical, q).blocks is canonical
+    for given in (wide, wide.astype(np.int32), canonical.swapaxes(0, 1), wide + q,
+                  wide - q, wide - 2**20 * q, canonical + (q - 1) // 2 + 1, wide.tolist()):
         before = np.array(given)
-        blocks = QCMatrix(given, Q).blocks
+        blocks = QCMatrix(given, q).blocks
         assert np.array_equal(np.array(given), before)  # the caller's array is unchanged
-        assert blocks.dtype == np.int64 and blocks.flags.c_contiguous
-        assert np.array_equal(blocks, before % Q)
+        assert blocks.dtype == dtype and blocks.flags.c_contiguous
+        assert np.array_equal(blocks, before.astype(np.int64) % q)
     with pytest.raises(DimensionMismatchError):
-        QCMatrix(canonical[0], Q)
+        QCMatrix(canonical[0], q)
 
 
 def test_qc_solve_eliminates_the_buffer_in_place():
@@ -147,8 +155,9 @@ def test_qc_solve_eliminates_the_buffer_in_place():
     dense_inv = gf_inv_dense(expand(A), Q)
     assert dense_inv is not None
     aug = np.concatenate([A.blocks, B.blocks], axis=1)
+    assert aug.dtype == np.uint8  # the blocks' symbol type, which the solve keeps
     X = qc_solve(aug, Q)
-    assert X.shape == (s, t, p) and X.dtype == np.int64
+    assert X.shape == (s, t, p) and X.dtype == np.uint8
     assert np.array_equal(expand(QCMatrix(X, Q)), gf_matmul(dense_inv, expand(B), Q))
     assert np.count_nonzero(aug[:, :s].any(axis=2)) == s
     rows, cols = np.nonzero((aug[:, :s] == np.eye(1, p, dtype=np.int64)).all(axis=2))
@@ -458,20 +467,21 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
     kernel, slices, inside = [], [], []
     real_block, real_product = qcalg._block_matmul, qcalg._spectral_matmul
 
-    def recording_block(A, B, p, q, acc=None):
+    def recording_block(A, B, p, q, *args, **kwargs):
         kernel.append((A.shape[1], A.shape[0]))  # inner dimension, block rows written
         inside.append(True)
         try:
-            return real_block(A, B, p, q, acc)
+            return real_block(A, B, p, q, *args, **kwargs)
         finally:
             inside.pop()
 
-    def recording_product(FA, FB, p, q, acc=None):
-        # a slice's inner dimension, its block columns and the spectrum of
-        # D itself, kept alive so that distinct spectra keep distinct ids
+    def recording_product(FA, FB, p, q, *args, **kwargs):
+        # a panel product's inner dimension, block rows and columns, and
+        # the spectrum it multiplies, kept alive so that distinct spectra
+        # keep distinct ids
         if not inside:
-            slices.append((FA.shape[1], FB.shape[1], FA))
-        return real_product(FA, FB, p, q, acc)
+            slices.append((FA.shape[1], FA.shape[0], FB.shape[1], FA))
+        return real_product(FA, FB, p, q, *args, **kwargs)
 
     monkeypatch.setattr(qcalg, "_block_matmul", recording_block)
     monkeypatch.setattr(qcalg, "_spectral_matmul", recording_product)
@@ -487,10 +497,16 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
             X = solve(A, B)
             rank_one = [rows for inner, rows in kernel if inner == 1]
             assert rank_one and max(rank_one) <= b
-            assert [(inner, rows) for inner, rows in kernel if inner > 1] == [(k, s) for k in panels]
-            assert {inner for inner, _, _ in slices} == set(panels)
-            assert all(width <= b for _, width, _ in slices)
-            assert len({id(FA) for _, _, FA in slices}) == len(panels)  # one spectrum of D per panel
+            assert all(inner == 1 for inner, _ in kernel)
+            # each panel's products share one spectrum buffer: first the
+            # product of inner dimension k that gives D - I for all s rows,
+            # then the slices that apply D, each at most b columns wide
+            by_panel: dict[int, list] = {}
+            for inner, rows, width, FA in slices:
+                by_panel.setdefault(id(FA), []).append((inner, rows, width))
+            assert [products[0] for products in by_panel.values()] == [(k, s, k) for k in panels]
+            for (k, _, _), *rest in by_panel.values():
+                assert all(inner == k and rows == s and width <= b for inner, rows, width in rest)
             assert qc_mat_mul(A, X) == B
 
 
@@ -586,6 +602,39 @@ def test_qc_solve_matches_dense_oracle_at_every_width(repairs, p, q):
                 else:
                     assert X is not None and X.blocks.shape == (s, m, p)
                     assert np.array_equal(expand(X), gf_matmul(dense_inv, expand(B), q))
+    assert repairs and outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,q", [(13, 127), (5, 3), (13, 65521)])
+def test_qc_solve_on_narrow_buffers_matches_the_int64_buffer(repairs, p, q):
+    # a buffer of the blocks' unsigned type (uint8, or uint16 at q = 65521)
+    # solves to what the same system gives on an int64 buffer and to the
+    # dense oracle, on generic, repaired and singular systems. E_R - A_p is
+    # negative, so formed in the buffer's type it would wrap mod 2^8 or
+    # 2^16, not mod q
+    dtype = qcalg.symbol_dtype(q)
+    rng = np.random.default_rng(70 + p + q)
+    outcomes = set()
+    for s in (3, 9):
+        for kind in ("generic", "non-unit", "equal rows"):
+            if kind == "generic":
+                blocks = rng.integers(0, q, (s, s, p))
+            else:
+                blocks = np.array([[_non_unit_entry(rng, p, q) for _ in range(s)] for _ in range(s)])
+            if kind == "equal rows":
+                blocks[1] = blocks[0]
+            wide = np.concatenate([blocks, rng.integers(0, q, (s, 5, p))], axis=1)
+            narrow = wide.astype(dtype)
+            dense_inv = gf_inv_dense(expand(QCMatrix(blocks, q)), q)
+            B = expand(QCMatrix(wide[:, s:], q))
+            X_wide, X_narrow = qc_solve(wide, q), qc_solve(narrow, q)
+            outcomes.add(dense_inv is not None)
+            if dense_inv is None:
+                assert X_wide is None and X_narrow is None
+            else:
+                assert X_wide.dtype == np.int64 and X_narrow.dtype == dtype
+                assert np.array_equal(X_narrow, X_wide)
+                assert np.array_equal(expand(QCMatrix(X_narrow, q)), gf_matmul(dense_inv, B, q))
     assert repairs and outcomes == {True, False}
 
 
@@ -733,6 +782,35 @@ def test_qc_mat_vec_oracle_sparse_and_dense():
         qc_mat_vec(A, np.zeros(m * p + c * p, dtype=np.int64))
     with pytest.raises(DimensionMismatchError):
         qc_mat_gather(A, [c * p])
+
+
+@pytest.mark.parametrize("q,bits", [(127, 8), (127, 16), (65521, 16), (65521, 32)])
+def test_gather_at_the_largest_count_of_each_sum_type_does_not_wrap(q, bits):
+    # every entry q - 1 and one position repeated: count (q - 1) is the
+    # largest sum a count can give. The largest count whose sum fits in
+    # `bits` bits is summed in that width, and one more in the next
+    A = QCMatrix(np.full((2, 1, 3), q - 1), q)
+    top = (2**bits - 1) // (q - 1)
+    for count in (top, top + 1):
+        got = qc_mat_gather(A, np.zeros(count, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.full(2 * 3, count * (q - 1) % q))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, qcalg._VEC_CHUNK])
+def test_qc_mat_vec_chunks_match_dense_when_rows_are_not_a_multiple(chunk, monkeypatch):
+    # block rows are correlated `chunk` at a time; 2 chunk + 1 rows leave a
+    # last chunk of one row, and all-(q-1) operands give the largest sums
+    monkeypatch.setattr(qcalg, "_VEC_CHUNK", chunk)
+    rng = np.random.default_rng(80 + chunk)
+    for q, p in ((127, 13), (65521, 5)):
+        for rows0 in (1, chunk + 1, 2 * chunk + 1):
+            for full in (False, True):
+                A = QCMatrix(np.full((rows0, 4, p), q - 1), q) if full else rand_qc(rng, rows0, 4, p, q)
+                v = np.full(4 * p, q - 1) if full else rng.integers(0, q, 4 * p)
+                got = qc_mat_vec(A, v)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, gf_matmul(expand(A), v[:, None], q)[:, 0])
 
 
 @pytest.mark.parametrize("p", [1, 2, 13, 101])

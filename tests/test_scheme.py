@@ -178,6 +178,50 @@ def test_keygen_working_set_check_counts_the_measured_peak(monkeypatch):
             assert rng.bit_generator.state == state
 
 
+@pytest.fixture(scope="module")
+def p101_keys():
+    """spanse-128's ring and weights at n0 = 84, a key pair and a signature."""
+    ref = get_params("spanse-128")
+    ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
+    sk, pk = keygen(ps, np.random.default_rng(0))
+    sig, _ = sign(sk, b"message", rng=np.random.default_rng(1))
+    return ps, sk, pk, sig
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sign_working_set_is_one_gather_chunk(p101_keys):
+    # an attempt gathers S's uint8 columns _GATHER_CHUNK positions at a
+    # time (0.27 MB here) and sums them in a narrow type; the rest of the
+    # peak is the column index array. Gathering all w + m_g w_g = 158
+    # positions at once would take 1.3 MB, and int64 columns 2.2 MB a chunk
+    ps, sk, _, _ = p101_keys
+    chunk = ps.n0 * qcalg._GATHER_CHUNK * ps.p
+    whole = ps.n0 * (ps.w + ps.m_g * ps.w_g) * ps.p
+    (sig, _), peak = _traced_peak(sign, sk, b"message", "deterministic", np.random.default_rng(1))
+    assert sig.sigma.size == ps.n
+    assert peak < 2 * chunk and peak < whole / 2
+
+
+def test_verify_working_set_is_one_chunk_of_block_rows(p101_keys):
+    # verify correlates H' _VEC_CHUNK block rows at a time: each chunk is
+    # widened into a float64 buffer and transformed into a complex128 one,
+    # both reused. All 42 block rows at once would take 10 MB
+    ps, _, pk, sig = p101_keys
+    f = (1 << (2 * ps.p - 2).bit_length()) // 2 + 1
+    per_row = ps.n0 * (8 * ps.p + 16 * f)
+    result, peak = _traced_peak(verify, pk, b"message", sig)
+    assert result.accepted
+    assert peak < 1.3 * qcalg._VEC_CHUNK * per_row and peak < ps.r0 * per_row / 4
+
+
 def test_dense_transform_sampling_uses_density():
     rng = np.random.default_rng(8)
     S = sample_dense_transform(DESK, rng)

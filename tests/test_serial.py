@@ -53,9 +53,10 @@ def test_private_round_trip_rebuilds_derived_parts(material):
     assert [f.name for f in dataclasses.fields(sk2)] == ["params", "P", "G", "S"]
 
 
-def test_key_load_makes_one_int64_copy():
-    # a p101-sized key (n0 = 84): S is 5.4 MiB as int64 and H' 2.7 MiB; load
-    # widens the file's symbol bytes once, so the peak is that copy plus the bytes
+def test_key_load_keeps_the_file_bytes():
+    # a p101-sized key (n0 = 84): S is 0.7 MB of symbols and H' 0.36 MB;
+    # load keeps them as uint8 views of the file's bytes, with no copy and
+    # no widening, so it allocates only the small parts (P, G) and headers
     ref = get_params("spanse-128")
     ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
     rng = np.random.default_rng(7)
@@ -72,9 +73,23 @@ def test_key_load_makes_one_int64_copy():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * blocks.nbytes + len(data)
+        assert peak < 2**16 < blocks.nbytes / 5
         stored = loaded.S if isinstance(loaded, PrivateKey) else loaded.Hpub
-        assert stored.blocks.dtype == np.int64 and np.array_equal(stored.blocks, blocks)
+        assert stored.blocks.dtype == np.uint8 and np.array_equal(stored.blocks, blocks)
+        assert np.shares_memory(stored.blocks, np.frombuffer(data, dtype=np.uint8))
+
+
+def test_key_loaded_from_a_mutable_buffer_does_not_follow_it(material):
+    # a loaded key's blocks are views of the bytes it was read from, so a
+    # bytearray is copied first: writing to it afterwards leaves the key
+    sk, pk, _ = material
+    for load, obj, blocks in ((serial.deserialize_private, serial.serialize_private(sk), sk.S),
+                              (serial.deserialize_public, serial.serialize_public(pk), pk.Hpub)):
+        data = bytearray(obj)
+        loaded = load(data)
+        data[-DESK.p:] = bytes(DESK.p)
+        stored = loaded.S if isinstance(loaded, PrivateKey) else loaded.Hpub
+        assert stored == blocks
 
 
 def test_generator_positions_load_sorted_and_distinct(material):
