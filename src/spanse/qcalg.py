@@ -357,12 +357,12 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
     columns after an early stop, aug[:, other] += (D - I) * aug[R, other],
     in slices of at most b block columns: a dense B makes all its columns
     live from the first panel, and the slices keep the spectra small. The
-    spectrum of D - I is taken once per panel and serves every slice. A
-    slice whose columns are one contiguous run is updated through a view of
-    aug; any other is gathered into a buffer and scattered back. The
-    eliminated columns become E_R. The kernel's work buffers serve every
-    product of the call, and every sum that may be negative, such as
-    E_R - A_p, is formed in float64, never in aug's unsigned type.
+    spectrum of D - I is taken once per panel and serves every slice. The
+    live columns are cut into their contiguous runs, and each slice of a
+    run is updated through a view of aug. The eliminated columns become
+    E_R. The kernel's work buffers serve every product of the call, and
+    every sum that may be negative, such as E_R - A_p, is formed in
+    float64, never in aug's unsigned type.
 
     When the scan finds no free row with a unit, a repair step adds
     (1 - e) * (row r) to the first free row for each other free row r, with
@@ -430,16 +430,16 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
         free.remove(tile[r])
         rows.append(r)
         work[r, width + j, 0] = 1
-        # block columns where the pivot row is zero leave every row unchanged
-        live = np.flatnonzero(work[r].any(axis=-1))
-        pivot_row = _block_matmul(pivot_inv[None, None], work[r, live][None], p, q,
-                                  buffers=buffers)
-        work[r, live] = pivot_row[0]
+        # the pivot row is zero left of column j, which earlier pivots
+        # eliminated, and right of D's column j, which no row operation
+        # has reached yet, so the products act on the columns between
+        live = work[:, j : width + j + 1]
+        pivot_row = live[r : r + 1]
+        _block_matmul(pivot_inv[None, None], pivot_row, p, q, out=pivot_row, buffers=buffers)
         factors = -work[:, j] % q  # each row subtracts its factor times the pivot row
         factors[r] = 0
         if factors.any():
-            work[:, live] = _block_matmul(factors[:, None], pivot_row, p, q, work[:, live],
-                                          buffers=buffers)
+            _block_matmul(factors[:, None], pivot_row, p, q, live, live, buffers)
     pivots = [tile[i] for i in rows]
     k = len(pivots)
     s, f = aug.shape[0], _fft_length(p) // 2 + 1
@@ -454,24 +454,20 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
                                  _spectrum(work[rows, width : width + k], p), p, q,
                                  out=e_minus_a, buffers=buffers)
     d_spectrum = _spectrum(d_minus_i, p, spectrum)
-    # columns left of the panel are zero in every pivot row; the
-    # panel's columns after an early stop are updated with the rest
-    other = np.flatnonzero(aug[pivots].any(axis=(0, 2)))
-    other = other[other >= col + k]
+    # columns left of the panel are zero in every pivot row; the panel's
+    # columns after an early stop are updated with the rest. Each run of
+    # live columns is cut into slices of at most step, each a view of aug
+    live = aug[pivots].any(axis=(0, 2))
+    live[: col + k] = False
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
     step = _panel_width(p, q)
-    for lo in range(0, other.size, step):
-        cols = other[lo : lo + step]
-        run = cols[-1] - cols[0] == cols.size - 1
-        if run:
-            block = aug[:, cols[0] : cols[-1] + 1]
-        else:  # mode="clip" writes straight into out; "raise" would buffer a copy
-            block = np.take(aug, cols, axis=1, mode="clip",
-                            out=buffers.take("slice", (s, cols.size, p), aug.dtype))
-        rows_spectrum = buffers.take("slice spectrum", (f, k, cols.size), np.complex128)
-        _spectral_matmul(d_spectrum, _spectrum(block[pivots], p, rows_spectrum.transpose(1, 2, 0)),
-                         p, q, block, block, buffers)
-        if not run:
-            aug[:, cols] = block
+    for start, end in zip(edges[::2], edges[1::2]):
+        for lo in range(start, end, step):
+            block = aug[:, lo : min(lo + step, end)]
+            rows_spectrum = buffers.take("slice spectrum", (f, k, block.shape[1]), np.complex128)
+            _spectral_matmul(d_spectrum,
+                             _spectrum(block[pivots], p, rows_spectrum.transpose(1, 2, 0)),
+                             p, q, block, block, buffers)
     aug[:, col : col + k] = 0
     aug[pivots, col + np.arange(k), 0] = 1
     return pivots

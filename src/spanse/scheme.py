@@ -5,9 +5,10 @@ permutation P and a dense invertible transformation S: the public matrix
 is H' = P^{-1} H S^{-1}, where H = [-W^T | I] is the systematic parity
 check of G = [M1 | M2]. With T = [[M1, M2], [0, I]], H = [0 | I] T^{-T},
 and P^{-T} = P for a permutation, so H'^T = (T S^T)^{-1} [0; P]: keygen
-fills one buffer [T S^T | [0; P]] per S draw, T S^T from gathers of S's
-columns, and the solve eliminates it in place. Neither H, W, S^T nor an
-inverse is formed.
+fills one buffer [T S^T | [0; D]] per S draw, T S^T from gathers of S's
+columns and D with P's monomials on its diagonal, solves it in place and
+permutes the result's block columns. Neither H, W, S^T nor an inverse is
+formed.
 Signing maps the message to a sparse weight-w syndrome s, lifts it to an
 error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
 codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
@@ -61,7 +62,7 @@ MAX_S_RETRIES = 100
 # temporaries.
 _DRAW_ENTRIES = 2**16
 # Bytes keygen holds at its peak, in two terms. Per symbol of n0^2 p: S
-# (1), the solve's buffer [T S^T | [0; P]] (1.5 at r0 = n0 / 2) and the
+# (1), the solve's buffer [T S^T | [0; D]] (1.5 at r0 = n0 / 2) and the
 # r0-wide result (0.5), each symbol_dtype(q).itemsize bytes wide. Per
 # n0 p: the solve kernel's work buffers, which hold a panel's spectra and
 # products over all n0 block rows for 8 pivot columns, so they grow as n0,
@@ -139,8 +140,10 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
     is. make_code tests only M1(1); so the first time the solve fails for
     a G, M1 is tested over R_p (`reducible`), and a singular M1 is
     replaced by a fresh G before the next S draw. Each S draw fills a
-    buffer [T S^T | [0; P]] that the solve eliminates in place and that
-    is freed when the solve returns. Before any draw, its peak of
+    buffer [T S^T | [0; D]] that the solve eliminates in place and that
+    is freed when the solve returns. The row operations depend on T S^T
+    alone, so the solution's block column i is moved to pi(i), as [0; P]
+    has it. Before any draw, its peak of
     _KEYGEN_SYMBOL_BYTES n0^2 p symbols and _KEYGEN_ROW_BYTES n0 p bytes
     must fit (params.check_working_set).
     """
@@ -156,7 +159,9 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
         S = sample_dense_transform(params, rng)
         X = qc_solve(_public_system(S, G, P, params), params.q)
         if X is not None:
-            Hpub = QCMatrix(X, params.q).transpose()
+            # np.take returns a C-ordered array, which QCMatrix keeps; it
+            # would reduce X[:, index] through int64, 55 MB at spanse-128
+            Hpub = QCMatrix(np.take(X, np.argsort(P.block_perm), axis=1), params.q).transpose()
             return PrivateKey(params, P, G, S), PublicKey(params, Hpub)
         if not m1_invertible:
             m1_invertible = reducible(G, params)
@@ -170,15 +175,15 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
 
 def _public_system(S: QCMatrix, G: np.ndarray, P: QCPermutation,
                    params: ParameterSet) -> np.ndarray:
-    """[T S^T | [0; P]] as (n0, n0 + r0, p) blocks. Block row i of T S^T is
+    """[T S^T | [0; D]] as (n0, n0 + r0, p) blocks. Block row i of T S^T is
     expand(S) t_i^T for the first row t_i of T's block row i: G's row i for
-    i < k0, the one-position i p for i >= k0. [0; P] has x^(-shift_i) at
-    block (k0 + i, pi(i))."""
+    i < k0, the one-position i p for i >= k0. [0; D] has x^(-shift_i) at
+    block (k0 + i, i), where [0; P] has it at (k0 + i, pi(i))."""
     n0, k0, p = params.n0, params.k0, params.p
     aug = np.zeros((n0, n0 + params.r0, p), dtype=symbol_dtype(params.q))
     for i, t_i in enumerate(list(G) + [[i * p] for i in range(k0, n0)]):
         aug[i, :n0] = qc_mat_gather(S, t_i).reshape(n0, p)
-    aug[k0 + np.arange(params.r0), n0 + P.block_perm, -P.shifts % p] = 1
+    aug[k0 + np.arange(params.r0), n0 + np.arange(params.r0), -P.shifts % p] = 1
     return aug
 
 

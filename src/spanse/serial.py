@@ -181,11 +181,15 @@ def serialize_private(sk: PrivateKey) -> bytes:
 def serialize_signature(sig: Signature, params: ParameterSet) -> bytes:
     if len(sig.theta) >= 2**16:
         raise SerializationError("theta too long")
+    sigma = np.asarray(sig.sigma, dtype=np.int64)
+    # n bytes: any other sigma would read back as another one, or not at all
+    if sigma.size != params.n or sigma.min() < 0 or sigma.max() >= params.q:
+        raise SerializationError(f"sigma is not n = {params.n} entries in [0, {params.q})")
     return (
         _header(OBJ_SIGNATURE, params)
         + _u16(len(sig.theta))
         + sig.theta
-        + np.asarray(sig.sigma, dtype=np.int64).astype(np.uint8).tobytes()
+        + sigma.astype(np.uint8).tobytes()
     )
 
 

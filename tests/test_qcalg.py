@@ -14,7 +14,7 @@ from oracles import (
     qc_mat_mul,
     solve,
 )
-from spanse import qcalg
+from spanse import ldgm, qcalg
 from spanse.qcalg import (
     DimensionMismatchError,
     QCMatrix,
@@ -25,6 +25,7 @@ from spanse.qcalg import (
     qc_solve,
     random_qc_permutation,
 )
+from spanse.params import get_params
 
 Q = 127
 
@@ -490,7 +491,7 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
         assert qcalg._panel_width(p, Q) == b == 8
         panels = [b] * (s // b) + [s % b] * (s % b > 0)
         A = rand_qc(rng, s, s, p)
-        # the inverse, and a solve shaped like keygen's (T S^T) X = [0; P]
+        # the inverse, and a dense B half as wide as A, as r0 = n0 / 2 in keygen
         for B in (identity(s, p, Q), rand_qc(rng, s, s // 2, p)):
             kernel.clear()
             slices.clear()
@@ -508,6 +509,64 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
             for (k, _, _), *rest in by_panel.values():
                 assert all(inner == k and rows == s and width <= b for inner, rows, width in rest)
             assert qc_mat_mul(A, X) == B
+
+
+@pytest.mark.parametrize("system", ["scattered right-hand side", "sparse M1"])
+def test_qc_solve_updates_every_slice_through_a_view_of_aug(monkeypatch, system):
+    # live columns with gaps between them: B shaped like [0; P], a monomial
+    # at block (s / 2 + i, pi(i)), or the sparse M1 of a desk generator
+    # against the identity. Each product that applies a panel to a slice of
+    # columns writes into aug itself, not a copy scattered back; the one
+    # product per panel with no acc forms D - I in a work buffer
+    p, b = 13, qcalg._PANEL_WIDTH
+    rng = np.random.default_rng(47)
+    if system == "sparse M1":
+        desk = get_params("desk")
+        A = next(M1 for M1 in (QCMatrix(ldgm._left_part(ldgm.make_code(desk, rng), desk), Q)
+                               for _ in range(20)) if gf_inv_dense(expand(M1), Q) is not None)
+        B = identity(A.rows0, p, Q).blocks
+    else:
+        A = rand_qc(rng, 3 * b, 3 * b, p)
+        half = A.rows0 // 2
+        P = random_qc_permutation(half, p, rng)
+        B = np.zeros((A.rows0, half, p), dtype=np.int64)
+        B[half:] = perm_qc_matrix(P, Q).blocks
+    aug = np.concatenate([A.blocks, B.astype(A.blocks.dtype)], axis=1)
+    products, inside, runs = [], [], []
+    real_block, real_product, real_panel = (
+        qcalg._block_matmul, qcalg._spectral_matmul, qcalg._eliminate_panel)
+
+    def recording_block(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_block(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recording_product(FA, FB, p, q, acc=None, out=None, buffers=None):
+        if not inside:
+            products.append((acc, out))
+        return real_product(FA, FB, p, q, acc, out, buffers)
+
+    def recording_panel(aug, col, *args):
+        # a column is live in the pivot rows after the panel exactly when
+        # it was before: the pivot rows' update multiplies it by M^{-1}
+        pivots = real_panel(aug, col, *args)
+        live = aug[pivots].any(axis=(0, 2))[col + len(pivots):]
+        runs.append(np.count_nonzero(np.diff(live, prepend=False) & live))
+        return pivots
+
+    monkeypatch.setattr(qcalg, "_block_matmul", recording_block)
+    monkeypatch.setattr(qcalg, "_spectral_matmul", recording_product)
+    monkeypatch.setattr(qcalg, "_eliminate_panel", recording_panel)
+    X = qc_solve(aug, Q)
+    assert max(runs) > 1
+    slices = [(acc, out) for acc, out in products if acc is not None]
+    assert len(products) - len(slices) == len(runs) and len(slices) >= sum(runs)
+    assert all(out is acc and np.shares_memory(out, aug) for acc, out in slices)
+    dense = gf_inv_dense(expand(A), Q)
+    assert X is not None and np.array_equal(
+        expand(QCMatrix(X, Q)), gf_matmul(dense, expand(QCMatrix(B, Q)), Q))
 
 
 @pytest.fixture()

@@ -118,6 +118,19 @@ def test_signature_round_trip(material):
     assert sig2.theta == sig.theta and params2 == DESK
 
 
+@pytest.mark.parametrize("sigma", [
+    np.full(DESK.n, 300),  # would read back as 44s
+    np.ones(DESK.n - 1),  # would read as truncated
+    np.r_[np.ones(DESK.n - 1), -1],  # would read as 255, >= q
+    np.r_[np.ones(DESK.n - 1), DESK.q],
+    np.ones(DESK.n + 1),
+], ids=["300s", "n - 1 entries", "-1", "q", "n + 1 entries"])
+def test_signature_write_refuses_what_the_reader_cannot_read_back(material, sigma):
+    _, _, sig = material
+    with pytest.raises(serial.SerializationError, match=f"not n = {DESK.n} entries in"):
+        serial.serialize_signature(Signature(sigma.astype(np.int64), sig.theta), DESK)
+
+
 def test_round_tripped_key_still_verifies(material):
     sk, pk, _ = material
     sk2 = serial.deserialize_private(serial.serialize_private(sk))
