@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -141,6 +140,13 @@ def optimize_attack(*, n: int, k: int, q: int, p: int) -> CostReport:
     u = (1-phi)nu_max, and the two kinks u = rho and chi = 0. Each of the
     21 crossings is clamped into the closed region and evaluated.
 
+    All b x 21 crossings are evaluated at once as arrays, with the scalar
+    operations of `_exponents` in the same order, so each cost is the one
+    `_exponents` gives at that point. Parallel pairs (det = 0) and every b
+    with nu_max <= 0 or phi_max <= 0 are left out; ConstraintError if
+    nothing is left. The first least cost in (b, crossing) order wins, and
+    its report comes from `_exponents`.
+
     `_check_point` keeps phi > 0, phi < 1-R and 0 < nu < nu_max open, so
     the point returned may lie on one of those edges (often nu = nu_max).
     Its cost is then the infimum, which valid points approach but do not
@@ -149,27 +155,45 @@ def optimize_attack(*, n: int, k: int, q: int, p: int) -> CostReport:
     R = k / n
     L = math.log2(q)
     D = math.log2(1.0 - 1.0 / q)
-    best = None
-    for b in range(1, math.floor(math.log2(n)) + 1):
-        nu_max = 2.0 ** (-b) * math.log2(q - 1)
-        phi_max = min(1.0 - R, 1.0 - 2.0 ** b / n)
-        if nu_max <= 0 or phi_max <= 0:
-            continue
-        # each line as (a, c, d): a*u + c*phi = d
-        lines = [(0, 1, 0.0), (0, 1, 1.0 - R), (0, 1, 1.0 - 2.0 ** b / n), (1, 0, 0.0),
-                 (1, nu_max, nu_max), (b, L, (1.0 - R) * L), (b + 1, L + D, (1.0 - R) * L)]
-        for (a1, c1, d1), (a2, c2, d2) in itertools.combinations(lines, 2):
-            det = a1 * c2 - a2 * c1
-            if det == 0:
-                continue
-            phi = min(max((a1 * d2 - a2 * d1) / det, 0.0), phi_max)
-            u = min(max((d1 * c2 - d2 * c1) / det, 0.0), (1.0 - phi) * nu_max)
-            report = _exponents(AttackPoint(b, u / (1.0 - phi), phi), n=n, k=k, q=q, p=p)
-            if best is None or report.t_doom_log2 < best.t_doom_log2:
-                best = report
-    if best is None:
+    b = np.arange(1, math.floor(math.log2(n)) + 1)
+    nu_max = np.ldexp(math.log2(q - 1), -b)  # 2^-b log2(q-1), exactly
+    phi_edge = 1.0 - np.ldexp(1.0, b) / n
+    phi_max = _min(1.0 - R, phi_edge)
+    # each line as (a, c, d): a*u + c*phi = d; coef holds a, c and d,
+    # each with line j in column j of every b's row
+    lines = [(0, 1, 0.0), (0, 1, 1.0 - R), (0, 1, phi_edge), (1, 0, 0.0),
+             (1, nu_max, nu_max), (b, L, (1.0 - R) * L), (b + 1, L + D, (1.0 - R) * L)]
+    coef = np.empty((3, b.size, len(lines)))
+    a, c, d = coef
+    for j, line in enumerate(lines):
+        a[:, j], c[:, j], d[:, j] = line
+    first, second = np.array(list(itertools.combinations(range(len(lines)), 2))).T
+    det = a[:, first] * c[:, second] - a[:, second] * c[:, first]
+    rows, pairs = np.nonzero((det != 0) & ((nu_max > 0) & (phi_max > 0))[:, None])
+    if rows.size == 0:
         raise ConstraintError("no feasible attack point found")
-    return best
+    (a1, c1, d1), (a2, c2, d2) = coef[:, rows, first[pairs]], coef[:, rows, second[pairs]]
+    det, b, nu_max, phi_max = det[rows, pairs], b[rows], nu_max[rows], phi_max[rows]
+    phi = _min(_max((a1 * d2 - a2 * d1) / det, 0.0), phi_max)
+    u = _min(_max((d1 * c2 - d2 * c1) / det, 0.0), (1.0 - phi) * nu_max)
+    nu = u / (1.0 - phi)
+    rho = ((b + 1) * nu - (1.0 - k / n / (1.0 - phi)) * L) * (1.0 - phi)
+    chi = rho + phi * D
+    t_doom = (_max(nu * (1.0 - phi), rho) * n - _min(0.0, chi) * n) - 0.5 * math.log2(p)
+    best = int(np.argmin(t_doom))
+    return _exponents(AttackPoint(int(b[best]), float(nu[best]), float(phi[best])),
+                      n=n, k=k, q=q, p=p)
+
+
+def _max(x, y):
+    """Python's max(x, y), elementwise: y only where y > x, so that signed
+    zeros come out as in scalar code."""
+    return np.where(y > x, y, x)
+
+
+def _min(x, y):
+    """Python's min(x, y), elementwise: y only where y < x."""
+    return np.where(y < x, y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +322,12 @@ def _subsets(rng: np.random.Generator, population: int, rows: int, size: int) ->
     all rows at once. One `rng.integers` call draws column i of every row
     from range(population - size + i + 1); then, column by column, each
     row whose draw already appears in its earlier columns takes
-    population - size + i instead, which none of them can hold. The work
-    is fixed by the shape: nothing is redrawn.
+    population - size + i instead, which none of them can hold. Nothing
+    is redrawn.
+
+    A row whose draws are all distinct never meets a repeat, so Floyd's
+    algorithm keeps it as drawn. One sort of the draws finds the rows with
+    a repeat, and the column loop runs on those rows alone.
 
     The Monte Carlo alone draws this way. Keygen (`ldgm.sample_generator`)
     and signing (`ldgm.codeword_from_generator`) keep one `rng.choice` per
@@ -307,9 +335,14 @@ def _subsets(rng: np.random.Generator, population: int, rows: int, size: int) ->
     if not 0 <= size <= population:
         raise ValueError(f"need 0 <= size <= population, got size={size}, population={population}")
     out = rng.integers(0, np.arange(population - size + 1, population + 1), size=(rows, size))
-    for i in range(1, size):
-        seen = (out[:, :i] == out[:, i, None]).any(axis=1)
-        out[seen, i] = population - size + i
+    ordered = np.sort(out, axis=1)
+    clash = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if clash.any():
+        redo = out[clash]
+        for i in range(1, size):
+            seen = (redo[:, :i] == redo[:, i, None]).any(axis=1)
+            redo[seen, i] = population - size + i
+        out[clash] = redo
     return out
 
 
@@ -345,7 +378,8 @@ def _simulate_batch(params: ParameterSet, density: DensityPolynomial,
     """
     rng = np.random.default_rng(seed)
     q, n, k, r, w, m_g = params.q, params.n, params.k, params.r, params.w, params.m_g
-    pmf = np.array([float(pr) for _, pr in density.value_probabilities()])
+    pmf = np.zeros(density.q)
+    pmf[list(density.coeffs)] = [float(pr) for pr in density.coeffs.values()]
     pmf /= pmf.sum()
     G = np.sort(_subsets(rng, n, params.k0, params.w_g), axis=1)
     rows = _subsets(rng, k, trials, m_g)

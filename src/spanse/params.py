@@ -2,10 +2,9 @@
 
 The mixing density d(x) = d_0 + d_1 x + ... describes how entries of the
 dense private transformation are distributed: coefficient d_i is the
-probability that an entry equals i (coefficients for values not listed are
-spread uniformly over the remaining field elements, see
-DensityPolynomial.value_probabilities). Coefficients are exact Fractions so
-serialization round-trips without float drift.
+probability that an entry equals i, and values not listed have probability
+0. Coefficients are exact Fractions so serialization round-trips without
+float drift.
 """
 
 from __future__ import annotations
@@ -80,10 +79,6 @@ class DensityPolynomial:
 
     def is_binary(self) -> bool:
         return all(v == 0 for k, v in self.coeffs.items() if k > 1)
-
-    def value_probabilities(self) -> list[tuple[int, Fraction]]:
-        """Full list of (value, probability) pairs, summing to exactly 1."""
-        return [(v, self.coeffs.get(v, Fraction(0))) for v in range(self.q)]
 
     @classmethod
     def parse(cls, text: str, q: int) -> "DensityPolynomial":

@@ -299,11 +299,12 @@ class QCMatrix:
         if b.ndim != 3:
             raise DimensionMismatchError("blocks must have shape (rows0, cols0, p)")
         dtype = symbol_dtype(self.q)
-        if b.dtype != dtype or not b.flags.c_contiguous or b.size and b.max() >= self.q:
+        if b.dtype != dtype or b.size and b.max() >= self.q:
             # reduced in int64, so a negative entry or one past the type's
             # range reduces as an integer; a copy, never the caller's array
-            b = np.ascontiguousarray(np.asarray(b, dtype=np.int64) % self.q, dtype=dtype)
-        object.__setattr__(self, "blocks", b)
+            b = np.asarray(b, dtype=np.int64) % self.q
+        # a canonical array of the symbol type is kept, or copied into C order
+        object.__setattr__(self, "blocks", np.ascontiguousarray(b, dtype=dtype))
 
     @property
     def rows0(self) -> int:

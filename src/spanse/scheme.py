@@ -121,7 +121,7 @@ def sample_dense_transform(params: ParameterSet, rng: np.random.Generator) -> QC
     many block rows per draw as _DRAW_ENTRIES allow (at least one): the
     stream of one draw of the whole matrix, with a draw's float and index
     temporaries, into the symbol array QCMatrix keeps."""
-    pairs = [(v, pr) for v, pr in params.density.value_probabilities() if pr > 0]
+    pairs = sorted((v, pr) for v, pr in params.density.coeffs.items() if pr > 0)
     values = np.array([v for v, _ in pairs], dtype=symbol_dtype(params.q))
     probs = np.array([float(pr) for _, pr in pairs])
     probs /= probs.sum()
@@ -159,8 +159,8 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
         S = sample_dense_transform(params, rng)
         X = qc_solve(_public_system(S, G, P, params), params.q)
         if X is not None:
-            # np.take returns a C-ordered array, which QCMatrix keeps; it
-            # would reduce X[:, index] through int64, 55 MB at spanse-128
+            # np.take returns a C-ordered array, which QCMatrix keeps
+            # without a copy
             Hpub = QCMatrix(np.take(X, np.argsort(P.block_perm), axis=1), params.q).transpose()
             return PrivateKey(params, P, G, S), PublicKey(params, Hpub)
         if not m1_invertible:

@@ -16,13 +16,17 @@ masked vector alone and scores it afresh, where the library builds a
 batch's masked vectors at once and scores each distinct one once per
 batch; the
 fixed-weight rejection model is a closed form the Monte Carlo is checked
-against. The library derives a syndrome's support from its hash stream with
+against. A density's pmf and support are read here value by value over
+the field. The library's attack optimizer evaluates every crossing at
+once as arrays; `optimize_attack` here is the scalar loop over them. The
+library derives a syndrome's support from its hash stream with
 whole-array filters; `reference_syndrome` reads the stream word by word.
 The library reads each byte format with its own deserializer;
 `deserialize` dispatches on the object-type byte.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.stats import binom
 
 from spanse import serial
-from spanse.analysis import _p_zero
+from spanse.analysis import AttackPoint, ConstraintError, CostReport, _exponents, _p_zero
 from spanse.ldgm import codeword_from_generator, codeword_positions, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet
 from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul, qc_solve
@@ -137,6 +141,49 @@ def perm_dense(P: QCPermutation, q: int) -> np.ndarray:
     return expand(perm_qc_matrix(P, q))
 
 
+def density_pmf(density: DensityPolynomial) -> np.ndarray:
+    """The density's probabilities as floats, one for each value of Z_q,
+    0.0 for a value it does not list."""
+    return np.array([float(density.coeffs.get(v, 0)) for v in range(density.q)])
+
+
+def density_support(density: DensityPolynomial) -> list:
+    """The (value, probability) pairs of the density's nonzero
+    probabilities, in increasing order of value."""
+    return [(v, density.coeffs[v]) for v in range(density.q) if density.coeffs.get(v, 0) > 0]
+
+
+def optimize_attack(*, n: int, k: int, q: int, p: int) -> CostReport:
+    """The library optimizer's minimum by a scalar loop: for each merge
+    depth b with nu_max > 0 and phi_max > 0, each of the 21 crossings of
+    its seven lines that are not parallel, clamped into the closed region
+    and scored by `_exponents`; the first least t_doom_log2 wins."""
+    R = k / n
+    L = math.log2(q)
+    D = math.log2(1.0 - 1.0 / q)
+    best = None
+    for b in range(1, math.floor(math.log2(n)) + 1):
+        nu_max = 2.0 ** (-b) * math.log2(q - 1)
+        phi_max = min(1.0 - R, 1.0 - 2.0 ** b / n)
+        if nu_max <= 0 or phi_max <= 0:
+            continue
+        # each line as (a, c, d): a*u + c*phi = d
+        lines = [(0, 1, 0.0), (0, 1, 1.0 - R), (0, 1, 1.0 - 2.0 ** b / n), (1, 0, 0.0),
+                 (1, nu_max, nu_max), (b, L, (1.0 - R) * L), (b + 1, L + D, (1.0 - R) * L)]
+        for (a1, c1, d1), (a2, c2, d2) in itertools.combinations(lines, 2):
+            det = a1 * c2 - a2 * c1
+            if det == 0:
+                continue
+            phi = min(max((a1 * d2 - a2 * d1) / det, 0.0), phi_max)
+            u = min(max((d1 * c2 - d2 * c1) / det, 0.0), (1.0 - phi) * nu_max)
+            report = _exponents(AttackPoint(b, u / (1.0 - phi), phi), n=n, k=k, q=q, p=p)
+            if best is None or report.t_doom_log2 < best.t_doom_log2:
+                best = report
+    if best is None:
+        raise ConstraintError("no feasible attack point found")
+    return best
+
+
 def value_pairs(values: np.ndarray) -> tuple:
     """The (g, t) pairs of a multiset of values, as `_p_zero` takes them:
     each distinct value g in increasing order and its count t."""
@@ -181,7 +228,7 @@ def per_trial_moments(params: ParameterSet, density: DensityPolynomial,
     """One Monte Carlo batch's (sum, sum of squared deviations) with a
     `_p_zero` call on every trial, accumulated by Welford's update in
     trial order."""
-    pmf = np.array([float(pr) for _, pr in density.value_probabilities()])
+    pmf = density_pmf(density)
     pmf /= pmf.sum()
     squares: dict = {}
     mean = m2 = 0.0
@@ -212,7 +259,7 @@ def multinomial_acceptance(params: ParameterSet, density: DensityPolynomial,
     values. An attempt is accepted when no entry is 0 mod q.
     """
     q, n, k, r, w = params.q, params.n, params.k, params.r, params.w
-    pairs = [(v, pr) for v, pr in density.value_probabilities() if pr > 0]
+    pairs = density_support(density)
     dvals = np.array([v for v, _ in pairs], dtype=np.int64)
     dprobs = np.array([float(pr) for _, pr in pairs])
     dprobs /= dprobs.sum()

@@ -2,13 +2,18 @@ import copy
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
+    density_pmf,
+    density_support,
     fixed_weight_p_zero,
+    floyd_subsets,
     masked_vector_pairs,
     multinomial_acceptance,
     per_trial_moments,
@@ -27,11 +32,11 @@ from spanse.analysis import (
     size_counts,
     size_report,
 )
-from spanse.cli import EXIT_OK, main
+from spanse.cli import EXIT_OK, _print_report, main
 from spanse.ldgm import codeword_positions, sample_generator
 from spanse.params import DensityPolynomial, ParameterSet, get_params
 from spanse.scheme import Signature
-from spanse.serial import serialize_signature
+from spanse.serial import serialize_params, serialize_signature
 
 DESK = get_params("desk")
 
@@ -179,6 +184,61 @@ def test_optimizer_degenerate_and_scaling():
     assert two.t_doom_log2 / one.t_doom_log2 == pytest.approx(2.0, rel=0.1)
 
 
+def _optimizer_dims():
+    """desk, spanse-128, the paper's dimensions and the p101 shape (n0 = 84,
+    k0 = 42); two sets whose largest b leaves no reduced length (2^b = n),
+    so that b is skipped; two with no feasible point (nu_max = 0 at q = 2,
+    and phi_max = 0 at n = 2); and 20 seeded random ones."""
+    dims = [(ps.n, ps.k, ps.q, ps.p) for ps in map(get_params, ("desk", "spanse-128"))]
+    dims += [(24000, 12000, 127, 101), (8484, 4242, 127, 101), (4096, 2048, 127, 1),
+             (1024, 1000, 13, 2), (600, 300, 2, 1), (2, 1, 127, 1)]
+    rng = np.random.default_rng(2028)
+    for _ in range(20):
+        n = int(rng.integers(2, 50000))
+        dims.append((n, int(rng.integers(1, n)), int(rng.choice([3, 5, 7, 13, 127, 251])),
+                     int(rng.choice([1, 2, 13, 101]))))
+    return dims
+
+
+@pytest.mark.parametrize("n, k, q, p", _optimizer_dims())
+def test_optimizer_equals_the_scalar_loop(n, k, q, p):
+    try:
+        want = oracles.optimize_attack(n=n, k=k, q=q, p=p)
+    except ConstraintError:
+        with pytest.raises(ConstraintError, match="no feasible"):
+            optimize_attack(n=n, k=k, q=q, p=p)
+        return
+    got = optimize_attack(n=n, k=k, q=q, p=p)
+    # repr also tells a signed zero from 0.0
+    assert got == want and repr(got) == repr(want)
+
+
+def test_array_max_and_min_keep_the_scalar_signed_zeros():
+    # np.maximum(-0.0, 0.0) is 0.0 where Python's max gives -0.0
+    x, y = [-0.0, 0.0, -0.0, 1.0, 2.0], [0.0, -0.0, -0.0, 2.0, 1.0]
+    for array_op, op in ((analysis._max, max), (analysis._min, min)):
+        got = array_op(np.array(x), np.array(y)).tolist()
+        want = [op(a, b) for a, b in zip(x, y)]
+        assert [(v, math.copysign(1, v)) for v in got] == [(v, math.copysign(1, v)) for v in want]
+
+
+@pytest.mark.parametrize("name", ["desk", "spanse-128", "p101"])
+def test_analyze_attack_prints_the_scalar_loops_report(name, tmp_path, capsys):
+    if name == "p101":
+        ref = get_params("spanse-128")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # m_g*w_g >= q, as in spanse-128
+            ps = ParameterSet("p101", ref.q, ref.p, 84, 42, ref.w, ref.w_g, ref.m_g, ref.density)
+        name = str(tmp_path / "p101.params")
+        (tmp_path / "p101.params").write_bytes(serialize_params(ps))
+    else:
+        ps = get_params(name)
+    _print_report(oracles.optimize_attack(n=ps.n, k=ps.k, q=ps.q, p=ps.p).as_dict())
+    want = capsys.readouterr().out
+    assert main(["analyze", "attack", "--params", name]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
 def test_pge_at_spanse_128_dims():
     ps = get_params("spanse-128")
     rep = pge_ss_exponents(PAPER_POINT, n=ps.n, k=ps.k, q=ps.q, p=ps.p)
@@ -252,7 +312,7 @@ def test_rejection_pmfs_match_scipy_at_spanse_128(weight_model):
     else:
         want = fixed_weight_p_zero(ps)
         got = analysis._p_zero(value_pairs(np.ones(ps.m_g * ps.w_g + ps.w, dtype=np.int64)),
-                               _density_pmf(ps.density), {})
+                               density_pmf(ps.density), {})
     assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
@@ -297,10 +357,6 @@ def test_montecarlo_all_ones_density_rank_one(monkeypatch):
     assert p_hat > 0.9
 
 
-def _density_pmf(density):
-    return np.array([float(pr) for _, pr in density.value_probabilities()])
-
-
 @pytest.mark.parametrize("text", ["0.5,0.3,2:0.15,5:0.05", "0.6,0.1,3:0.3", "ones"])
 def test_p_zero_matches_enumeration(text):
     # every assignment of density values to a support of 3 or 4 entries
@@ -308,8 +364,8 @@ def test_p_zero_matches_enumeration(text):
     q = 127
     density = (DensityPolynomial({0: 0, 1: 1}, q) if text == "ones"
                else DensityPolynomial.parse(text, q))
-    pmf = _density_pmf(density)
-    support = [(x, pr) for x, pr in density.value_probabilities() if pr > 0]
+    pmf = density_pmf(density)
+    support = density_support(density)
     squares = {}
     for size in (3, 4):
         for values in itertools.product((1, 2), repeat=size):
@@ -326,7 +382,7 @@ def test_p_zero_matches_enumeration(text):
 def test_p_zero_keeps_relative_accuracy_near_1e_15():
     # 157 unit entries under d = 1/2 + x/2: the sum is Bin(157, 1/2), which
     # is 0 mod 127 at 0 and 127 only
-    pmf = _density_pmf(DensityPolynomial.parse("1/2,1/2", 127))
+    pmf = density_pmf(DensityPolynomial.parse("1/2,1/2", 127))
     exact = (1 + math.comb(157, 127)) / 2**157
     assert 1e-16 < exact < 1e-14
     got = analysis._p_zero(value_pairs(np.ones(157, dtype=np.int64)), pmf, {})
@@ -442,6 +498,19 @@ def test_subsets_of_the_whole_range_and_of_nothing():
 def test_subsets_larger_than_the_population_raise():
     with pytest.raises(ValueError):
         analysis._subsets(np.random.default_rng(27), 5, 3, 6)
+
+
+@pytest.mark.parametrize("population, rows, size", [
+    (13, 1000, 13), (13, 1000, 12), (7, 50, 7), (7, 50, 6), (40, 500, 39), (2, 300, 2),
+    (7, 50, 0), (0, 50, 0), (7, 50, 1), (1, 50, 1), (6, 3000, 3), (24038, 119, 11),
+    (12019, 1000, 12), (12019, 1000, 26)])
+def test_subsets_equal_floyds_algorithm_one_entry_at_a_time(population, rows, size):
+    # rows that draw a repeat are common at size = population and at
+    # population - 1, rare at the spanse-128 shapes
+    for seed in range(3):
+        got = analysis._subsets(np.random.default_rng(seed), population, rows, size)
+        want = floyd_subsets(np.random.default_rng(seed), population, rows, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_batch_makes_the_same_generator_calls_at_any_trial_count(monkeypatch):

@@ -29,7 +29,7 @@ def test_parse_simple_binary():
     d = DensityPolynomial.parse("1/2,1/2", Q)
     assert d.d0 == d.d1 == Fraction(1, 2)
     assert d.is_binary()
-    assert sum(p for _, p in d.value_probabilities()) == 1
+    assert sum(d.coeffs.values()) == 1
 
 
 def test_parse_extended_entries_renormalize():

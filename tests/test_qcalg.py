@@ -128,9 +128,9 @@ def test_circulant_layout_rows_are_right_shifts():
                                      (257, np.uint16), (65521, np.uint16)])
 def test_qcmatrix_keeps_a_canonical_symbol_array_and_copies_any_other(q, dtype):
     # the blocks are the narrowest unsigned type that holds q - 1; a
-    # canonical C-ordered array of that type is kept as it is, and anything
-    # else (wider, signed, strided, out of range, a list) is reduced as an
-    # integer into a copy
+    # canonical C-ordered array of that type is kept as it is, one in
+    # another layout is copied into C order, and anything else (wider,
+    # signed, out of range, a list) is reduced as an integer into a copy
     assert qcalg.symbol_dtype(q) == dtype
     rng = np.random.default_rng(13)
     wide = rng.integers(0, q, (2, 3, 5))
@@ -145,6 +145,24 @@ def test_qcmatrix_keeps_a_canonical_symbol_array_and_copies_any_other(q, dtype):
         assert np.array_equal(blocks, before.astype(np.int64) % q)
     with pytest.raises(DimensionMismatchError):
         QCMatrix(canonical[0], q)
+
+
+def test_qcmatrix_copies_a_strided_symbol_array_without_widening():
+    # X[:, index] of a canonical uint8 array comes back in another layout;
+    # it is copied into C order as uint8, not reduced through int64
+    rng = np.random.default_rng(19)
+    X = rng.integers(0, Q, (60, 40, 101), dtype=np.uint8)
+    strided = X[:, rng.permutation(40)]
+    assert not strided.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        M = QCMatrix(strided, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * strided.nbytes
+    assert M.blocks.flags.c_contiguous
+    assert M == QCMatrix(strided.astype(np.int64), Q)
 
 
 def test_qc_solve_eliminates_the_buffer_in_place():

@@ -233,6 +233,19 @@ def test_dense_transform_sampling_uses_density():
     assert abs(frac - 0.5) < 0.05
 
 
+def test_dense_transform_draws_the_density_support_in_value_order():
+    # the values drawn are the density's entries of nonzero probability in
+    # increasing order, however its entries are listed; desk's S is one
+    # draw of n0 * n0 * p = 5200 entries
+    listed = DensityPolynomial({13: "1/8", 1: "3/8", 5: 0, 0: "1/2"}, DESK.q)
+    S = sample_dense_transform(dataclasses.replace(DESK, density=listed),
+                               np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    want = rng.choice(np.array([0, 1, 13], dtype=np.uint8), size=S.blocks.shape,
+                      p=[1 / 2, 3 / 8, 1 / 8])
+    assert S.blocks.dtype == np.uint8 and np.array_equal(S.blocks, want)
+
+
 def test_derive_syndrome_contract():
     s1 = derive_syndrome(b"message", b"theta", DESK)
     s2 = derive_syndrome(b"message", b"theta", DESK)
