@@ -103,7 +103,13 @@ def _check_point(point: AttackPoint, n: int, R: float, q: int):
 
 
 def _exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> CostReport:
-    """Cost exponents of the list-merging decoder at an attack point, unchecked.
+    """Cost exponents of the list-merging decoder at an attack point, unchecked."""
+    costs = _costs(point.b, point.nu, point.phi, n=n, k=k, q=q, p=p)
+    return CostReport(*map(float, costs), point)
+
+
+def _costs(b, nu, phi, *, n: int, k: int, q: int, p: int) -> tuple:
+    """CostReport's fields but the point, elementwise over arrays b, nu, phi.
 
     After eliminating phi*n coordinates the residual code has length
     n' = (1-phi)n and rate R' = R/(1-phi). A depth-b merge tree with lists
@@ -111,15 +117,14 @@ def _exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> CostRep
     with probability 2^{n min(0, chi)} where chi folds in the chance that
     the eliminated block stays zero-free.
     """
-    b, nu, phi = point.b, point.nu, point.phi
     R_prime = k / n / (1.0 - phi)
     rho = ((b + 1) * nu - (1.0 - R_prime) * math.log2(q)) * (1.0 - phi)
     chi = rho + phi * math.log2(1.0 - 1.0 / q)
-    iter_cost = max(nu * (1.0 - phi), rho) * n
-    success = min(0.0, chi) * n
+    iter_cost = _max(nu * (1.0 - phi), rho) * n
+    success = _min(0.0, chi) * n
     t_sdp = iter_cost - success
     t_doom = t_sdp - 0.5 * math.log2(p)
-    return CostReport(rho, chi, iter_cost, success, t_sdp, t_doom, point)
+    return rho, chi, iter_cost, success, t_sdp, t_doom
 
 
 def pge_ss_exponents(point: AttackPoint, *, n: int, k: int, q: int, p: int) -> CostReport:
@@ -140,12 +145,11 @@ def optimize_attack(*, n: int, k: int, q: int, p: int) -> CostReport:
     u = (1-phi)nu_max, and the two kinks u = rho and chi = 0. Each of the
     21 crossings is clamped into the closed region and evaluated.
 
-    All b x 21 crossings are evaluated at once as arrays, with the scalar
-    operations of `_exponents` in the same order, so each cost is the one
-    `_exponents` gives at that point. Parallel pairs (det = 0) and every b
-    with nu_max <= 0 or phi_max <= 0 are left out; ConstraintError if
-    nothing is left. The first least cost in (b, crossing) order wins, and
-    its report comes from `_exponents`.
+    All b x 21 crossings are scored at once by `_costs` on arrays, so each
+    cost is the one `_exponents` gives at that point. Parallel pairs
+    (det = 0) and every b with nu_max <= 0 or phi_max <= 0 are left out;
+    ConstraintError if nothing is left. The first least cost in
+    (b, crossing) order wins.
 
     `_check_point` keeps phi > 0, phi < 1-R and 0 < nu < nu_max open, so
     the point returned may lie on one of those edges (often nu = nu_max).
@@ -177,12 +181,10 @@ def optimize_attack(*, n: int, k: int, q: int, p: int) -> CostReport:
     phi = _min(_max((a1 * d2 - a2 * d1) / det, 0.0), phi_max)
     u = _min(_max((d1 * c2 - d2 * c1) / det, 0.0), (1.0 - phi) * nu_max)
     nu = u / (1.0 - phi)
-    rho = ((b + 1) * nu - (1.0 - k / n / (1.0 - phi)) * L) * (1.0 - phi)
-    chi = rho + phi * D
-    t_doom = (_max(nu * (1.0 - phi), rho) * n - _min(0.0, chi) * n) - 0.5 * math.log2(p)
-    best = int(np.argmin(t_doom))
-    return _exponents(AttackPoint(int(b[best]), float(nu[best]), float(phi[best])),
-                      n=n, k=k, q=q, p=p)
+    costs = _costs(b, nu, phi, n=n, k=k, q=q, p=p)
+    best = int(np.argmin(costs[-1]))  # the first least t_doom
+    return CostReport(*(float(c[best]) for c in costs),
+                      AttackPoint(int(b[best]), float(nu[best]), float(phi[best])))
 
 
 def _max(x, y):

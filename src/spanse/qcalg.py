@@ -19,16 +19,15 @@ wide enough for their count, and qc_mat_vec correlates a dense v in
 chunks of A's block rows. Every block product (block matrix, dense
 vector, pivot step) runs through one batched cyclic convolution kernel in
 two halves: a real FFT zero-padded to the power of two that holds the
-linear convolution, then a contraction of the spectra (np.matmul on BLAS
-for block products, einsum for vectors and outer products), the inverse
-transform and a fold mod x^p - 1, plus an optional acc, so a row update
-is one kernel call. The kernel widens its operands to float64 inside and
-writes its result into any integer array, the caller's slice included; a
-loop of products hands it one set of work buffers (_Buffers), so the loop
-allocates them once. A spectrum may serve several products. Coefficients
-are small enough (bounded by inner_dim * p * (q-1)^2 <= 2^40) that
-rounding the inverse transform is exact, which is asserted on every
-product.
+linear convolution, then one np.matmul of the spectra per frequency,
+whatever the shape, the inverse transform and a fold mod x^p - 1, plus
+an optional acc, so a row update is one kernel call. The kernel widens
+its operands to float64 inside and writes its result into any integer
+array, the caller's slice included; a loop of products hands it one set
+of work buffers (_Buffers), so the loop allocates them once. A spectrum
+may serve several products. Coefficients are small enough (bounded by
+inner_dim * p * (q-1)^2 <= 2^40) that rounding the inverse transform is
+exact, which is asserted on every product.
 
 A pivot is a unit of R_p exactly when its idempotent e = a b is 1, where b
 comes from one closed form by Frobenius exponentiation (a^(q^d - 2) with
@@ -225,19 +224,16 @@ def _spectral_matmul(FA: np.ndarray, FB: np.ndarray, p: int, q: int,
     """The kernel's product half: (acc + A B) mod q from spectra of (m, k, p) A, (k, n, p) B,
     written into out (which may be acc) or a new int64 array.
 
-    The contraction is chosen by shape. When m = 1 (a vector, or a ring
-    element times a block row) or k = 1 (an outer product), einsum streams
-    over the spectra in the layout rfft returns: a frequency-major copy of a
-    vector product's big operand costs more than the contraction, and an
-    outer product has no sum for BLAS to speed up. Otherwise np.matmul
-    multiplies frequency-major views, one (m, k) x (k, n) complex product per
-    frequency on BLAS, into a frequency-major buffer, and the inverse
-    transform runs along that buffer's first axis: on one (84 x 8) x (8 x 8)
-    slice at p = 101 this took 1.5 ms against 3.0 ms for a product
-    transposed back to the layout rfft returns. In qc_solve these are at
-    most 238 x 8 x 8 (spanse-128), too small for OpenBLAS to start its
-    threads: with two BLAS threads, CPU time equals wall time, so no idle
-    BLAS thread spins.
+    np.matmul multiplies frequency-major views of the spectra, one
+    (m, k) x (k, n) complex product per frequency, into a frequency-major
+    buffer, and the inverse transform runs along that buffer's first axis:
+    on one (84 x 8) x (8 x 8) slice at p = 101 this took 1.5 ms against
+    3.0 ms for a product transposed back to the layout rfft returns. Ring
+    elements, vectors and outer products (m = 1 or k = 1) take the same
+    path. The products are at most 238 x 8 x 8 in qc_solve (spanse-128),
+    too small for OpenBLAS to start its threads: with two BLAS threads, a
+    spanse-128 keygen or verify takes as much CPU time as wall time, so no
+    idle BLAS thread spins.
 
     The linear result is folded mod x^p - 1 in float64, adding coefficient
     p + t into coefficient t, acc is added, and the sum is rounded and
@@ -249,20 +245,13 @@ def _spectral_matmul(FA: np.ndarray, FB: np.ndarray, p: int, q: int,
     _assert_fft_exact(FA.shape[1], p, q)
     if buffers is None:
         buffers = _Buffers()
-    (m, k, f), n, length = FA.shape, FB.shape[1], _fft_length(p)
-    if m == 1 or k == 1:
-        fc = buffers.take("product", (m, n, f), np.complex128)
-        np.einsum("ikf,kjf->ijf", FA, FB, out=fc)
-        lin = np.fft.irfft(fc, n=length, axis=-1,
-                           out=buffers.take("linear", (m, n, length), np.float64))
-        quotient = buffers.take("quotient", (m, n, p), np.float64)
-    else:
-        fc = buffers.take("product", (f, m, n), np.complex128)
-        np.matmul(FA.transpose(2, 0, 1), FB.transpose(2, 0, 1), out=fc)
-        lin = np.fft.irfft(fc, n=length, axis=0,
-                           out=buffers.take("linear", (length, m, n), np.float64))
-        lin = lin.transpose(1, 2, 0)
-        quotient = buffers.take("quotient", (p, m, n), np.float64).transpose(1, 2, 0)
+    (m, _, f), n, length = FA.shape, FB.shape[1], _fft_length(p)
+    fc = buffers.take("product", (f, m, n), np.complex128)
+    np.matmul(FA.transpose(2, 0, 1), FB.transpose(2, 0, 1), out=fc)
+    lin = np.fft.irfft(fc, n=length, axis=0,
+                       out=buffers.take("linear", (length, m, n), np.float64))
+    lin = lin.transpose(1, 2, 0)
+    quotient = buffers.take("quotient", (p, m, n), np.float64).transpose(1, 2, 0)
     res = lin[..., :p]
     res[..., : p - 1] += lin[..., p : 2 * p - 1]
     if acc is not None:
@@ -393,7 +382,7 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
                  or _repair_pivot(aug, col, free, p, q, buffers))
         if first is None:
             return None
-        piv += _eliminate_panel(aug, col, min(width, s - col), free, first, p, q, buffers)
+        piv += _eliminate_panel(aug, col, width, free, first, p, q, buffers)
     return aug[piv, s:]
 
 
@@ -402,17 +391,20 @@ def _panel_width(p: int, q: int) -> int:
     return max(1, min(_PANEL_WIDTH, _FFT_EXACT_BOUND // (p * (q - 1) ** 2)))
 
 
-def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
+def _eliminate_panel(aug: np.ndarray, col: int, step: int, free: list[int],
                      first: tuple[int, np.ndarray], p: int, q: int,
                      buffers: _Buffers) -> list[int]:
     """Eliminate block columns col, col + 1, ... of aug in one panel.
 
     first is (row, inverse of its entry in column col), the pivot found
     for column col. The tile is that row and the free rows after it; the
-    panel stops after width columns or at one with no unit in the tile.
-    Pivot rows leave free and are returned in column order; aug is exact
-    again on return.
+    panel stops after step columns, at the last column of A, or at one
+    with no unit in the tile; the slices that apply it are step block
+    columns wide. Pivot rows leave free and are returned in column order;
+    aug is exact again on return.
     """
+    s, f = aug.shape[0], _fft_length(p) // 2 + 1
+    width = min(step, s - col)
     panel = aug[:, col : col + width]  # A_p: read, not written, until the panel is applied
     start = free.index(first[0])
     tile = free[start : start + width]
@@ -443,7 +435,6 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
             _block_matmul(factors[:, None], pivot_row, p, q, live, live, buffers)
     pivots = [tile[i] for i in rows]
     k = len(pivots)
-    s, f = aug.shape[0], _fft_length(p) // 2 + 1
     # D at the pivot rows is M^{-1}, M = A_p[pivots, :k], so for all s
     # rows D - I = (E_R - A_p[:, :k]) M^{-1}, E_R with 1 at (pivots[i], i)
     e_minus_a = buffers.take("panel", (s, k, p), np.float64)
@@ -461,7 +452,6 @@ def _eliminate_panel(aug: np.ndarray, col: int, width: int, free: list[int],
     live = aug[pivots].any(axis=(0, 2))
     live[: col + k] = False
     edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
-    step = _panel_width(p, q)
     for start, end in zip(edges[::2], edges[1::2]):
         for lo in range(start, end, step):
             block = aug[:, lo : min(lo + step, end)]
@@ -556,10 +546,8 @@ def qc_mat_gather(A: QCMatrix, positions: np.ndarray) -> np.ndarray:
 def _reverse(x: np.ndarray) -> np.ndarray:
     """(rev x)_t = x_{-t mod p} along the last axis; circ(rev a) = circ(a)^T."""
     # one C-ordered array whatever x's layout, so a transpose reverses a
-    # swapped view without a second copy; x[..., index] would not do: a
-    # vector reversed by fancy indexing came back with its block axis
-    # innermost, which made the einsum on its spectrum about three times
-    # slower in a spanse-128 verify
+    # swapped view without a second copy: x[..., index] comes back with
+    # its last axis outermost, which QCMatrix would copy into C order
     out = np.empty(x.shape, dtype=x.dtype)
     out[..., 0] = x[..., 0]
     out[..., 1:] = x[..., :0:-1]
@@ -581,7 +569,7 @@ class QCPermutation:
     block_perm: np.ndarray  # pi, permutation of {0..m-1}
     shifts: np.ndarray  # t_i in [0, p)
     p: int
-    _inv_perm: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = dc_field(init=False, repr=False, compare=False)  # pi^{-1}
 
     def __post_init__(self):
         perm = np.asarray(self.block_perm, dtype=np.int64)
@@ -594,13 +582,13 @@ class QCPermutation:
         object.__setattr__(self, "shifts", shifts)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(perm.size)
-        object.__setattr__(self, "_inv_perm", inv)
+        object.__setattr__(self, "inverse", inv)
 
 
 def perm_apply(P: QCPermutation, positions: np.ndarray) -> np.ndarray:
     """The positions of P s for the vector s with ones at `positions`."""
     blk, off = np.divmod(positions, P.p)
-    out_blk = P._inv_perm[blk]
+    out_blk = P.inverse[blk]
     return out_blk * P.p + (off + P.shifts[out_blk]) % P.p
 
 

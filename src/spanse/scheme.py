@@ -161,7 +161,7 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
         if X is not None:
             # np.take returns a C-ordered array, which QCMatrix keeps
             # without a copy
-            Hpub = QCMatrix(np.take(X, np.argsort(P.block_perm), axis=1), params.q).transpose()
+            Hpub = QCMatrix(np.take(X, P.inverse, axis=1), params.q).transpose()
             return PrivateKey(params, P, G, S), PublicKey(params, Hpub)
         if not m1_invertible:
             m1_invertible = reducible(G, params)

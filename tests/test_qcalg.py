@@ -237,8 +237,8 @@ def _cyclic_matmul_int64(A, B, q):
 def test_kernel_products_at_scheme_shapes_match_dense(p, monkeypatch):
     # p = 1 pads to a length-1 transform with an empty fold; p = 101 is the
     # scheme's ring. All-(q-1) operands give the largest coefficients. The
-    # shapes reach both contractions: np.matmul for a block product, einsum
-    # for a ring element, a vector and an outer product.
+    # shapes are a block product, a ring element, a vector and an outer
+    # product, each one np.matmul of the spectra per frequency.
     checked = []
     real_check = qcalg._assert_fft_exact
 
@@ -286,7 +286,7 @@ def test_fft_bound_rejects_products_that_lose_precision():
 def test_fft_product_just_under_bound_is_exact():
     q, p, k = 4093, 101, 600
     assert 2**39.8 < k * p * (q - 1) ** 2 < 2**40
-    # one row contracts by einsum, two rows by np.matmul on BLAS
+    # one row, as in a vector product, and two rows, as in a block product
     for rows in (1, 2):
         A, B = np.full((rows, k, p), q - 1), np.full((k, rows, p), q - 1)
         got = qc_mat_mul(QCMatrix(A, q), QCMatrix(B, q)).blocks
@@ -303,8 +303,8 @@ def _dense_acc_product(A, B, acc, q):
 def test_kernel_accumulates_exactly_at_the_bound(p, q):
     # every entry q - 1, with the largest inner dimension whose bound
     # inner * p * (q-1)^2 is below _FFT_EXACT_BOUND, so acc + A B is just
-    # below 2^40 before the float reduction. One row contracts by einsum,
-    # two rows by np.matmul
+    # below 2^40 before the float reduction, with one row, as in a vector
+    # product, and with two
     inner = qcalg._FFT_EXACT_BOUND // (p * (q - 1) ** 2)
     assert 0.99 * qcalg._FFT_EXACT_BOUND < inner * p * (q - 1) ** 2 <= qcalg._FFT_EXACT_BOUND
     for rows in (1, 2):
@@ -327,6 +327,28 @@ def test_kernel_accumulates_random_operands(p, q):
             acc = rng.integers(0, q, (m, n, p))
             got = qcalg._block_matmul(A, B, p, q, acc)
             assert np.array_equal(expand(QCMatrix(got, q)), _dense_acc_product(A, B, acc, q))
+
+
+@pytest.mark.parametrize("p", [1, 13, 101])
+def test_kernel_writes_into_a_strided_uint8_view_in_place(p):
+    # as _repair_pivot and qc_solve's slices do: acc is out, a view of a
+    # larger uint8 array with gaps between its block rows and columns, and
+    # one set of work buffers serves every shape. Nothing outside the view
+    # changes
+    rng = np.random.default_rng(34 + p)
+    buffers = qcalg._Buffers()
+    for m, k, n in ((1, 1, 1), (1, 4, 3), (4, 1, 3), (3, 4, 2)):
+        A, B = rng.integers(0, Q, (m, k, p)), rng.integers(0, Q, (k, n, p))
+        aug = rng.integers(0, Q, (2 * m + 1, 2 * n + 3, p), dtype=np.uint8)
+        before = aug.copy()
+        inside = np.s_[1::2, 2 : 2 * n + 2 : 2]
+        view = aug[inside]
+        assert view.shape == (m, n, p) and view.base is aug
+        acc = view.copy()
+        assert qcalg._block_matmul(A, B, p, Q, view, view, buffers) is view
+        assert np.array_equal(expand(QCMatrix(view, Q)), _dense_acc_product(A, B, acc, Q))
+        aug[inside] = before[inside]
+        assert np.array_equal(aug, before)
 
 
 def test_transpose_allocates_its_result_once():
