@@ -103,7 +103,10 @@ class DensityPolynomial:
                 )
             if val in coeffs:
                 raise ParameterError(f"duplicate density entry for value {val}")
-            coeffs[val] = Fraction(prob_s)
+            try:
+                coeffs[val] = Fraction(prob_s)
+            except ZeroDivisionError:
+                raise ParameterError(f"density entry {part!r} has a zero denominator") from None
         return cls(coeffs, q)
 
     def format(self) -> str:
@@ -133,8 +136,12 @@ class ParameterSet:
     density: DensityPolynomial
 
     def __post_init__(self):
-        if not is_prime(self.q) or self.q < 3:
-            raise ParameterError(f"q={self.q} must be an odd prime")
+        # the byte format's limits are decided here: a symbol is one byte,
+        # and p, n0 and w_g are u16 header fields (k0 < n0, and w, m_g < q)
+        if not (3 <= self.q <= 256 and is_prime(self.q)):
+            raise ParameterError(f"q={self.q} must be an odd prime, q <= 256 for one-byte symbols")
+        if max(self.p, self.n0, self.w_g) >= 2**16:
+            raise ParameterError(f"p={self.p}, n0={self.n0} and w_g={self.w_g} must fit in u16")
         if not is_prime(self.p):
             raise ParameterError(f"p={self.p} must be prime")
         if not (0 < self.k0 < self.n0):

@@ -60,7 +60,9 @@ _FFT_EXACT_BOUND = 2**40
 
 # Pivot columns per panel of qc_solve. Each panel ends in products of this
 # inner dimension over the live block columns, so a wider panel makes fewer
-# passes over the matrix; _panel_width shrinks it for large p and q.
+# passes over the matrix. Every ParameterSet has q <= 256 and p < 2^16, so
+# such a product is below 8 * 65535 * 255^2 < 2^35, within _FFT_EXACT_BOUND;
+# at a larger q or p, qc_solve raises OverflowError instead.
 _PANEL_WIDTH = 8
 
 # Positions per gather of qc_mat_gather. All of a signing attempt's ~160
@@ -170,10 +172,12 @@ def _assert_fft_exact(inner: int, p: int, q: int):
 
 
 def _fft_length(p: int) -> int:
-    """n = 2^ceil(log2(2p - 1)), the smallest power of two that holds the
-    linear convolution: on 84 * 85 rows, numpy's rfft takes about 30 ms at
-    the prime length 101 and 11 ms at 256."""
-    return 1 << (2 * p - 2).bit_length()
+    """n, the smallest power of two above 2p - 1: it holds the linear
+    convolution's 2p - 1 coefficients and one more, so the kernel reduces
+    in the coefficients p..2p - 1 of its own linear buffer once the fold
+    has read them. On 84 * 85 rows, numpy's rfft takes about 30 ms at the
+    prime length 101 and 11 ms at 256."""
+    return 1 << (2 * p - 1).bit_length()
 
 
 class _Buffers:
@@ -251,9 +255,9 @@ def _spectral_matmul(FA: np.ndarray, FB: np.ndarray, p: int, q: int,
     lin = np.fft.irfft(fc, n=length, axis=0,
                        out=buffers.take("linear", (length, m, n), np.float64))
     lin = lin.transpose(1, 2, 0)
-    quotient = buffers.take("quotient", (p, m, n), np.float64).transpose(1, 2, 0)
-    res = lin[..., :p]
-    res[..., : p - 1] += lin[..., p : 2 * p - 1]
+    # the quotient goes where the fold has read coefficients p..2p - 1
+    res, quotient = lin[..., :p], lin[..., p : 2 * p]
+    res[..., : p - 1] += quotient[..., : p - 1]
     if acc is not None:
         res += acc
     np.rint(res, out=res)
@@ -330,14 +334,14 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
     half of the row that pivoted column c. The row operations depend on A
     alone, so B = I would give A^{-1}.
 
-    The pivot columns are taken in panels of b = _panel_width(p, q) (8 for
-    the scheme's rings). aug is exact when a panel starts, so it scans its
-    first column's free rows (not yet pivots) for a unit. The tile is that
-    row and the free rows after it, at most b: Gauss-Jordan runs on the
-    tile's rows of the panel's columns A_p (as they stand before the panel)
-    and a record D of the transform's columns at the pivot rows, b x 2b
-    blocks however large A is. At a column where no remaining tile row has
-    a unit the panel ends, and the next one scans that column afresh.
+    The pivot columns are taken in panels of b = _PANEL_WIDTH = 8. aug is
+    exact when a panel starts, so it scans its first column's free rows
+    (not yet pivots) for a unit. The tile is that row and the free rows
+    after it, at most b: Gauss-Jordan runs on the tile's rows of the
+    panel's columns A_p (as they stand before the panel) and a record D of
+    the transform's columns at the pivot rows, b x 2b blocks however large
+    A is. At a column where no remaining tile row has a unit the panel
+    ends, and the next one scans that column afresh.
 
     At the panel's k pivot rows R the tile's D equals M^{-1}, M = A_p[R, :k],
     so one product of inner dimension k gives, for all s rows,
@@ -372,7 +376,6 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
     if aug.ndim != 3 or aug.shape[1] < aug.shape[0]:
         raise DimensionMismatchError(f"cannot solve [A | B] of block shape {aug.shape[:-1]}")
     s, p = aug.shape[0], aug.shape[2]
-    width = _panel_width(p, q)
     buffers = _Buffers()
     free = list(range(s))  # rows not yet chosen as a pivot, in order
     piv: list[int] = []  # pivot row of each eliminated column
@@ -382,13 +385,8 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
                  or _repair_pivot(aug, col, free, p, q, buffers))
         if first is None:
             return None
-        piv += _eliminate_panel(aug, col, width, free, first, p, q, buffers)
+        piv += _eliminate_panel(aug, col, _PANEL_WIDTH, free, first, p, q, buffers)
     return aug[piv, s:]
-
-
-def _panel_width(p: int, q: int) -> int:
-    """_PANEL_WIDTH, shrunk until a panel's product is exact in the kernel."""
-    return max(1, min(_PANEL_WIDTH, _FFT_EXACT_BOUND // (p * (q - 1) ** 2)))
 
 
 def _eliminate_panel(aug: np.ndarray, col: int, step: int, free: list[int],

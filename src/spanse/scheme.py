@@ -63,14 +63,15 @@ MAX_S_RETRIES = 100
 _DRAW_ENTRIES = 2**16
 # Bytes keygen holds at its peak, in two terms. Per symbol of n0^2 p: S
 # (1), the solve's buffer [T S^T | [0; D]] (1.5 at r0 = n0 / 2) and the
-# r0-wide result (0.5), each symbol_dtype(q).itemsize bytes wide. Per
-# n0 p: the solve kernel's work buffers, which hold a panel's spectra and
-# products over all n0 block rows for 8 pivot columns, so they grow as n0,
-# not n0^2. Fitted to tracemalloc peaks of 7.62 MB at spanse-128's ring
-# with n0 = 84 and 32.35 MB at spanse-128, where the model gives 7.74 and
-# 33.03 MB; the first keygen in a process peaks about 0.8 MB higher.
+# r0-wide result (0.5), one byte each, since every ParameterSet has
+# q <= 256. Per n0 p: the solve kernel's work buffers, which hold a
+# panel's spectra and products over all n0 block rows for 8 pivot columns,
+# so they grow as n0, not n0^2. Fitted to tracemalloc peaks of 6.98 MB at
+# spanse-128's ring with n0 = 84 and 30.62 MB at spanse-128, where the
+# model gives 7.02 and 30.98 MB; the first keygen in a process peaks about
+# 0.8 MB higher.
 _KEYGEN_SYMBOL_BYTES = 3
-_KEYGEN_ROW_BYTES = 660
+_KEYGEN_ROW_BYTES = 575
 # signing attempts before SigningError, read at each call
 MAX_SIGN_ATTEMPTS = 10_000
 
@@ -149,9 +150,8 @@ def keygen(params: ParameterSet, rng: np.random.Generator) -> tuple[PrivateKey, 
     """
     if params.density.d0 == 1:
         raise ParameterError("the density puts all its mass on 0, so every S is zero")
-    symbol = symbol_dtype(params.q).itemsize
     check_working_set(params, "keygen", params.n0 * params.p * (
-        _KEYGEN_SYMBOL_BYTES * symbol * params.n0 + _KEYGEN_ROW_BYTES))
+        _KEYGEN_SYMBOL_BYTES * params.n0 + _KEYGEN_ROW_BYTES))
     G = make_code(params, rng)
     P = random_qc_permutation(params.r0, params.p, rng)
     m1_invertible = False

@@ -17,7 +17,9 @@ payloads:
                first rows of the dense transform, p bytes each
     signature  theta length u16, theta bytes, n signature bytes
 
-Symbols are single bytes, so q <= 256 is required on both write and read.
+Symbols are single bytes. ParameterSet refuses what the header cannot hold
+(q > 256; p, n0 or w_g of 2^16 or more), so every parameter set writes,
+and a header that breaks those limits reads as invalid parameters.
 Every symbol byte must be < q; anything else is a parse error. Loading
 checks everything that costs O(size): lengths, symbol ranges, the
 permutation, the shifts, that each generator row holds w_g distinct
@@ -92,8 +94,8 @@ class _Reader:
 
 
 def _u16(v: int) -> bytes:
-    if not (0 <= v < 2**16):
-        raise SerializationError(f"value {v} does not fit in u16")
+    # no range check: ParameterSet bounds every header field, and
+    # serialize_signature bounds theta's length
     return struct.pack("<H", v)
 
 
@@ -103,13 +105,7 @@ def _u32(v: int) -> bytes:
     return struct.pack("<I", v)
 
 
-def _check_symbol_field(q: int):
-    if q > 256:
-        raise SerializationError(f"q={q} does not fit the one-byte symbol format (q <= 256)")
-
-
 def _params_block(params: ParameterSet) -> bytes:
-    _check_symbol_field(params.q)
     out = b"".join(
         _u16(v)
         for v in (params.q, params.p, params.n0, params.k0, params.w, params.w_g, params.m_g)
@@ -117,15 +113,12 @@ def _params_block(params: ParameterSet) -> bytes:
     entries = sorted(params.density.coeffs.items())
     out += _u16(len(entries))
     for value, prob in entries:
-        if value >= 256:
-            raise SerializationError("density value does not fit in u8")
         out += bytes([value]) + _u32(prob.numerator) + _u32(prob.denominator)
     return out
 
 
 def _read_params(rd: _Reader) -> ParameterSet:
     q, p, n0, k0, w, w_g, m_g = (rd.u16() for _ in range(7))
-    _check_symbol_field(q)
     nent = rd.u16()
     coeffs: dict[int, Fraction] = {}
     for _ in range(nent):

@@ -266,6 +266,13 @@ def test_analyze_rejection_invalid_density(capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("density", ["1/0,1", "1/2,1/2,2:1/0"])
+def test_density_with_a_zero_denominator_is_input_error(capsys, density):
+    assert run("analyze", "rejection", "--params", "desk", "--density", density) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: density entry") and "zero denominator" in err
+
+
 def test_analyze_rejection_monte_carlo_needs_trials_and_workers(capsys):
     # 0 trials must not fall through to the analytic model
     assert run("analyze", "rejection", "--params", "desk", "--monte-carlo", 0) == EXIT_INPUT

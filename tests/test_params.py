@@ -47,6 +47,12 @@ def test_parse_rejects_bad_densities():
         DensityPolynomial({0: Fraction(1, 2), 1: Fraction(1, 2), 200: Fraction(0)}, Q)
 
 
+def test_parse_refuses_a_zero_denominator():
+    for bad in ("1/0,1", "1/2,1/2,2:1/0", "1/2,1/2,3:0/0"):
+        with pytest.raises(ParameterError, match="zero denominator"):
+            DensityPolynomial.parse(bad, Q)
+
+
 def test_format_round_trip():
     d = DensityPolynomial.parse("1/2,1/4,3:1/4", Q)
     assert DensityPolynomial.parse(d.format(), Q) == d

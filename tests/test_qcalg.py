@@ -394,7 +394,7 @@ def test_qc_mat_inv_identity_and_round_trip():
     assert inverted > 150
 
 
-def test_qc_mat_inv_dense_fallback_cases():
+def test_qc_mat_inv_with_non_unit_diagonal_blocks():
     # blocks individually singular as polynomials but jointly invertible:
     # ring-level elimination stalls only when no pivot in a column is
     # invertible, which [[g, 1], [1, g]] with singular g exercises once the
@@ -411,7 +411,7 @@ def test_qc_mat_inv_dense_fallback_cases():
         assert Ai is not None and np.array_equal(expand(Ai), dense)
 
 
-def test_qc_mat_inv_above_old_dense_limit_with_no_unit_pivot():
+def test_qc_mat_inv_at_p101_with_no_unit_in_the_first_column():
     # 41 blocks at p=101 expand to 4141 x 4141. Both entries of the first
     # column, x - 1 and Phi_101 = 1 + x + ... + x^100, are non-units, yet
     # det = x - 1 - Phi_101 is a unit, so the matrix is invertible.
@@ -477,7 +477,7 @@ def test_qc_mat_inv_repair_step_matches_dense_oracle(repairs, p, q):
 
 
 @pytest.mark.parametrize("p", [3, 13])
-def test_qc_mat_inv_live_columns_with_swaps_and_repairs(repairs, p):
+def test_qc_mat_inv_live_columns_with_off_diagonal_pivots_and_repairs(repairs, p):
     # non-unit entries force pivots off the diagonal and repairs, which add
     # whole rows, so the live columns of a pivot row can differ from generic;
     # s = 7, 8, 9 and 17 straddle the boundaries of panels of 8 columns
@@ -528,7 +528,7 @@ def test_qc_solve_pivots_each_panel_in_a_tile(monkeypatch):
     monkeypatch.setattr(qcalg, "_spectral_matmul", recording_product)
     rng = np.random.default_rng(41)
     for s, p in ((b, 13), (2 * b, 101), (2 * b + 3, 13)):
-        assert qcalg._panel_width(p, Q) == b == 8
+        assert qcalg._PANEL_WIDTH == b == 8
         panels = [b] * (s // b) + [s % b] * (s % b > 0)
         A = rand_qc(rng, s, s, p)
         # the inverse, and a dense B half as wide as A, as r0 = n0 / 2 in keygen
@@ -781,18 +781,16 @@ def test_zero_block_row_or_column_is_singular_by_the_elimination(repairs):
         assert repairs == [stall]
 
 
-@pytest.mark.parametrize("p,s,width", [(101, 3, 2), (199, 2, 1)])
-def test_qc_mat_inv_panel_shrinks_under_fft_bound(p, s, width):
-    # width * p * (q - 1)^2 must stay within the kernel's exactness bound
-    q = 65521
-    assert qcalg._panel_width(p, q) == width
-    assert width * p * (q - 1) ** 2 <= qcalg._FFT_EXACT_BOUND < (width + 1) * p * (q - 1) ** 2
-    rng = np.random.default_rng(p)
-    A = QCMatrix(rng.integers(0, q, (s, s, p)), q)
-    Ai = qc_mat_inv(A)
-    dense = gf_inv_dense(expand(A), q)
-    assert dense is not None and Ai is not None
-    assert np.array_equal(expand(Ai), dense)
+def test_qc_solve_refuses_a_panel_product_beyond_the_fft_bound():
+    # no ParameterSet reaches it (q <= 256, p < 2^16), but at q = 65521 a
+    # panel product of inner dimension 3 at p = 101 is past the kernel's
+    # exactness bound: the solve must fail loudly, not return a wrong A^{-1}
+    p, q, s = 101, 65521, 3
+    assert s * p * (q - 1) ** 2 > qcalg._FFT_EXACT_BOUND
+    A = QCMatrix(np.random.default_rng(p).integers(0, q, (s, s, p)), q)
+    assert gf_inv_dense(expand(A), q) is not None
+    with pytest.raises(OverflowError, match="too large for exact FFT"):
+        qc_mat_inv(A)
 
 
 @pytest.mark.parametrize("q", [2, 3, 127])
@@ -827,7 +825,7 @@ def test_qc_mat_inv_at_p_one_matches_dense_oracle(q):
 
 # --- vectors ---------------------------------------------------------------
 
-def test_sparse_vector_invariants():
+def test_gather_counts_each_position_once_per_occurrence():
     # a position array's entries are multiplicities mod q, in any order
     rng = np.random.default_rng(18)
     A = rand_qc(rng, 3, 2, 5)
@@ -841,7 +839,7 @@ def test_sparse_vector_invariants():
             qc_mat_gather(A, outside)
 
 
-def test_sparse_add_matches_dense():
+def test_gather_of_concatenated_positions_matches_dense():
     # the sum of two sparse vectors is the concatenation of their positions
     rng = np.random.default_rng(18)
     for _ in range(100):

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import deserialize
 from spanse import serial
-from spanse.params import DensityPolynomial, ParameterSet, get_params
+from spanse.params import DensityPolynomial, ParameterError, ParameterSet, get_params
 from spanse.qcalg import QCMatrix, random_qc_permutation
 from spanse.scheme import PrivateKey, PublicKey, Signature, keygen, sign
 
@@ -28,10 +28,22 @@ def test_params_round_trip():
 
 
 def test_params_above_one_byte_symbols_are_rejected():
-    # q = 257 is a valid field, but its symbol 256 cannot be written as a byte
-    wide = dataclasses.replace(DESK, density=DensityPolynomial.parse("1/2,1/2", 257), q=257)
-    with pytest.raises(serial.SerializationError, match="q <= 256"):
-        serial.serialize_params(wide)
+    # q = 257 is a field, but its symbol 256 cannot be written as a byte
+    with pytest.raises(ParameterError, match="q <= 256"):
+        dataclasses.replace(DESK, density=DensityPolynomial.parse("1/2,1/2", 257), q=257)
+
+
+def test_every_parameter_set_serializes():
+    # the byte header's extremes: a one-byte symbol field, and p, n0 and
+    # w_g as u16; k0 < n0, and w, m_g < q, follow
+    d = DensityPolynomial.parse("1/2,1/4,250:1/4", 251)
+    edge = ParameterSet("edge", 251, 65521, 65535, 65534, 250, 65535, 250, d)
+    assert serial.deserialize_params(serial.serialize_params(edge)) == edge
+    wide = DensityPolynomial.parse("1/2,1/2", 257)
+    for changes, match in (({"q": 257, "density": wide}, "q <= 256"), ({"p": 65537}, "u16"),
+                           ({"n0": 65536}, "u16"), ({"w_g": 65536}, "u16")):
+        with pytest.raises(ParameterError, match=match):
+            dataclasses.replace(edge, **changes)
 
 
 def test_public_round_trip(material):
