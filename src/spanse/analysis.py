@@ -1,4 +1,4 @@
-"""Quantitative models: forgery bounds, decoder cost estimates, rejection rates.
+"""Quantitative models: decoder cost estimates, rejection rates, sizes.
 
 Everything here is closed-form or Monte Carlo estimation; no attack is
 executed. The decoder cost model covers a partial-Gaussian-elimination
@@ -43,19 +43,6 @@ def log2_binomial(m: int, t: int) -> float:
     if t < 0 or t > m:
         raise ValueError(f"need 0 <= t <= m, got t={t}, m={m}")
     return (math.lgamma(m + 1) - math.lgamma(t + 1) - math.lgamma(m - t + 1)) / math.log(2)
-
-
-@dataclass(frozen=True)
-class BruteForceReport:
-    """log2 of the chance that one uniform vector forges a given syndrome."""
-
-    zero_free_log2: float  # n * log2((q-1)/q): all entries nonzero
-    total_log2: float  # zero-free term minus r*log2(q) for the syndrome hit
-
-
-def brute_force_log2(q: int, n: int, r: int) -> BruteForceReport:
-    zero_free = n * math.log2((q - 1) / q)
-    return BruteForceReport(zero_free, zero_free - r * math.log2(q))
 
 
 # ---------------------------------------------------------------------------

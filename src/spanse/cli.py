@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, serial
 from .params import REGISTRY, DensityPolynomial, ParameterError, ParameterSet, get_params
-from .scheme import SigningError, keygen, sign, verify
+from .scheme import SigningError, check_private, keygen, sign, verify
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -87,7 +87,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_keycheck(args) -> int:
-    serial.check_private(serial.deserialize_private(Path(args.key).read_bytes()))
+    check_private(serial.deserialize_private(Path(args.key).read_bytes()))
     print("ok")
     return EXIT_OK
 

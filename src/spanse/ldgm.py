@@ -16,8 +16,9 @@ solves for the public H'^T directly (scheme.keygen). It first tests
 M1(1), M1 at x = 1, a k0 x k0 matrix over F_q, by forward elimination
 mod q: M1 is singular when M1(1) is, and every singular desk draw
 measured was caught there. make_code returns the first G that passes
-that test alone; M1 is eliminated over R_p only when keygen's solve
-fails, since that solve is singular whenever M1 is.
+that test alone. M1 is eliminated over R_p only after an elimination of
+T S^T fails, in keygen or in keycheck (scheme.check_private): T S^T is
+singular whenever M1 is.
 """
 
 from __future__ import annotations

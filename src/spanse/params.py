@@ -137,7 +137,8 @@ class ParameterSet:
 
     def __post_init__(self):
         # the byte format's limits are decided here: a symbol is one byte,
-        # and p, n0 and w_g are u16 header fields (k0 < n0, and w, m_g < q)
+        # p, n0 and w_g are u16 header fields (k0 < n0, and w, m_g < q), and
+        # the density's fractions are u32 pairs
         if not (3 <= self.q <= 256 and is_prime(self.q)):
             raise ParameterError(f"q={self.q} must be an odd prime, q <= 256 for one-byte symbols")
         if max(self.p, self.n0, self.w_g) >= 2**16:
@@ -156,6 +157,10 @@ class ParameterSet:
             raise ParameterError("m_g and w must be below q")
         if self.density.q != self.q:
             raise ParameterError("density field size disagrees with q")
+        # a probability's numerator is at most its denominator
+        if max(v.denominator for v in self.density.coeffs.values()) >= 2**32:
+            raise ParameterError("density fractions must have denominators below 2^32 "
+                                 "to fit the u32 header fields")
 
     @property
     def n(self) -> int:

@@ -385,24 +385,24 @@ def qc_solve(aug: np.ndarray, q: int) -> np.ndarray | None:
                  or _repair_pivot(aug, col, free, p, q, buffers))
         if first is None:
             return None
-        piv += _eliminate_panel(aug, col, _PANEL_WIDTH, free, first, p, q, buffers)
+        piv += _eliminate_panel(aug, col, free, first, p, q, buffers)
     return aug[piv, s:]
 
 
-def _eliminate_panel(aug: np.ndarray, col: int, step: int, free: list[int],
+def _eliminate_panel(aug: np.ndarray, col: int, free: list[int],
                      first: tuple[int, np.ndarray], p: int, q: int,
                      buffers: _Buffers) -> list[int]:
     """Eliminate block columns col, col + 1, ... of aug in one panel.
 
     first is (row, inverse of its entry in column col), the pivot found
     for column col. The tile is that row and the free rows after it; the
-    panel stops after step columns, at the last column of A, or at one
-    with no unit in the tile; the slices that apply it are step block
-    columns wide. Pivot rows leave free and are returned in column order;
-    aug is exact again on return.
+    panel stops after _PANEL_WIDTH columns, at the last column of A, or at
+    one with no unit in the tile; the slices that apply it are at most
+    _PANEL_WIDTH block columns wide. Pivot rows leave free and are
+    returned in column order; aug is exact again on return.
     """
     s, f = aug.shape[0], _fft_length(p) // 2 + 1
-    width = min(step, s - col)
+    width = min(_PANEL_WIDTH, s - col)
     panel = aug[:, col : col + width]  # A_p: read, not written, until the panel is applied
     start = free.index(first[0])
     tile = free[start : start + width]
@@ -446,13 +446,14 @@ def _eliminate_panel(aug: np.ndarray, col: int, step: int, free: list[int],
     d_spectrum = _spectrum(d_minus_i, p, spectrum)
     # columns left of the panel are zero in every pivot row; the panel's
     # columns after an early stop are updated with the rest. Each run of
-    # live columns is cut into slices of at most step, each a view of aug
+    # live columns is cut into slices of at most _PANEL_WIDTH, each a view
+    # of aug
     live = aug[pivots].any(axis=(0, 2))
     live[: col + k] = False
     edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
     for start, end in zip(edges[::2], edges[1::2]):
-        for lo in range(start, end, step):
-            block = aug[:, lo : min(lo + step, end)]
+        for lo in range(start, end, _PANEL_WIDTH):
+            block = aug[:, lo : min(lo + _PANEL_WIDTH, end)]
             rows_spectrum = buffers.take("slice spectrum", (f, k, block.shape[1]), np.complex128)
             _spectral_matmul(d_spectrum,
                              _spectrum(block[pivots], p, rows_spectrum.transpose(1, 2, 0)),

@@ -8,7 +8,9 @@ and P^{-T} = P for a permutation, so H'^T = (T S^T)^{-1} [0; P]: keygen
 fills one buffer [T S^T | [0; D]] per S draw, T S^T from gathers of S's
 columns and D with P's monomials on its diagonal, solves it in place and
 permutes the result's block columns. Neither H, W, S^T nor an inverse is
-formed.
+formed. T S^T is invertible exactly when S and M1 are, which is what makes
+a private key valid, so keycheck (check_private) eliminates the same
+buffer's T S^T part alone, and M1 only to name a fault.
 Signing maps the message to a sparse weight-w syndrome s, lifts it to an
 error pattern e = [0_k | (Ps)^T], masks it with a random low-weight
 codeword c, and publishes sigma = (e + c) S^T; attempts are rejected until
@@ -185,6 +187,23 @@ def _public_system(S: QCMatrix, G: np.ndarray, P: QCPermutation,
         aug[i, :n0] = qc_mat_gather(S, t_i).reshape(n0, p)
     aug[k0 + np.arange(params.r0), n0 + np.arange(params.r0), -P.shifts % p] = 1
     return aug
+
+
+def check_private(sk: PrivateKey):
+    """Raise ValueError unless S and G's left block part M1 are invertible,
+    as in every key keygen writes: the check a key load skips.
+
+    T S^T is singular exactly when S or M1 is, so the left n0 block
+    columns of keygen's buffer, T S^T alone, are eliminated once, in
+    place. Only when that fails is M1 tested (`reducible`), to name the
+    fault.
+    """
+    params = sk.params
+    if qc_solve(_public_system(sk.S, sk.G, sk.P, params)[:, :params.n0], params.q) is not None:
+        return
+    if not reducible(sk.G, params):
+        raise ValueError("generator is not reducible: left block part of the generator is singular")
+    raise ValueError("dense transform is singular")
 
 
 def derive_syndrome(message: bytes, theta: bytes, params: ParameterSet) -> np.ndarray:

@@ -18,7 +18,8 @@ payloads:
     signature  theta length u16, theta bytes, n signature bytes
 
 Symbols are single bytes. ParameterSet refuses what the header cannot hold
-(q > 256; p, n0 or w_g of 2^16 or more), so every parameter set writes,
+(q > 256; p, n0 or w_g of 2^16 or more; a density fraction whose
+denominator is 2^32 or more), so every parameter set writes,
 and a header that breaks those limits reads as invalid parameters.
 Every symbol byte must be < q; anything else is a parse error. Loading
 checks everything that costs O(size): lengths, symbol ranges, the
@@ -27,12 +28,9 @@ positions all of value 1 (as keygen writes it), and that no block row of
 S is zero (signing with such an S could never succeed). Keys are held as
 stored (G as sorted one-positions, S and H' as blocks that are uint8 views
 of the input's bytes, neither copied nor widened); H, S^{-1} and the
-transposes are not derived. `check_private` runs the two O(n0^3 p) checks
-a load skips: that the generator is reducible (ldgm.reducible) and that S
-is invertible, each by eliminating the matrix alone, so neither W nor an
-inverse is formed. File writes go to a temporary name in the target
-directory and are renamed into place, so failures never leave a partial
-file.
+transposes are not derived. File writes go to a temporary name in the
+target directory and are renamed into place, so failures never leave a
+partial file.
 """
 
 from __future__ import annotations
@@ -44,9 +42,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ldgm import reducible
 from .params import DensityPolynomial, ParameterSet
-from .qcalg import QCMatrix, QCPermutation, qc_solve
+from .qcalg import QCMatrix, QCPermutation
 from .scheme import PrivateKey, PublicKey, Signature
 
 MAGIC = b"SPNS"
@@ -100,8 +97,9 @@ def _u16(v: int) -> bytes:
 
 
 def _u32(v: int) -> bytes:
-    if not (0 <= v < 2**32):
-        raise SerializationError(f"value {v} does not fit in u32")
+    # no range check: ParameterSet bounds the density's fractions below
+    # 2^32, a generator row count is w_g < 2^16, and a position is below
+    # n = n0 p < 2^32
     return struct.pack("<I", v)
 
 
@@ -243,22 +241,6 @@ def deserialize_private(data: bytes) -> PrivateKey:
         raise SerializationError("dense transform has an all-zero block row")
     S = QCMatrix(s_syms.reshape(params.n0, params.n0, p), q)
     return PrivateKey(params, P, G, S)
-
-
-def check_private(sk: PrivateKey):
-    """Raise SerializationError unless the generator is reducible (its left
-    block part M1 invertible) and S is invertible, as in every key keygen
-    writes.
-
-    These are the two O(n0^3 p) checks that loading skips. Each matrix is
-    eliminated alone, S in a copy of its blocks, so neither M1's solution
-    W nor an inverse is formed.
-    """
-    if not reducible(sk.G, sk.params):
-        raise SerializationError("generator is not reducible: "
-                                 "left block part of the generator is singular")
-    if qc_solve(sk.S.blocks.copy(), sk.S.q) is None:
-        raise SerializationError("dense transform is singular")
 
 
 def deserialize_signature(data: bytes) -> tuple[Signature, ParameterSet]:

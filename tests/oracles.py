@@ -22,12 +22,14 @@ once as arrays; `optimize_attack` here is the scalar loop over them. The
 library derives a syndrome's support from its hash stream with
 whole-array filters; `reference_syndrome` reads the stream word by word.
 The library reads each byte format with its own deserializer;
-`deserialize` dispatches on the object-type byte.
+`deserialize` dispatches on the object-type byte. The brute-force forgery
+bound that criterion 4 reproduces has no library caller, so it is here.
 """
 
 import hashlib
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +41,19 @@ from spanse.ldgm import codeword_from_generator, codeword_positions, sample_gene
 from spanse.params import DensityPolynomial, ParameterSet
 from spanse.qcalg import QCMatrix, QCPermutation, _block_matmul, qc_solve
 from spanse.scheme import _TAG_EXPAND, _TAG_MSG
+
+
+@dataclass(frozen=True)
+class BruteForceReport:
+    """log2 of the chance that one uniform vector forges a given syndrome."""
+
+    zero_free_log2: float  # n * log2((q-1)/q): all entries nonzero
+    total_log2: float  # zero-free term minus r*log2(q) for the syndrome hit
+
+
+def brute_force_log2(q: int, n: int, r: int) -> BruteForceReport:
+    zero_free = n * math.log2((q - 1) / q)
+    return BruteForceReport(zero_free, zero_free - r * math.log2(q))
 
 
 def dense_vector(positions: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -14,13 +14,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import (dense_vector, deserialize, expand, generator_matrix, gf_inv_dense, gf_matmul,
-                     identity, parity_check, qc_mat_mul, solve)
+from oracles import (brute_force_log2, dense_vector, deserialize, expand, generator_matrix,
+                     gf_inv_dense, gf_matmul, identity, parity_check, qc_mat_mul, solve)
 from spanse import serial
 from spanse.analysis import (
     AttackPoint,
     log2_binomial,
-    brute_force_log2,
     optimize_attack,
     pge_ss_exponents,
     rejection_rate_analytic,

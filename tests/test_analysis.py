@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from oracles import (
+    brute_force_log2,
     density_pmf,
     density_support,
     fixed_weight_p_zero,
@@ -23,7 +24,6 @@ from spanse import analysis
 from spanse.analysis import (
     AttackPoint,
     ConstraintError,
-    brute_force_log2,
     log2_binomial,
     optimize_attack,
     pge_ss_exponents,

@@ -147,6 +147,30 @@ def test_keycheck_rejects_singular_key(workdir, capsys, part):
     assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
+def test_keycheck_at_the_spanse_128_ring(workdir, capsys):
+    # spanse-128's ring and weights at n0 = 84, so S spans 11 panels of the
+    # solve: a keygen key passes, and equal block rows of S, or of the
+    # generator's M1, are each named
+    pfile = _params_file(workdir / "p101.params", 101, 84, 42)
+    sk_path, pk_path = workdir / "sk.bin", workdir / "pk.bin"
+    assert run("keygen", "--params", pfile, "--private", sk_path,
+               "--public", pk_path, "--seed", 11) == EXIT_OK
+    capsys.readouterr()
+    assert run("keycheck", "--key", sk_path) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "ok"
+    sk = serial.deserialize_private(sk_path.read_bytes())
+    for part, message in (("S", "dense transform is singular"),
+                          ("G", "generator is not reducible")):
+        parts = {"G": sk.G.copy(), "S": sk.S.blocks.copy()}
+        parts[part][1] = parts[part][0]
+        bad = workdir / f"bad-{part}.bin"
+        bad.write_bytes(serial.serialize_private(
+            PrivateKey(sk.params, sk.P, parts["G"], QCMatrix(parts["S"], sk.params.q))))
+        assert run("keycheck", "--key", bad) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_zero_block_row_in_s_is_rejected_at_load(workdir, capsys, monkeypatch):
     # every signature would have that block zero, so signing could only
     # exhaust its attempts; the key must be refused before sign runs
@@ -394,6 +418,28 @@ def test_params_file_with_q_above_byte_symbols_is_input_error(workdir, capsys):
                "--public", pk, "--seed", 1) == EXIT_INPUT
     assert "q <= 256" in capsys.readouterr().err
     assert not sk.exists() and not pk.exists()
+
+
+def test_params_file_with_a_density_the_header_cannot_write_is_input_error(workdir, capsys):
+    # d0 = 1/2 and d1 = (2^31 - 1)/(2^32 - 1) fit the file's u32 fields but
+    # sum to just under 1, and renormalized d0 = (2^32 - 1)/(2^33 - 3) would
+    # not: keygen exits 2 before it draws anything
+    desk = get_params("desk")
+    data = b"SPNS" + struct.pack("<HB", 1, 1)
+    data += struct.pack("<7H", desk.q, desk.p, desk.n0, desk.k0, desk.w, desk.w_g, desk.m_g)
+    data += struct.pack("<H", 2) + struct.pack("<BII", 0, 1, 2)
+    data += struct.pack("<BII", 1, 2**31 - 1, 2**32 - 1)
+    pfile = workdir / "fine.params"
+    pfile.write_bytes(data)
+    sk, pk = workdir / "sk.bin", workdir / "pk.bin"
+    drawn = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "make_code", lambda *a: drawn.append(a))
+        assert run("keygen", "--params", pfile, "--private", sk,
+                   "--public", pk, "--seed", 1) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "below 2^32" in err and "Traceback" not in err
+    assert not drawn and not sk.exists() and not pk.exists()
 
 
 def _python_limited(*argv) -> subprocess.CompletedProcess:

@@ -20,8 +20,9 @@ from oracles import (
 from spanse import ldgm, qcalg, scheme, serial
 from spanse.ldgm import codeword_from_generator
 from spanse.params import DensityPolynomial, ParameterError, ParameterSet, get_params
-from spanse.qcalg import perm_apply, qc_mat_gather
+from spanse.qcalg import QCMatrix, perm_apply, qc_mat_gather
 from spanse.scheme import (
+    PrivateKey,
     SigningError,
     Signature,
     VerifyResult,
@@ -224,6 +225,37 @@ def test_verify_working_set_is_one_chunk_of_block_rows(p101_keys):
     assert peak < 1.3 * qcalg._VEC_CHUNK * per_row and peak < ps.r0 * per_row / 4
 
 
+def test_keycheck_eliminates_t_s_transpose_once(p101_keys, monkeypatch):
+    # spanse-128's ring at n0 = 84, so S spans 11 panels. A valid key is
+    # decided by one elimination of keygen's T S^T, (n0, n0) blocks; M1's
+    # (k0, k0) elimination runs only after that fails, to name the fault.
+    # Equal generator rows make M1(1) singular, so they need no M1 solve
+    ps, sk, _, _ = p101_keys
+    real, shapes = qcalg.qc_solve, []
+
+    def recording_solve(aug, q):
+        shapes.append(aug.shape[:2])
+        return real(aug, q)
+
+    monkeypatch.setattr(scheme, "qc_solve", recording_solve)
+    monkeypatch.setattr(ldgm, "qc_solve", recording_solve)
+    equal_s, equal_g = sk.S.blocks.copy(), sk.G.copy()
+    equal_s[1], equal_g[1] = equal_s[0], equal_g[0]
+    square, m1 = (ps.n0, ps.n0), (ps.k0, ps.k0)
+    cases = ((sk, None, [square]),
+             (PrivateKey(ps, sk.P, sk.G, QCMatrix(equal_s, ps.q)),
+              "dense transform is singular", [square, m1]),
+             (PrivateKey(ps, sk.P, equal_g, sk.S), "generator is not reducible", [square]))
+    for key, message, solves in cases:
+        shapes.clear()
+        if message is None:
+            scheme.check_private(key)
+        else:
+            with pytest.raises(ValueError, match=message):
+                scheme.check_private(key)
+        assert shapes == solves
+
+
 def test_dense_transform_sampling_uses_density():
     rng = np.random.default_rng(8)
     S = sample_dense_transform(DESK, rng)
@@ -397,7 +429,7 @@ def forbid_inversion(monkeypatch):
     def inverted(*args):
         raise AssertionError("inversion called")
 
-    for module in (qcalg, ldgm, scheme, serial):
+    for module in (qcalg, ldgm, scheme):
         monkeypatch.setattr(module, "qc_solve", inverted)
     monkeypatch.setattr(qcalg, "_poly_inv_raw", inverted)
     monkeypatch.setattr(qcalg, "_unit_idempotent", inverted)

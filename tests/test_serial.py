@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,9 +40,16 @@ def test_every_parameter_set_serializes():
     d = DensityPolynomial.parse("1/2,1/4,250:1/4", 251)
     edge = ParameterSet("edge", 251, 65521, 65535, 65534, 250, 65535, 250, d)
     assert serial.deserialize_params(serial.serialize_params(edge)) == edge
+    # the density's fractions are u32 numerator and denominator pairs
+    top = 2**32 - 1
+    fine = DensityPolynomial({0: Fraction(top - 1, top), 1: Fraction(1, top)}, 251)
+    at_edge = dataclasses.replace(edge, density=fine)
+    assert serial.deserialize_params(serial.serialize_params(at_edge)).density == fine
     wide = DensityPolynomial.parse("1/2,1/2", 257)
+    past = DensityPolynomial({0: Fraction(top, 2**32), 1: Fraction(1, 2**32)}, 251)
     for changes, match in (({"q": 257, "density": wide}, "q <= 256"), ({"p": 65537}, "u16"),
-                           ({"n0": 65536}, "u16"), ({"w_g": 65536}, "u16")):
+                           ({"n0": 65536}, "u16"), ({"w_g": 65536}, "u16"),
+                           ({"density": past}, "below 2\\^32")):
         with pytest.raises(ParameterError, match=match):
             dataclasses.replace(edge, **changes)
 

@@ -22,10 +22,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "spanse"
 
 # (module, name): why a definition with no library caller stays
-ALLOWED = {
-    ("analysis", "brute_force_log2"): "the published brute-force forgery bound that "
-                                      "criterion 4 reproduces",
-}
+ALLOWED: dict = {}
 
 
 def _names(node: ast.AST) -> Counter:
